@@ -18,7 +18,9 @@ convention carries a caveat.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, replace
+from collections.abc import Callable
+from dataclasses import dataclass, field, fields, replace
+from functools import partial
 from math import ceil, inf, isinf
 from random import Random
 
@@ -58,30 +60,19 @@ def fmt_value(v: Value) -> str:
 class EngineConfig:
     fields: tuple[str, ...] = ("F2", "F3", "Q")
     depth_cap: int | None = None  # None: 2*dim per space
-    seed: int = 0
     subgroup_mode: str = "conjugacy"  # or "all"
     group_order_cap: int = 10_000
     subgroup_cap: int = 256
     max_ring_simplices: int = 4_000
-    max_passes: int = 100
 
     @staticmethod
     def from_problem(problem: Problem, **overrides) -> "EngineConfig":
         merged: dict = {}
+        known = {f.name for f in fields(EngineConfig)}
         for key, raw in problem.config.items():
-            if key == "fields":
-                merged["fields"] = tuple(raw)
-            elif key in (
-                "depth_cap",
-                "seed",
-                "subgroup_mode",
-                "group_order_cap",
-                "subgroup_cap",
-                "max_ring_simplices",
-            ):
-                merged[key] = raw
-            else:
+            if key not in known:
                 raise ProblemFormatError(f"config.{key}: unknown configuration key")
+            merged[key] = tuple(raw) if key == "fields" else raw
         merged.update({k: v for k, v in overrides.items() if v is not None})
         cfg = EngineConfig(**merged)
         if cfg.subgroup_mode not in ("conjugacy", "all"):
@@ -96,6 +87,16 @@ class Quantity:
     kind: str  # cat | TC | cat_G | TC_G
     space: str  # space key within a context
     group: str | None = None  # None | "G" | "H<k>" | "GxG"
+
+
+CAT_X = Quantity("cat", "X")
+TC_X = Quantity("TC", "X")
+CAT_XX = Quantity("cat", "XxX")
+CAT_ORBIT = Quantity("cat", "orbit")
+CAT_G = Quantity("cat_G", "X", "G")
+TC_G = Quantity("TC_G", "X", "G")
+CAT_G_XX = Quantity("cat_G", "XxX", "G")  # diagonal action
+CAT_GXG_XX = Quantity("cat_G", "XxX", "GxG")  # product action
 
 
 @dataclass(frozen=True)
@@ -114,7 +115,6 @@ class Bound:
 
 
 RULE_STATEMENTS: dict[str, str] = {
-    "CONV": "covering-type invariants count the sets of an open cover, so every value is >= 1",
     "DISC": "a space with more than one path component admits no motion planner with "
     "finitely many domains of continuity: TC = infinity",
     "ASSERT": "user-asserted fact (taken on trust, see justification)",
@@ -274,8 +274,10 @@ class FactBase:
         caveats: tuple[str, ...] = (),
     ) -> bool:
         """Record the bound if it improves the current best; returns True if it did."""
-        assert side in ("lower", "upper")
-        assert isinf(value) or (isinstance(value, int) and value >= 1), value
+        if side not in ("lower", "upper"):
+            raise AssertionError(f"bound side must be 'lower' or 'upper', got {side!r}")
+        if not (isinf(value) or (isinstance(value, int) and value >= 1)):
+            raise AssertionError(f"bound value must be an integer >= 1 or infinity, got {value!r}")
         record = self.best[(ctx, q)]
         current = record[side]
         improved = value > current.value if side == "lower" else value < current.value
@@ -341,21 +343,6 @@ def quantity_display(ctx: ProblemContext, q: Quantity) -> str:
 # context construction and seeding
 
 
-def _space_quantity(ctx: ProblemContext, kind: str, space: str, group: str | None = None) -> Quantity:
-    return Quantity(kind, space, group)
-
-
-def _canonical_equivariant(ctx: ProblemContext, kind: str, class_key: str) -> Quantity:
-    """cat_H / TC_K for a subgroup class, folding trivial and full classes."""
-    info = next(c for c in ctx.classes if c.key == class_key)
-    base = "cat" if kind == "cat_G" else "TC"
-    if info.is_trivial:
-        return Quantity(base, "X", None)
-    if info.is_full:
-        return Quantity(kind, "X", "G")
-    return Quantity(kind, "X", info.key)
-
-
 def _analyze_space(info: SpaceInfo, config: EngineConfig) -> None:
     K = info.complex
     if K is None or info.empty:
@@ -385,7 +372,8 @@ def _build_action_context(name: str, problem: Problem, config: EngineConfig) -> 
                       cap=config.group_order_cap)
     action = validate_action(K, G)
     R = regularize(action)
-    assert R.complex.dim == K.dim, "subdivision must preserve dimension"
+    if R.complex.dim != K.dim:
+        raise AssertionError("subdivision must preserve dimension")
     ctx.regular = R
     ctx.equivariant = not G.is_trivial
     ctx.annotations = tuple(problem.annotations)
@@ -453,35 +441,21 @@ def _build_action_context(name: str, problem: Problem, config: EngineConfig) -> 
 
 
 def _register_quantities(fb: FactBase, ctx: ProblemContext) -> None:
-    name = ctx.name
     if ctx.is_associated:
-        fb.register(name, Quantity("TC", "assoc", None))
+        fb.register(ctx.name, Quantity("TC", "assoc"))
         return
-    for kind in ("cat", "TC"):
-        fb.register(name, Quantity(kind, "X", None))
-    fb.register(name, Quantity("cat", "XxX", None))
+    quantities = [CAT_X, TC_X, CAT_XX]
     if ctx.equivariant:
-        fb.register(name, Quantity("cat_G", "X", "G"))
-        fb.register(name, Quantity("TC_G", "X", "G"))
-        fb.register(name, Quantity("cat_G", "XxX", "G"))
-        fb.register(name, Quantity("cat_G", "XxX", "GxG"))
-        for kind in ("cat", "TC"):
-            fb.register(name, Quantity(kind, "orbit", None))
+        quantities += [CAT_G, TC_G, CAT_G_XX, CAT_GXG_XX, CAT_ORBIT, Quantity("TC", "orbit")]
         for cls in ctx.classes:
             if cls.is_trivial:
                 continue
-            space = cls.fixed_space
-            if space and not ctx.spaces[space].empty:
-                for kind in ("cat", "TC"):
-                    fb.register(name, Quantity(kind, space, None))
+            if not ctx.spaces[cls.fixed_space].empty:
+                quantities += [Quantity("cat", cls.fixed_space), Quantity("TC", cls.fixed_space)]
             if not cls.is_full:
-                fb.register(name, Quantity("cat_G", "X", cls.key))
-                fb.register(name, Quantity("TC_G", "X", cls.key))
-
-
-def _seed_convention(fb: FactBase) -> None:
-    for ctx_name, q in fb.quantities:
-        fb.add_bound(ctx_name, q, "lower", 1, "CONV")
+                quantities += [Quantity("cat_G", "X", cls.key), Quantity("TC_G", "X", cls.key)]
+    for q in quantities:
+        fb.register(ctx.name, q)
 
 
 def _certificate_dict(cert: ProductCertificate) -> dict:
@@ -543,25 +517,16 @@ def _seed_space_bounds(fb: FactBase, ctx: ProblemContext) -> None:
                         certificate=_certificate_dict(cup),
                         hypotheses=(f"path-connected({info.display})",),
                     )
-        if info.connected:
-            fb.add_bound(
-                ctx.name,
-                q_tc,
-                "upper",
-                2 * info.dim + 1,
-                "R4",
-                certificate={"dim": info.dim},
-                hypotheses=(f"path-connected({info.display})",),
-            )
-            fb.add_bound(
-                ctx.name,
-                q_cat,
-                "upper",
-                info.dim + 1,
-                "R4b",
-                certificate={"dim": info.dim},
-                hypotheses=(f"path-connected({info.display})",),
-            )
+            for q, value, rule in ((q_tc, 2 * info.dim + 1, "R4"), (q_cat, info.dim + 1, "R4b")):
+                fb.add_bound(
+                    ctx.name,
+                    q,
+                    "upper",
+                    value,
+                    rule,
+                    certificate={"dim": info.dim},
+                    hypotheses=(f"path-connected({info.display})",),
+                )
 
 
 def _seed_assertions(fb: FactBase, ctx: ProblemContext) -> None:
@@ -608,7 +573,6 @@ def seed_facts(problem: Problem, config: EngineConfig | None = None) -> FactBase
         fb.contexts[""] = _build_action_context("", problem, config)
     for ctx in fb.contexts.values():
         _register_quantities(fb, ctx)
-    _seed_convention(fb)
     for ctx in fb.contexts.values():
         if not ctx.is_associated:
             _seed_space_bounds(fb, ctx)
@@ -619,18 +583,12 @@ def seed_facts(problem: Problem, config: EngineConfig | None = None) -> FactBase
 # ---------------------------------------------------------------------------
 # rules
 
+MAX_PASSES = 100
 
-def _twice_minus_one(v: Value) -> Value:
-    return inf if isinf(v) else 2 * v - 1
-
-
-def _half_roundup(v: Value) -> Value:
-    # inverse of v <= 2u - 1: u >= (v+1)/2
-    return inf if isinf(v) else ceil((v + 1) / 2)
-
-
-def _product(a: Value, b: Value) -> Value:
-    return inf if (isinf(a) or isinf(b)) else a * b
+PATH_CONNECTED = "path-connected(X)"
+G_CONNECTED = "G-connected (computed over subgroup classes)"
+FIXED_POINT = "X^G nonempty (fixed vertex found)"
+NORMAL = "finite complexes are completely normal"
 
 
 @dataclass(frozen=True)
@@ -645,125 +603,201 @@ class Candidate:
     caveats: tuple[str, ...] = ()
 
 
-def _ineq_candidates(
-    fb: FactBase,
-    ctx: str,
-    smaller: Quantity,
-    larger: Quantity,
-    hypotheses: tuple[str, ...],
-    caveats: tuple[str, ...] = (),
-) -> list[Candidate]:
-    """Both interval propagations of `smaller <= larger`."""
-    out = []
-    lo = fb.lower(ctx, smaller)
-    out.append(
-        Candidate(ctx, larger, "lower", lo.value, _ids(lo), None, hypotheses, caveats)
-    )
-    hi = fb.upper(ctx, larger)
-    if not isinf(hi.value):
-        out.append(
-            Candidate(ctx, smaller, "upper", hi.value, _ids(hi), None, hypotheses, caveats)
-        )
-    return out
+@dataclass(frozen=True)
+class Link:
+    """One inequality between quantities a and b of a context.
+
+    Forms: "le" is a <= b, giving b a's lower bound and a b's upper bound;
+    "lower" is a <= b giving only the lower bound; "eq" is "le" for (a, b)
+    and then for (b, a); "affine" is b <= 2a - 1, giving only b an upper
+    bound; "affine+inverse" also gives a >= ceil((b + 1) / 2).
+    """
+
+    form: str
+    a: Quantity
+    b: Quantity
+    hypotheses: tuple[str, ...] = ()
+    certificate: dict | None = None
+    annotations: tuple[str, ...] = ()  # required, and recorded as hypotheses
+
+
+@dataclass(frozen=True)
+class Row:
+    """A saturation rule: where guard(ctx) holds and the annotations are
+    present, each link yields candidates under the row's hypotheses.  A row
+    whose hypotheses include G_CONNECTED also carries the empty-fixed-set
+    caveat."""
+
+    rule: str
+    guard: Callable[[ProblemContext], bool]
+    links: tuple[Link, ...] | Callable[[ProblemContext], list[Link]]
+    hypotheses: tuple[str, ...] = ()
+    annotations: tuple[str, ...] = ()
+
+
+def _half_roundup(v: Value) -> Value:
+    # inverse of v <= 2u - 1: u >= (v+1)/2
+    return inf if isinf(v) else ceil((v + 1) / 2)
 
 
 def _ids(*sides: BestSide) -> tuple[int, ...]:
     return tuple(s.bound_id for s in sides if s.bound_id is not None)
 
 
-def _g_hypotheses(ctx: ProblemContext) -> tuple[tuple[str, ...], tuple[str, ...]]:
-    hyp = ("G-connected (computed over subgroup classes)",)
-    caveats = ()
-    if ctx.empty_fixed_classes:
-        caveats = (
-            "empty fixed sets treated as path-connected for: "
-            + ", ".join(f"X^{d}" for d in ctx.empty_fixed_classes),
-        )
-    return hyp, caveats
+def _annotation_hypotheses(names: tuple[str, ...]) -> tuple[str, ...]:
+    return tuple(f"annotation:{n} (user-certified)" for n in names)
 
 
-def _rule_R3(fb: FactBase, ctx: ProblemContext) -> list[Candidate]:
-    if ctx.is_associated or ctx.spaces["X"].connected is not True:
-        return []
-    hyp = ("path-connected(X)",)
-    cat_x = Quantity("cat", "X", None)
-    tc_x = Quantity("TC", "X", None)
-    cat_xx = Quantity("cat", "XxX", None)
-    return _ineq_candidates(fb, ctx.name, cat_x, tc_x, hyp) + _ineq_candidates(
-        fb, ctx.name, tc_x, cat_xx, hyp
+def _empty_fixed_caveats(ctx: ProblemContext) -> tuple[str, ...]:
+    if not ctx.empty_fixed_classes:
+        return ()
+    return (
+        "empty fixed sets treated as path-connected for: "
+        + ", ".join(f"X^{d}" for d in ctx.empty_fixed_classes),
     )
 
 
-def _rule_R5(fb: FactBase, ctx: ProblemContext) -> list[Candidate]:
-    if ctx.is_associated or ctx.spaces["X"].connected is not True:
+def _link_candidates(
+    fb: FactBase, ctx: str, link: Link, hyp: tuple[str, ...], caveats: tuple[str, ...]
+) -> list[Candidate]:
+    out = []
+
+    def emit(q: Quantity, side: str, value: Value, source: BestSide) -> None:
+        out.append(Candidate(ctx, q, side, value, _ids(source), link.certificate, hyp, caveats))
+
+    if link.form in ("affine", "affine+inverse"):
+        hi = fb.upper(ctx, link.a)
+        if not isinf(hi.value):
+            emit(link.b, "upper", 2 * hi.value - 1, hi)
+        lo = fb.lower(ctx, link.b)
+        if link.form == "affine+inverse" and lo.value > 1:
+            emit(link.a, "lower", _half_roundup(lo.value), lo)
+        return out
+    pairs = ((link.a, link.b), (link.b, link.a)) if link.form == "eq" else ((link.a, link.b),)
+    for a, b in pairs:
+        lo = fb.lower(ctx, a)
+        emit(b, "lower", lo.value, lo)
+        hi = fb.upper(ctx, b)
+        if link.form != "lower" and not isinf(hi.value):
+            emit(a, "upper", hi.value, hi)
+    return out
+
+
+def _emit(row: Row, fb: FactBase, ctx: ProblemContext) -> list[Candidate]:
+    """All candidates of one table row; computed before any is recorded."""
+    if not row.guard(ctx) or not all(n in ctx.annotations for n in row.annotations):
         return []
-    cat_x = fb.upper(ctx.name, Quantity("cat", "X", None))
-    if isinf(cat_x.value):
-        return []
+    hyp = _annotation_hypotheses(row.annotations) + row.hypotheses
+    caveats = _empty_fixed_caveats(ctx) if G_CONNECTED in hyp else ()
+    links = row.links(ctx) if callable(row.links) else row.links
+    out = []
+    for link in links:
+        if all(n in ctx.annotations for n in link.annotations):
+            link_hyp = hyp + _annotation_hypotheses(link.annotations) + link.hypotheses
+            out += _link_candidates(fb, ctx.name, link, link_hyp, caveats)
+    return out
+
+
+def _connected(ctx: ProblemContext) -> bool:
+    return not ctx.is_associated and ctx.spaces["X"].connected is True
+
+
+def _equivariant(ctx: ProblemContext) -> bool:
+    return ctx.equivariant
+
+
+def _equivariant_connected(ctx: ProblemContext) -> bool:
+    return ctx.equivariant and _connected(ctx)
+
+
+def _g_connected(ctx: ProblemContext) -> bool:
+    return ctx.equivariant and ctx.g_connected is True
+
+
+def _g_fixed_point(ctx: ProblemContext) -> bool:
+    return _g_connected(ctx) and bool(ctx.fixed_vertex)
+
+
+def _fixed_set_links(ctx: ProblemContext) -> list[Link]:
     return [
-        Candidate(
-            ctx.name,
-            Quantity("cat", "XxX", None),
-            "upper",
-            _twice_minus_one(cat_x.value),
-            _ids(cat_x),
-            None,
-            ("path-connected(X)",),
-        )
+        Link("lower", Quantity("TC", c.fixed_space), TC_G, certificate={"subgroup": c.display})
+        for c in ctx.classes
+        if not ctx.spaces[c.fixed_space].empty
     ]
 
 
-def _rule_R6(fb: FactBase, ctx: ProblemContext) -> list[Candidate]:
-    if not ctx.equivariant:
-        return []
-    cat_g = Quantity("cat_G", "X", "G")
-    cat_orbit = Quantity("cat", "orbit", None)
-    out = _ineq_candidates(fb, ctx.name, cat_orbit, cat_g, ())
-    if "free_action" in ctx.annotations and "metrizable" in ctx.annotations:
-        hyp = (
-            "annotation:free_action (user-certified)",
-            "annotation:metrizable (user-certified)",
-        )
-        out += _ineq_candidates(fb, ctx.name, cat_g, cat_orbit, hyp)
-    return out
+def _subgroup_links(ctx: ProblemContext) -> list[Link]:
+    return [
+        Link("le", Quantity("TC_G", "X", c.key), TC_G, (f"subgroup {c.display} <= G",))
+        for c in ctx.classes
+        if not (c.is_trivial or c.is_full)
+    ]
 
 
-def _rule_R7(fb: FactBase, ctx: ProblemContext) -> list[Candidate]:
-    if not ctx.equivariant:
-        return []
+def _isotropy_links(ctx: ProblemContext) -> list[Link]:
     out = []
-    tc_g = Quantity("TC_G", "X", "G")
-    for cls in ctx.classes:
-        space = cls.fixed_space
-        if space is None or (space != "X" and ctx.spaces[space].empty):
-            continue
-        tc_fix = Quantity("TC", space, None)
-        lo = fb.lower(ctx.name, tc_fix)
-        out.append(
-            Candidate(
-                ctx.name,
-                tc_g,
-                "lower",
-                lo.value,
-                _ids(lo),
-                {"subgroup": cls.display},
-                (),
-            )
-        )
+    for key in ctx.isotropy_classes:
+        c = next(c for c in ctx.classes if c.key == key)
+        # cat_H(X), folding the trivial class to cat(X) and the full one to cat_G(X)
+        cat_h = CAT_X if c.is_trivial else CAT_G if c.is_full else Quantity("cat_G", "X", key)
+        out.append(Link("le", cat_h, TC_G, (f"isotropy subgroup {c.display} occurs at a vertex",)))
     return out
 
 
-def _rule_R8(fb: FactBase, ctx: ProblemContext) -> list[Candidate]:
-    if not ctx.equivariant:
-        return []
-    out = []
-    tc_g = Quantity("TC_G", "X", "G")
-    for cls in ctx.classes:
-        if cls.is_trivial or cls.is_full:
-            continue
-        tc_k = Quantity("TC_G", "X", cls.key)
-        out += _ineq_candidates(fb, ctx.name, tc_k, tc_g, (f"subgroup {cls.display} <= G",))
-    return out
+_TABLE = (
+    Row(
+        "R3",
+        _connected,
+        (Link("le", CAT_X, TC_X), Link("le", TC_X, CAT_XX)),
+        (PATH_CONNECTED,),
+    ),
+    Row("R5", _connected, (Link("affine", CAT_X, CAT_XX),), (PATH_CONNECTED,)),
+    Row(
+        "R6",
+        _equivariant,
+        (
+            Link("le", CAT_ORBIT, CAT_G),
+            Link("le", CAT_G, CAT_ORBIT, annotations=("free_action", "metrizable")),
+        ),
+    ),
+    Row("R7", _equivariant, _fixed_set_links),
+    Row("R8", _equivariant, _subgroup_links),
+    Row("R10", _g_connected, (Link("le", TC_G, CAT_G_XX),), (G_CONNECTED,)),
+    Row("R11", _g_connected, _isotropy_links, (G_CONNECTED,)),
+    Row(
+        "R12",
+        _g_fixed_point,
+        (Link("le", CAT_G, TC_G), Link("affine+inverse", CAT_G, TC_G)),
+        (G_CONNECTED, FIXED_POINT),
+    ),
+    Row(
+        "R14",
+        _g_fixed_point,
+        (Link("affine", CAT_G, CAT_G_XX),),
+        (G_CONNECTED, FIXED_POINT, NORMAL),
+    ),
+    Row(
+        "R15",
+        _equivariant_connected,
+        (Link("affine", CAT_G, CAT_GXG_XX),),
+        (PATH_CONNECTED, NORMAL),
+    ),
+    Row(
+        "R16",
+        _g_connected,
+        (Link("eq", TC_G, CAT_G),),
+        (G_CONNECTED,),
+        annotations=("topological_group_homomorphism_action",),
+    ),
+    Row(
+        "R17",
+        _equivariant_connected,
+        (Link("eq", TC_G, CAT_X),),
+        (PATH_CONNECTED,),
+        annotations=("left_translation_action", "metrizable"),
+    ),
+    Row("R19", _equivariant, (Link("le", TC_X, TC_G),)),
+)
 
 
 def _rule_R9(fb: FactBase, ctx: ProblemContext) -> list[Candidate]:
@@ -773,7 +807,7 @@ def _rule_R9(fb: FactBase, ctx: ProblemContext) -> list[Candidate]:
     return [
         Candidate(
             ctx.name,
-            Quantity("TC_G", "X", "G"),
+            TC_G,
             "lower",
             inf,
             (),
@@ -783,74 +817,12 @@ def _rule_R9(fb: FactBase, ctx: ProblemContext) -> list[Candidate]:
     ]
 
 
-def _rule_R10(fb: FactBase, ctx: ProblemContext) -> list[Candidate]:
-    if not ctx.equivariant or ctx.g_connected is not True:
-        return []
-    hyp, caveats = _g_hypotheses(ctx)
-    return _ineq_candidates(
-        fb,
-        ctx.name,
-        Quantity("TC_G", "X", "G"),
-        Quantity("cat_G", "XxX", "G"),
-        hyp,
-        caveats,
-    )
-
-
-def _rule_R11(fb: FactBase, ctx: ProblemContext) -> list[Candidate]:
-    if not ctx.equivariant or ctx.g_connected is not True:
-        return []
-    hyp, caveats = _g_hypotheses(ctx)
-    out = []
-    tc_g = Quantity("TC_G", "X", "G")
-    for key in ctx.isotropy_classes:
-        cls = next(c for c in ctx.classes if c.key == key)
-        cat_h = _canonical_equivariant(ctx, "cat_G", key)
-        out += _ineq_candidates(
-            fb,
-            ctx.name,
-            cat_h,
-            tc_g,
-            hyp + (f"isotropy subgroup {cls.display} occurs at a vertex",),
-            caveats,
-        )
-    return out
-
-
-def _rule_R12(fb: FactBase, ctx: ProblemContext) -> list[Candidate]:
-    if not ctx.equivariant or ctx.g_connected is not True or not ctx.fixed_vertex:
-        return []
-    hyp, caveats = _g_hypotheses(ctx)
-    hyp = hyp + ("X^G nonempty (fixed vertex found)",)
-    cat_g = Quantity("cat_G", "X", "G")
-    tc_g = Quantity("TC_G", "X", "G")
-    out = _ineq_candidates(fb, ctx.name, cat_g, tc_g, hyp, caveats)
-    hi = fb.upper(ctx.name, cat_g)
-    if not isinf(hi.value):
-        out.append(
-            Candidate(
-                ctx.name, tc_g, "upper", _twice_minus_one(hi.value), _ids(hi), None, hyp, caveats
-            )
-        )
-    lo = fb.lower(ctx.name, tc_g)
-    if lo.value > 1:
-        out.append(
-            Candidate(
-                ctx.name, cat_g, "lower", _half_roundup(lo.value), _ids(lo), None, hyp, caveats
-            )
-        )
-    return out
-
-
 def _rule_R13(fb: FactBase, ctx: ProblemContext) -> list[Candidate]:
-    if not ctx.equivariant or ctx.g_connected is not True or not ctx.fixed_vertex:
+    if not _g_fixed_point(ctx):
         return []
-    hyp, caveats = _g_hypotheses(ctx)
-    hyp = hyp + ("X^G nonempty (fixed vertex found)",)
-    cat_g = Quantity("cat_G", "X", "G")
-    tc_g = Quantity("TC_G", "X", "G")
+    hyp, caveats = (G_CONNECTED, FIXED_POINT), _empty_fixed_caveats(ctx)
     out = []
-    for a, b in ((cat_g, tc_g), (tc_g, cat_g)):
+    for a, b in ((CAT_G, TC_G), (TC_G, CAT_G)):
         hi = fb.upper(ctx.name, a)
         if hi.value == 1:
             out.append(Candidate(ctx.name, b, "upper", 1, _ids(hi), None, hyp, caveats))
@@ -860,107 +832,21 @@ def _rule_R13(fb: FactBase, ctx: ProblemContext) -> list[Candidate]:
     return out
 
 
-def _rule_R14(fb: FactBase, ctx: ProblemContext) -> list[Candidate]:
-    if not ctx.equivariant or ctx.g_connected is not True or not ctx.fixed_vertex:
-        return []
-    hyp, caveats = _g_hypotheses(ctx)
-    hyp = hyp + ("X^G nonempty (fixed vertex found)", "finite complexes are completely normal")
-    hi = fb.upper(ctx.name, Quantity("cat_G", "X", "G"))
-    if isinf(hi.value):
-        return []
-    return [
-        Candidate(
-            ctx.name,
-            Quantity("cat_G", "XxX", "G"),
-            "upper",
-            _twice_minus_one(hi.value),
-            _ids(hi),
-            None,
-            hyp,
-            caveats,
-        )
-    ]
-
-
-def _rule_R15(fb: FactBase, ctx: ProblemContext) -> list[Candidate]:
-    if not ctx.equivariant or ctx.spaces["X"].connected is not True:
-        return []
-    hi = fb.upper(ctx.name, Quantity("cat_G", "X", "G"))
-    if isinf(hi.value):
-        return []
-    return [
-        Candidate(
-            ctx.name,
-            Quantity("cat_G", "XxX", "GxG"),
-            "upper",
-            _twice_minus_one(hi.value),
-            _ids(hi),
-            None,
-            ("path-connected(X)", "finite complexes are completely normal"),
-        )
-    ]
-
-
-def _equality_candidates(
-    fb: FactBase, ctx: str, a: Quantity, b: Quantity, hyp: tuple[str, ...],
-    caveats: tuple[str, ...] = ()
-) -> list[Candidate]:
-    return _ineq_candidates(fb, ctx, a, b, hyp, caveats) + _ineq_candidates(
-        fb, ctx, b, a, hyp, caveats
-    )
-
-
-def _rule_R16(fb: FactBase, ctx: ProblemContext) -> list[Candidate]:
-    if (
-        not ctx.equivariant
-        or "topological_group_homomorphism_action" not in ctx.annotations
-        or ctx.g_connected is not True
-    ):
-        return []
-    hyp, caveats = _g_hypotheses(ctx)
-    hyp = ("annotation:topological_group_homomorphism_action (user-certified)",) + hyp
-    return _equality_candidates(
-        fb, ctx.name, Quantity("TC_G", "X", "G"), Quantity("cat_G", "X", "G"), hyp, caveats
-    )
-
-
-def _rule_R17(fb: FactBase, ctx: ProblemContext) -> list[Candidate]:
-    if (
-        not ctx.equivariant
-        or "left_translation_action" not in ctx.annotations
-        or "metrizable" not in ctx.annotations
-        or ctx.spaces["X"].connected is not True
-    ):
-        return []
-    hyp = (
-        "annotation:left_translation_action (user-certified)",
-        "annotation:metrizable (user-certified)",
-        "path-connected(X)",
-    )
-    return _equality_candidates(
-        fb, ctx.name, Quantity("TC_G", "X", "G"), Quantity("cat", "X", None), hyp
-    )
-
-
 def _rule_R18(fb: FactBase, _ctx: ProblemContext) -> list[Candidate]:
     if fb.associated is None:
         return []
     fiber_name, base_name, justification = fb.associated
-    fiber_ctx = fb.contexts[fiber_name]
-    fiber_q = (
-        Quantity("TC_G", "X", "G") if fiber_ctx.equivariant else Quantity("TC", "X", None)
-    )
-    base_q = Quantity("TC", "X", None)
+    fiber_q = TC_G if fb.contexts[fiber_name].equivariant else TC_X
     hi_f = fb.upper(fiber_name, fiber_q)
-    hi_b = fb.upper(base_name, base_q)
+    hi_b = fb.upper(base_name, TC_X)
     if isinf(hi_f.value) or isinf(hi_b.value):
         return []
     return [
         Candidate(
             "",
-            Quantity("TC", "assoc", None),
+            Quantity("TC", "assoc"),
             "upper",
-            _product(hi_f.value, hi_b.value),
+            hi_f.value * hi_b.value,
             _ids(hi_f, hi_b),
             {"fiber_upper": hi_f.value, "base_upper": hi_b.value},
             ("numerable principal bundle (user-certified): " + justification,),
@@ -968,32 +854,8 @@ def _rule_R18(fb: FactBase, _ctx: ProblemContext) -> list[Candidate]:
     ]
 
 
-def _rule_R19(fb: FactBase, ctx: ProblemContext) -> list[Candidate]:
-    if not ctx.equivariant:
-        return []
-    return _ineq_candidates(
-        fb, ctx.name, Quantity("TC", "X", None), Quantity("TC_G", "X", "G"), ()
-    )
-
-
-_RULES = {
-    "R3": _rule_R3,
-    "R5": _rule_R5,
-    "R6": _rule_R6,
-    "R7": _rule_R7,
-    "R8": _rule_R8,
-    "R9": _rule_R9,
-    "R10": _rule_R10,
-    "R11": _rule_R11,
-    "R12": _rule_R12,
-    "R13": _rule_R13,
-    "R14": _rule_R14,
-    "R15": _rule_R15,
-    "R16": _rule_R16,
-    "R17": _rule_R17,
-    "R18": _rule_R18,
-    "R19": _rule_R19,
-}
+_RULES = {row.rule: partial(_emit, row) for row in _TABLE}
+_RULES.update(R9=_rule_R9, R13=_rule_R13, R18=_rule_R18)
 
 
 def saturate(fb: FactBase, rule_order: list[str] | None = None) -> FactBase:
@@ -1004,23 +866,17 @@ def saturate(fb: FactBase, rule_order: list[str] | None = None) -> FactBase:
     depend on rule_order.
     """
     order = rule_order or RULE_ORDER
-    assert sorted(order) == sorted(RULE_ORDER), "rule_order must be a permutation"
-    for _ in range(fb.config.max_passes):
+    if sorted(order) != sorted(RULE_ORDER):
+        raise AssertionError("rule_order must be a permutation")
+    for _ in range(MAX_PASSES):
         improved = False
         for rule_id in order:
             rule = _RULES[rule_id]
             for ctx in list(fb.contexts.values()):
                 for cand in rule(fb, ctx):
                     if fb.add_bound(
-                        cand.ctx,
-                        cand.quantity,
-                        cand.side,
-                        cand.value,
-                        rule_id,
-                        premises=cand.premises,
-                        certificate=cand.certificate,
-                        hypotheses=cand.hypotheses,
-                        caveats=cand.caveats,
+                        cand.ctx, cand.quantity, cand.side, cand.value, rule_id,
+                        cand.premises, cand.certificate, cand.hypotheses, cand.caveats,
                     ):
                         improved = True
                 if rule_id == "R18":
@@ -1054,17 +910,18 @@ def _sorted_quantities(fb: FactBase) -> list[tuple[str, Quantity]]:
     return sorted(fb.quantities, key=sort_key)
 
 
-def _interval_text(lo: Value, hi: Value) -> str:
-    if isinf(lo):
+def _interval_text(lo: str, hi: str) -> str:
+    if lo == "infinity":
         return "= infinity"
     if lo == hi:
         return f"= {lo}"
-    if isinf(hi):
+    if hi == "infinity":
         return f"in [{lo}, infinity) (no finite upper bound derived)"
     return f"in [{lo}, {hi}]"
 
 
 def structured_report(fb: FactBase) -> dict:
+    """The report model; `text_report` renders this same dict."""
     quantities = []
     for ctx_name, q in _sorted_quantities(fb):
         ctx = fb.contexts[ctx_name]
@@ -1111,6 +968,7 @@ def structured_report(fb: FactBase) -> dict:
                     "empty": info.empty,
                     "dim": info.dim,
                     "connected": info.connected,
+                    "vertex_count": None if info.complex is None else info.complex.vertex_count,
                     "simplex_count": info.simplex_count,
                     "betti": {f: list(v) for f, v in sorted(info.betti.items())},
                     "skip_reason": info.skip_reason,
@@ -1124,6 +982,8 @@ def structured_report(fb: FactBase) -> dict:
             "spaces": spaces,
             "notes": list(ctx.notes),
         }
+        if ctx.is_associated:
+            entry["bundle_justification"] = fb.associated[2]
         if ctx.regular is not None:
             entry["subdivision_rounds"] = ctx.regular.subdivision_rounds
             entry["regularized_f_vector"] = list(ctx.regular.complex.f_vector())
@@ -1152,7 +1012,6 @@ def structured_report(fb: FactBase) -> dict:
         "config": {
             "fields": list(fb.config.fields),
             "depth_cap": fb.config.depth_cap,
-            "seed": fb.config.seed,
             "subgroup_mode": fb.config.subgroup_mode,
             "max_ring_simplices": fb.config.max_ring_simplices,
         },
@@ -1171,105 +1030,102 @@ def structured_report(fb: FactBase) -> dict:
     }
 
 
-def text_report(fb: FactBase) -> str:
-    lines: list[str] = []
-    root = fb.contexts[""]
-    lines.append(f"problem: {root.problem.name}")
-    cfg = fb.config
-    cap = "auto" if cfg.depth_cap is None else str(cfg.depth_cap)
+def _connectivity(space: dict) -> str:
+    return "connected" if space["connected"] else "disconnected"
+
+
+def _context_lines(ctx: dict) -> list[str]:
+    lines = ["", f"context {ctx['context']}: {ctx['problem']}"]
+    if "bundle_justification" in ctx:
+        lines.append(
+            "  formal associated space X_G; bundle hypothesis: " + ctx["bundle_justification"]
+        )
+        return lines
+    x = next(s for s in ctx["spaces"] if s["key"] == "X")
     lines.append(
-        f"config: fields={','.join(cfg.fields)} depth-cap={cap} "
-        f"seed={cfg.seed} subgroups={cfg.subgroup_mode}"
+        f"  complex: {x['vertex_count']} vertices, "
+        f"{x['simplex_count']} simplices, dim {x['dim']}, {_connectivity(x)}"
     )
-    for ctx in fb.contexts.values():
-        lines.append("")
-        lines.append(f"context {ctx.label()}: {ctx.problem.name}")
-        if ctx.is_associated:
-            _, _, justification = fb.associated
-            lines.append(f"  formal associated space X_G; bundle hypothesis: {justification}")
+    if ctx["equivariant"]:
+        lines.append(
+            f"  group: order {ctx['group_order']}, "
+            f"{len(ctx['subgroup_classes'])} subgroup classes, regularized after "
+            f"{ctx['subdivision_rounds']} subdivision(s)"
+        )
+        if ctx["g_connected"]:
+            empty = ", ".join(f"X^{d}" for d in ctx["empty_fixed_sets"])
+            caveat = f" (empty fixed sets counted as connected: {empty})" if empty else ""
+            lines.append(f"  G-connected: yes{caveat}")
         else:
-            x = ctx.spaces["X"]
-            conn = "connected" if x.connected else "disconnected"
+            w = ctx["g_connected_witness"]
             lines.append(
-                f"  complex: {x.complex.vertex_count} vertices, "
-                f"{x.simplex_count} simplices, dim {x.dim}, {conn}"
+                f"  G-connected: no (fixed set X^{w['subgroup']} has "
+                f"{w['components']} path components)"
             )
-            if ctx.equivariant:
-                lines.append(
-                    f"  group: order {ctx.regular.group.order}, "
-                    f"{len(ctx.classes)} subgroup classes, regularized after "
-                    f"{ctx.regular.subdivision_rounds} subdivision(s)"
-                )
-                if ctx.g_connected:
-                    caveat = (
-                        " (empty fixed sets counted as connected: "
-                        + ", ".join(f"X^{d}" for d in ctx.empty_fixed_classes)
-                        + ")"
-                        if ctx.empty_fixed_classes
-                        else ""
-                    )
-                    lines.append(f"  G-connected: yes{caveat}")
-                else:
-                    d, n = ctx.g_connected_witness
-                    lines.append(
-                        f"  G-connected: no (fixed set X^{d} has {n} path components)"
-                    )
-                lines.append(f"  fixed vertex: {'yes' if ctx.fixed_vertex else 'no'}")
-                iso = ", ".join(
-                    next(c.display for c in ctx.classes if c.key == k)
-                    for k in ctx.isotropy_classes
-                )
-                lines.append(f"  isotropy subgroup classes at vertices: {iso}")
-            if ctx.annotations:
-                lines.append(f"  annotations: {', '.join(ctx.annotations)}")
-            for key, info in sorted(ctx.spaces.items()):
-                if info.formal:
-                    continue
-                if info.empty:
-                    lines.append(f"  space {info.display}: empty")
-                    continue
-                betti = " ".join(
-                    f"{f}=({','.join(map(str, v))})" for f, v in sorted(info.betti.items())
-                )
-                extra = f" betti {betti}" if betti else ""
-                skip = f" [{info.skip_reason}]" if info.skip_reason else ""
-                conn = "connected" if info.connected else "disconnected"
-                lines.append(f"  space {info.display}: dim {info.dim}, {conn}{extra}{skip}")
-            for note in ctx.notes:
-                lines.append(f"  note: {note}")
+        lines.append(f"  fixed vertex: {'yes' if ctx['has_fixed_vertex'] else 'no'}")
+        display = {c["key"]: c["display"] for c in ctx["subgroup_classes"]}
+        iso = ", ".join(display[k] for k in ctx["isotropy_classes"])
+        lines.append(f"  isotropy subgroup classes at vertices: {iso}")
+    if ctx["annotations"]:
+        lines.append(f"  annotations: {', '.join(ctx['annotations'])}")
+    for space in ctx["spaces"]:
+        if space["formal"]:
+            continue
+        if space["empty"]:
+            lines.append(f"  space {space['display']}: empty")
+            continue
+        betti = " ".join(
+            f"{f}=({','.join(map(str, v))})" for f, v in space["betti"].items()
+        )
+        extra = f" betti {betti}" if betti else ""
+        skip = f" [{space['skip_reason']}]" if space["skip_reason"] else ""
+        lines.append(
+            f"  space {space['display']}: dim {space['dim']}, "
+            f"{_connectivity(space)}{extra}{skip}"
+        )
+    lines.extend(f"  note: {note}" for note in ctx["notes"])
+    return lines
+
+
+def text_report(fb: FactBase) -> str:
+    doc = structured_report(fb)
+    cfg = doc["config"]
+    cap = "auto" if cfg["depth_cap"] is None else str(cfg["depth_cap"])
+    lines = [
+        f"problem: {doc['problem']}",
+        f"config: fields={','.join(cfg['fields'])} depth-cap={cap} "
+        f"subgroups={cfg['subgroup_mode']}",
+    ]
+    for ctx in doc["contexts"]:
+        lines.extend(_context_lines(ctx))
     lines.append("")
     lines.append("quantities:")
-    for ctx_name, q in _sorted_quantities(fb):
-        ctx = fb.contexts[ctx_name]
-        lo, hi = fb.interval(ctx_name, q)
-        lines.append(f"  {quantity_display(ctx, q)} {_interval_text(lo, hi)}")
+    for q in doc["quantities"]:
+        lines.append(f"  {q['display']} {_interval_text(q['lower'], q['upper'])}")
     lines.append("")
     lines.append("derivations:")
-    for b in fb.bounds:
-        ctx = fb.contexts[b.context]
-        symbol = ">=" if b.side == "lower" else "<="
-        parts = [
-            f"  #{b.id} {quantity_display(ctx, b.quantity)} {symbol} {fmt_value(b.value)}"
-            f" [{b.rule}] {b.statement}"
-        ]
-        if b.premises:
-            parts.append(f"      premises: {', '.join('#' + str(p) for p in b.premises)}")
-        if b.certificate:
-            parts.append(f"      certificate: {json.dumps(b.certificate, sort_keys=True)}")
-        if b.hypotheses:
-            parts.append(f"      hypotheses: {'; '.join(b.hypotheses)}")
-        if b.caveats:
-            parts.append(f"      caveats: {'; '.join(b.caveats)}")
-        lines.extend(parts)
+    for b in doc["bounds"]:
+        symbol = ">=" if b["side"] == "lower" else "<="
+        lines.append(
+            f"  #{b['id']} {b['quantity']} {symbol} {b['value']} [{b['rule']}] {b['statement']}"
+        )
+        if b["premises"]:
+            lines.append(f"      premises: {', '.join('#' + str(p) for p in b['premises'])}")
+        if b["certificate"]:
+            lines.append(f"      certificate: {json.dumps(b['certificate'], sort_keys=True)}")
+        if b["hypotheses"]:
+            lines.append(f"      hypotheses: {'; '.join(b['hypotheses'])}")
+        if b["caveats"]:
+            lines.append(f"      caveats: {'; '.join(b['caveats'])}")
     lines.append("")
-    if fb.inconsistencies:
+    if doc["inconsistencies"]:
         lines.append("INCONSISTENT:")
-        for ctx_name, q, lo_id, hi_id in fb.inconsistencies:
-            ctx = fb.contexts[ctx_name]
-            lo, hi = fb.bound_by_id(lo_id), fb.bound_by_id(hi_id)
+        for clash in doc["inconsistencies"]:
+            lo = doc["bounds"][clash["lower_bound_id"] - 1]
+            hi = doc["bounds"][clash["upper_bound_id"] - 1]
             lines.append(
-                f"  {quantity_display(ctx, q)}: lower {fmt_value(lo.value)} from #{lo.id} "
-                f"[{lo.rule}] clashes with upper {fmt_value(hi.value)} from #{hi.id} [{hi.rule}]"
+                f"  {clash['quantity']}: lower {lo['value']} from #{lo['id']} "
+                f"[{lo['rule']}] clashes with upper {hi['value']} from #{hi['id']} [{hi['rule']}]"
             )
     else:
         lines.append("inconsistencies: none")

@@ -88,21 +88,14 @@ def _build_parser() -> argparse.ArgumentParser:
 def _add_engine_flags(cmd: argparse.ArgumentParser) -> None:
     cmd.add_argument("--fields", default=None, help="comma-separated sweep, e.g. F2,F3,Q")
     cmd.add_argument("--depth-cap", type=int, default=None)
-    cmd.add_argument("--seed", type=int, default=None)
     cmd.add_argument("--subgroups", choices=("conjugacy", "all"), default=None)
 
 
-def _config(problem: Problem, args: argparse.Namespace) -> EngineConfig:
-    fields = tuple(args.fields.split(",")) if args.fields else None
+def _config(problem: Problem, **overrides) -> EngineConfig:
     # the one permitted environment override: the group-order cap
     env_cap = os.environ.get("EQTC_GROUP_ORDER_CAP")
     return EngineConfig.from_problem(
-        problem,
-        fields=fields,
-        depth_cap=args.depth_cap,
-        seed=args.seed,
-        subgroup_mode=args.subgroups,
-        group_order_cap=int(env_cap) if env_cap else None,
+        problem, group_order_cap=int(env_cap) if env_cap else None, **overrides
     )
 
 
@@ -118,17 +111,24 @@ def _require_complex(problem: Problem) -> Problem:
     return problem
 
 
-def _regularized(problem: Problem):
+def _regularized(problem: Problem, config: EngineConfig):
     K = from_maximal_simplices(
         problem.vertex_count, [list(s) for s in problem.maximal_simplices]
     )
-    G = group_closure(K.vertex_count, [list(g) for g in problem.group_generators])
+    G = group_closure(
+        K.vertex_count, [list(g) for g in problem.group_generators], cap=config.group_order_cap
+    )
     return regularize(validate_action(K, G))
 
 
 def cmd_analyze(args: argparse.Namespace, out) -> int:
     problem = _load(args.path)
-    config = _config(problem, args)
+    config = _config(
+        problem,
+        fields=tuple(args.fields.split(",")) if args.fields else None,
+        depth_cap=args.depth_cap,
+        subgroup_mode=args.subgroups,
+    )
     fb = analyze_problem(problem, config)
     out.write(report(fb, args.format))
     if args.output:
@@ -167,8 +167,9 @@ def cmd_betti(args: argparse.Namespace, out) -> int:
 
 def cmd_fixed(args: argparse.Namespace, out) -> int:
     problem = _require_complex(_load(args.path))
-    R = _regularized(problem)
-    classes = subgroups(R.group, "up_to_conjugacy")
+    config = _config(problem)
+    R = _regularized(problem, config)
+    classes = subgroups(R.group, "up_to_conjugacy", cap=config.subgroup_cap)
     if args.subgroup == "full":
         H = classes[-1]
     elif args.subgroup == "trivial":

@@ -16,7 +16,6 @@ below looks for the longest such certificate.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from random import Random
 
 from eqtc.complex_core import SimplicialComplex
 from eqtc.homology import CochainBasis, cohomology_basis
@@ -363,91 +362,48 @@ def verify_zero_divisor_certificate(T: TensorRing, factors: list[ZeroDivisor]) -
 
 
 def nilpotency_lower_bound(
-    T: TensorRing,
-    Z: ZeroDivisorSet,
-    depth_cap: int,
-    search: str = "exhaustive",
-    seed: int = 0,
-    trials: int = 200,
+    T: TensorRing, Z: ZeroDivisorSet, depth_cap: int
 ) -> tuple[ProductCertificate, list[ZeroDivisor]]:
     """Longest nonzero product found among products of elements of Z.
 
-    Exhaustive mode enumerates multisets of the given elements (graded
-    commutativity makes order irrelevant up to sign) with zero-product
-    pruning; the result is a valid lower bound for the nilpotency of the
-    zero-divisor ideal.  Randomized mode tries seeded random linear
-    combinations as factors instead.
+    Enumerates multisets of the given elements (graded commutativity makes
+    order irrelevant up to sign) with zero-product pruning; the result is a
+    valid lower bound for the nilpotency of the zero-divisor ideal.
     """
     if depth_cap < 1:
         raise ValueError("depth_cap must be >= 1")
-    field = T.field
     cands = sorted(Z.elements, key=lambda z: (z.degree, z.label))
     best_len = 0
     best: list[ZeroDivisor] = []
 
-    if search == "exhaustive":
-        def extend(prod: TensorElement, start: int, chain: list[ZeroDivisor]) -> None:
-            nonlocal best_len, best
-            if len(chain) > best_len:
-                best_len, best = len(chain), list(chain)
-            if len(chain) >= depth_cap:
-                return
-            prod_degree = T.element_degree(prod)
-            for idx in range(start, len(cands)):
-                z = cands[idx]
-                if prod_degree + z.degree > T.top_degree:
-                    continue
-                nxt = T.multiply(prod, z.element())
-                if nxt:
-                    chain.append(z)
-                    extend(nxt, idx, chain)
-                    chain.pop()
+    def extend(prod: TensorElement, start: int, chain: list[ZeroDivisor]) -> None:
+        nonlocal best_len, best
+        if len(chain) > best_len:
+            best_len, best = len(chain), list(chain)
+        if len(chain) >= depth_cap:
+            return
+        prod_degree = T.element_degree(prod)
+        for idx in range(start, len(cands)):
+            z = cands[idx]
+            if prod_degree + z.degree > T.top_degree:
+                continue
+            nxt = T.multiply(prod, z.element())
+            if nxt:
+                chain.append(z)
+                extend(nxt, idx, chain)
+                chain.pop()
 
-        for idx, z in enumerate(cands):
-            elem = z.element()
-            if elem:
-                extend(elem, idx, [z])
-    elif search == "randomized":
-        rng = Random(seed)
-        if cands:
-            for _ in range(trials):
-                chain: list[ZeroDivisor] = []
-                prod: TensorElement | None = None
-                for _ in range(depth_cap):
-                    degree = rng.choice(sorted({z.degree for z in cands}))
-                    pool = [z for z in cands if z.degree == degree]
-                    combo: TensorElement = {}
-                    picked = []
-                    for z in pool:
-                        c = field.of_int(rng.randint(0, 3))
-                        if field.is_zero(c):
-                            continue
-                        picked.append(z.label)
-                        for key, v in z.element().items():
-                            acc = field.add(combo.get(key, field.zero), field.mul(c, v))
-                            if field.is_zero(acc):
-                                combo.pop(key, None)
-                            else:
-                                combo[key] = acc
-                    if not combo:
-                        break
-                    label = "+".join(picked)
-                    nxt = combo if prod is None else T.multiply(prod, combo)
-                    if not nxt:
-                        break
-                    prod = nxt
-                    chain.append(ZeroDivisor(label, T.element_degree(combo), _freeze(combo)))
-                if len(chain) > best_len:
-                    best_len, best = len(chain), list(chain)
-    else:
-        raise ValueError(f"unknown search mode {search!r}")
+    for idx, z in enumerate(cands):
+        elem = z.element()
+        if elem:
+            extend(elem, idx, [z])
 
     if best:
         assert verify_zero_divisor_certificate(T, best), "certificate failed re-multiplication"
     cert = ProductCertificate(
         length=best_len,
         factor_labels=[z.label for z in best],
-        field_name=field.name,
+        field_name=T.field.name,
         value_degree=sum(z.degree for z in best) if best else None,
     )
     return cert, best

@@ -141,6 +141,21 @@ def test_analyze_cap_exceeded_exit_code(tmp_path):
     assert code == EXIT_CAP
 
 
+def test_fixed_honours_config_caps(tmp_path):
+    for config in ({"group_order_cap": 3}, {"subgroup_cap": 5}):
+        path = write_example(tmp_path, "ngon-rotation-6", mutate=lambda d: d.update(config=config))
+        code, _ = run(["fixed", path])
+        assert code == EXIT_CAP, config
+
+
+def test_seed_is_not_an_option(tmp_path):
+    path = write_example(tmp_path, "torus7", mutate=lambda d: d.update(config={"seed": 0}))
+    assert run(["analyze", path])[0] == EXIT_INVALID
+    with pytest.raises(SystemExit) as exc:
+        run(["analyze", write_example(tmp_path, "torus7"), "--seed", "0"])
+    assert exc.value.code == 2
+
+
 def test_betti_torus(tmp_path):
     path = write_example(tmp_path, "torus7")
     code, out = run(["betti", path, "--field", "Q"])

@@ -258,27 +258,6 @@ def test_nil_search_monotone_in_depth_cap():
     assert lengths == sorted(lengths)
 
 
-def test_nil_search_randomized_mode_is_deterministic_and_bounded():
-    ring = ring_structure(boundary_sphere(2), Q)
-    T = kunneth_tensor_ring(ring)
-    Z = zero_divisor_set(T, "elementary")
-    a = nilpotency_lower_bound(T, Z, depth_cap=4, search="randomized", seed=5, trials=50)
-    b = nilpotency_lower_bound(T, Z, depth_cap=4, search="randomized", seed=5, trials=50)
-    assert a[0].length == b[0].length <= 2
-
-
-def test_nil_search_randomized_monotone_in_trials():
-    # the trial loop extends a fixed seeded stream, so more trials never hurt
-    ring = ring_structure(torus_seven_vertex(), Q)
-    T = kunneth_tensor_ring(ring)
-    Z = zero_divisor_set(T, "full_kernel")
-    lengths = [
-        nilpotency_lower_bound(T, Z, depth_cap=4, search="randomized", seed=2, trials=t)[0].length
-        for t in (1, 5, 25, 100)
-    ]
-    assert lengths == sorted(lengths)
-
-
 def test_depth_cap_validation():
     ring = ring_structure(cycle_complex(3), Q)
     T = kunneth_tensor_ring(ring)
