@@ -72,11 +72,21 @@ class EngineConfig:
         for key, raw in problem.config.items():
             if key not in known:
                 raise ProblemFormatError(f"config.{key}: unknown configuration key")
-            merged[key] = tuple(raw) if key == "fields" else raw
+            if key == "fields":
+                if not isinstance(raw, list) or not all(isinstance(f, str) for f in raw):
+                    raise ProblemFormatError("config.fields: must be a list of field names")
+                raw = tuple(raw)
+            merged[key] = raw
         merged.update({k: v for k, v in overrides.items() if v is not None})
         cfg = EngineConfig(**merged)
         if cfg.subgroup_mode not in ("conjugacy", "all"):
             raise ProblemFormatError("config.subgroup_mode: must be 'conjugacy' or 'all'")
+        for name in ("depth_cap", "group_order_cap", "subgroup_cap", "max_ring_simplices"):
+            value = getattr(cfg, name)
+            if value is None and name == "depth_cap":
+                continue
+            if isinstance(value, bool) or not isinstance(value, int) or value < 1:
+                raise ProblemFormatError(f"config.{name}: must be an integer >= 1, got {value!r}")
         for name in cfg.fields:
             parse_field(name)
         return cfg
@@ -137,8 +147,6 @@ RULE_STATEMENTS: dict[str, str] = {
     "R10": "TC_G(X) <= cat_G(X x X) for a G-connected space (diagonal action)",
     "R11": "cat_H(X) <= TC_G(X) for a G-connected space and H the isotropy group of a point",
     "R12": "cat_G(X) <= TC_G(X) <= 2 cat_G(X) - 1 for a G-connected space with a fixed point",
-    "R13": "for a G-connected space with a fixed point, TC_G(X) = 1 exactly when "
-    "cat_G(X) = 1 (X is G-contractible)",
     "R14": "cat_G(X x Y) <= cat_G(X) + cat_G(Y) - 1 for G-connected spaces with "
     "X^G or Y^G nonempty (diagonal action); instantiated with Y = X",
     "R15": "cat_{GxK}(X x Y) <= cat_G(X) + cat_K(Y) - 1 for path-connected spaces "
@@ -165,7 +173,6 @@ RULE_ORDER = [
     "R10",
     "R11",
     "R12",
-    "R13",
     "R14",
     "R15",
     "R16",
@@ -817,21 +824,6 @@ def _rule_R9(fb: FactBase, ctx: ProblemContext) -> list[Candidate]:
     ]
 
 
-def _rule_R13(fb: FactBase, ctx: ProblemContext) -> list[Candidate]:
-    if not _g_fixed_point(ctx):
-        return []
-    hyp, caveats = (G_CONNECTED, FIXED_POINT), _empty_fixed_caveats(ctx)
-    out = []
-    for a, b in ((CAT_G, TC_G), (TC_G, CAT_G)):
-        hi = fb.upper(ctx.name, a)
-        if hi.value == 1:
-            out.append(Candidate(ctx.name, b, "upper", 1, _ids(hi), None, hyp, caveats))
-        lo = fb.lower(ctx.name, a)
-        if lo.value >= 2:
-            out.append(Candidate(ctx.name, b, "lower", 2, _ids(lo), None, hyp, caveats))
-    return out
-
-
 def _rule_R18(fb: FactBase, _ctx: ProblemContext) -> list[Candidate]:
     if fb.associated is None:
         return []
@@ -855,7 +847,7 @@ def _rule_R18(fb: FactBase, _ctx: ProblemContext) -> list[Candidate]:
 
 
 _RULES = {row.rule: partial(_emit, row) for row in _TABLE}
-_RULES.update(R9=_rule_R9, R13=_rule_R13, R18=_rule_R18)
+_RULES.update(R9=_rule_R9, R18=_rule_R18)
 
 
 def saturate(fb: FactBase, rule_order: list[str] | None = None) -> FactBase:

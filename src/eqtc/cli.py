@@ -94,13 +94,11 @@ def _add_engine_flags(cmd: argparse.ArgumentParser) -> None:
 def _config(problem: Problem, **overrides) -> EngineConfig:
     # the one permitted environment override: the group-order cap
     env_cap = os.environ.get("EQTC_GROUP_ORDER_CAP")
-    return EngineConfig.from_problem(
-        problem, group_order_cap=int(env_cap) if env_cap else None, **overrides
-    )
-
-
-def _load(path: str) -> Problem:
-    return load_problem(path)
+    try:
+        group_order_cap = int(env_cap) if env_cap else None
+    except ValueError:
+        raise ProblemFormatError("EQTC_GROUP_ORDER_CAP: must be an integer") from None
+    return EngineConfig.from_problem(problem, group_order_cap=group_order_cap, **overrides)
 
 
 def _require_complex(problem: Problem) -> Problem:
@@ -122,7 +120,7 @@ def _regularized(problem: Problem, config: EngineConfig):
 
 
 def cmd_analyze(args: argparse.Namespace, out) -> int:
-    problem = _load(args.path)
+    problem = load_problem(args.path)
     config = _config(
         problem,
         fields=tuple(args.fields.split(",")) if args.fields else None,
@@ -156,7 +154,8 @@ def cmd_examples(args: argparse.Namespace, out) -> int:
 
 
 def cmd_betti(args: argparse.Namespace, out) -> int:
-    problem = _require_complex(_load(args.path))
+    problem = _require_complex(load_problem(args.path))
+    _config(problem)  # rejects malformed settings, though betti uses none of them
     K = from_maximal_simplices(
         problem.vertex_count, [list(s) for s in problem.maximal_simplices]
     )
@@ -166,7 +165,7 @@ def cmd_betti(args: argparse.Namespace, out) -> int:
 
 
 def cmd_fixed(args: argparse.Namespace, out) -> int:
-    problem = _require_complex(_load(args.path))
+    problem = _require_complex(load_problem(args.path))
     config = _config(problem)
     R = _regularized(problem, config)
     classes = subgroups(R.group, "up_to_conjugacy", cap=config.subgroup_cap)
@@ -194,12 +193,18 @@ def cmd_fixed(args: argparse.Namespace, out) -> int:
 
 
 def cmd_cupfind(args: argparse.Namespace, out) -> int:
-    problem = _require_complex(_load(args.path))
+    problem = _require_complex(load_problem(args.path))
+    config = _config(problem, depth_cap=args.depth_cap)
     K = from_maximal_simplices(
         problem.vertex_count, [list(s) for s in problem.maximal_simplices]
     )
+    if len(K.simplices) > config.max_ring_simplices:
+        raise CapExceeded(
+            f"{len(K.simplices)} simplices exceed the configured ring limit "
+            f"{config.max_ring_simplices}"
+        )
     field = parse_field(args.field)
-    cap = args.depth_cap if args.depth_cap is not None else max(1, 2 * K.dim)
+    cap = config.depth_cap if config.depth_cap is not None else max(1, 2 * K.dim)
     ring = ring_structure(K, field)
     tensor = kunneth_tensor_ring(ring)
     cert, _ = nilpotency_lower_bound(tensor, combined_zero_divisors(tensor), cap)

@@ -203,9 +203,6 @@ class GroupAction:
     complex: SimplicialComplex
     group: FiniteGroup
 
-    def image(self, p: Perm, s: Simplex) -> Simplex:
-        return apply_perm(p, s)
-
 
 def validate_action(K: SimplicialComplex, G: FiniteGroup) -> GroupAction:
     """Check every generator maps simplices to simplices.
@@ -398,7 +395,8 @@ def orbit_complex(R: RegularAction) -> tuple[SimplicialComplex, list[int]]:
     images = set()
     for s in R.complex.simplices:
         image = tuple(sorted({orbit[v] for v in s}))
-        assert len(image) == len(s), "regular action cannot collapse a simplex"
+        if len(image) != len(s):
+            raise AssertionError("regular action cannot collapse a simplex")
         images.add(image)
     quotient = SimplicialComplex(max(orbit) + 1, frozenset(images))
     return quotient, orbit

@@ -2,7 +2,9 @@
 
 Signs come from the global vertex order of each complex, so the boundary
 and coboundary operators (and later the cup product) are consistent across
-the whole package.
+the whole package.  Both operators are filled directly from the face lists;
+CochainBasis builds each coboundary matrix once, and all elimination goes
+through the single Gauss-Jordan loop in eqtc.linalg.
 """
 
 from __future__ import annotations
@@ -57,17 +59,17 @@ def boundary_matrices(K: SimplicialComplex, field: Field) -> list[list[list]]:
 def coboundary_matrix(K: SimplicialComplex, field: Field, d: int) -> list[list]:
     """Matrix of the coboundary from d-cochains to (d+1)-cochains.
 
-    This is the transpose of the boundary map one degree up:
-    (delta a)(tau) = sum_i (-1)^i a(tau with i-th vertex dropped).
+    This is the transpose of the boundary map one degree up, filled row by
+    row: (delta a)(tau) = sum_i (-1)^i a(tau with i-th vertex dropped).
     """
-    B = boundary_matrix(K, field, d + 1)
-    n_rows = len(K.simplices_of_dim(d + 1))
-    n_cols = len(K.simplices_of_dim(d))
-    out = zero_matrix(n_rows, n_cols, field)
-    for i in range(len(B)):
-        for j in range(len(B[0]) if B else 0):
-            out[j][i] = B[i][j]
-    return out
+    rows = K.simplices_of_dim(d + 1)
+    col_index = K.index_of[d] if rows else {}
+    mat = zero_matrix(len(rows), len(K.simplices_of_dim(d)), field)
+    for row, s in zip(mat, rows):
+        for i, f in enumerate(faces(s)):
+            c = col_index[f]
+            row[c] = field.add(row[c], field.of_int(-1 if i % 2 else 1))
+    return mat
 
 
 def betti_numbers(K: SimplicialComplex, field: Field) -> tuple[int, ...]:
@@ -84,9 +86,13 @@ def betti_numbers(K: SimplicialComplex, field: Field) -> tuple[int, ...]:
 class CochainBasis:
     """Representative cocycles per degree plus coordinate projection.
 
-    For each degree d it stores a list of cocycle vectors whose classes form
-    a basis of the degree-d cohomology, and a solver that writes any cocycle
-    as (basis coordinates, coboundary part).
+    One pass over the degrees builds each coboundary matrix delta_d once and
+    drops it after taking its kernel (the cocycles of degree d) and its
+    independent columns (the coboundary basis of degree d+1).  Degree 0 is
+    represented by the component indicators; in degree d >= 1 the
+    representatives are the cocycles at the leftmost pivots of
+    [coboundaries | cocycles].  A solver for [representatives | coboundaries]
+    writes any cocycle as (basis coordinates, coboundary part).
     """
 
     def __init__(self, K: SimplicialComplex, field: Field):
@@ -97,8 +103,33 @@ class CochainBasis:
         self.representatives: dict[int, list[list]] = {}
         self._cobound: dict[int, list[list]] = {}
         self._solvers: dict[int, LinearSolver] = {}
+        cobound: list[list] = []  # coboundary basis in degree d
         for d in range(K.dim + 1):
-            self._build_degree(d)
+            n_d = len(K.simplices_of_dim(d))
+            delta = coboundary_matrix(K, field, d)  # [] in the top degree
+            if d == 0:
+                pivots = column_space_basis(delta, field)
+            else:
+                cocycles = nullspace(delta, field, n_d)
+                # each kernel vector ends in its free column; the rest are pivots
+                free = {max(j for j, x in enumerate(v) if not field.is_zero(x)) for v in cocycles}
+                pivots = [c for c in range(n_d) if c not in free]
+            next_cobound = [[row[c] for row in delta] for c in pivots]
+            del delta
+            if d == 0:
+                # canonical representatives: component indicator cochains
+                labels = K.component_labels
+                reps = [[field.one if labels[v] == comp else field.zero for v in range(n_d)]
+                        for comp in range(K.connected_components())]
+            else:
+                # extend the coboundary basis by independent cocycles
+                candidates = cobound + cocycles
+                m = [[col[r] for col in candidates] for r in range(n_d)]
+                reps = [cocycles[c - len(cobound)]
+                        for c in column_space_basis(m, field) if c >= len(cobound)]
+            self.representatives[d] = reps
+            self._cobound[d] = cobound
+            cobound = next_cobound
 
     def _solver(self, d: int) -> LinearSolver:
         # built lazily: projections are only ever requested in the few
@@ -106,55 +137,9 @@ class CochainBasis:
         if d not in self._solvers:
             columns = self.representatives[d] + self._cobound[d]
             n_d = len(self.complex.simplices_of_dim(d))
-            mat = [[columns[c][r] for c in range(len(columns))] for r in range(n_d)]
+            mat = [[col[r] for col in columns] for r in range(n_d)]
             self._solvers[d] = LinearSolver(mat, self.field)
         return self._solvers[d]
-
-    def _cocycle_basis(self, d: int) -> list[list]:
-        K, field = self.complex, self.field
-        n_d = len(K.simplices_of_dim(d))
-        if d == K.dim:
-            basis = []
-            for i in range(n_d):
-                v = [field.zero] * n_d
-                v[i] = field.one
-                basis.append(v)
-            return basis
-        delta = coboundary_matrix(K, field, d)
-        return nullspace(delta, field, n_d)
-
-    def _build_degree(self, d: int) -> None:
-        K, field = self.complex, self.field
-        n_d = len(K.simplices_of_dim(d))
-        cocycles = self._cocycle_basis(d)
-        cobound: list[list] = []
-        if d >= 1:
-            delta_prev = coboundary_matrix(K, field, d - 1)
-            keep = column_space_basis(delta_prev, field) if delta_prev else []
-            cobound = [[delta_prev[r][c] for r in range(n_d)] for c in keep]
-
-        if d == 0:
-            # canonical representatives: component indicator cochains
-            labels = K.component_labels
-            n_comp = K.connected_components()
-            verts = K.simplices_of_dim(0)
-            reps = []
-            for comp in range(n_comp):
-                reps.append(
-                    [field.one if labels[s[0]] == comp else field.zero for s in verts]
-                )
-        else:
-            # extend the coboundary basis by independent cocycles
-            reps = []
-            candidates = cobound + cocycles
-            m = [[candidates[c][r] for c in range(len(candidates))] for r in range(n_d)]
-            keep = column_space_basis(m, field) if candidates else []
-            for c in keep:
-                if c >= len(cobound):
-                    reps.append(cocycles[c - len(cobound)])
-
-        self.representatives[d] = reps
-        self._cobound[d] = cobound
 
     def betti(self, d: int) -> int:
         return len(self.representatives.get(d, []))

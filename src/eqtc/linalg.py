@@ -3,6 +3,10 @@
 No floating point anywhere: prime-field elements are ints reduced mod p,
 rationals are fractions.Fraction.  Matrices are dense lists of rows, which
 is plenty at the scale of the complexes handled here.
+
+All elimination goes through one Gauss-Jordan loop, _rref_in_place: rank,
+nullspace and column_space_basis reduce a copy of the matrix, and
+LinearSolver reduces [M | I] while pivoting only in M.
 """
 
 from __future__ import annotations
@@ -111,18 +115,23 @@ def zero_matrix(rows: int, cols: int, field: Field) -> list[list]:
     return [[field.zero] * cols for _ in range(rows)]
 
 
-def _rref_in_place(mat: list[list], field: Field) -> list[tuple[int, int]]:
+def _rref_in_place(
+    mat: list[list], field: Field, n_pivot_cols: int | None = None
+) -> list[tuple[int, int]]:
     """Gauss-Jordan on mat; returns pivot (row, col) pairs.
 
+    Pivots are sought only in the first n_pivot_cols columns (all of them by
+    default), but every row operation spans the full width, so the columns
+    after them record the operations ([M | I] gives the inverse row ops).
     Row updates only touch the support of the pivot row; boundary matrices
     are very sparse, so this is the difference between usable and slow.
     """
     pivots: list[tuple[int, int]] = []
     if not mat:
         return pivots
-    n_rows, n_cols = len(mat), len(mat[0])
+    n_rows, width = len(mat), len(mat[0])
     r = 0
-    for c in range(n_cols):
+    for c in range(width if n_pivot_cols is None else n_pivot_cols):
         pivot_row = next((i for i in range(r, n_rows) if not field.is_zero(mat[i][c])), None)
         if pivot_row is None:
             continue
@@ -131,7 +140,7 @@ def _rref_in_place(mat: list[list], field: Field) -> list[tuple[int, int]]:
         if inv != field.one:
             mat[r] = [x if field.is_zero(x) else field.mul(inv, x) for x in mat[r]]
         row_r = mat[r]
-        support = [j for j in range(n_cols) if not field.is_zero(row_r[j])]
+        support = [j for j in range(width) if not field.is_zero(row_r[j])]
         for i in range(n_rows):
             if i == r:
                 continue
@@ -154,7 +163,12 @@ def rank(mat: list[list], field: Field) -> int:
 
 
 def nullspace(mat: list[list], field: Field, n_cols: int | None = None) -> list[list]:
-    """Basis of the kernel of mat (rows x cols), one vector per free column."""
+    """Basis of the kernel of mat (rows x cols), one vector per free column.
+
+    The free column is each vector's last nonzero entry (the reduced matrix
+    is in echelon form), so the columns that no vector ends in are exactly
+    the pivot columns that column_space_basis returns.
+    """
     if n_cols is None:
         if not mat:
             raise FieldError("nullspace of an empty matrix needs n_cols")
@@ -183,53 +197,18 @@ def column_space_basis(mat: list[list], field: Field) -> list[int]:
 class LinearSolver:
     """Repeated exact solves of M x = v for a fixed matrix M.
 
-    Row-reduces [M | I] once; each solve is a matrix-vector product plus a
-    consistency check on the non-pivot rows.
+    Row-reduces [M | I] once, pivoting only in M; each solve is a
+    matrix-vector product plus a consistency check on the non-pivot rows.
     """
 
     def __init__(self, mat: list[list], field: Field):
         self.field = field
         self.n_rows = len(mat)
         self.n_cols = len(mat[0]) if mat else 0
-        aug = [row[:] + [field.one if i == j else field.zero for j in range(self.n_rows)]
+        aug = [row + [field.one if i == j else field.zero for j in range(self.n_rows)]
                for i, row in enumerate(mat)]
-        self.pivots = []
-        if aug:
-            # eliminate only on the first n_cols columns
-            pivots: list[tuple[int, int]] = []
-            width = self.n_cols + self.n_rows
-            r = 0
-            for c in range(self.n_cols):
-                pivot_row = next(
-                    (i for i in range(r, self.n_rows) if not field.is_zero(aug[i][c])), None
-                )
-                if pivot_row is None:
-                    continue
-                aug[r], aug[pivot_row] = aug[pivot_row], aug[r]
-                inv = field.inv(aug[r][c])
-                if inv != field.one:
-                    aug[r] = [x if field.is_zero(x) else field.mul(inv, x) for x in aug[r]]
-                row_r = aug[r]
-                support = [j for j in range(width) if not field.is_zero(row_r[j])]
-                for i in range(self.n_rows):
-                    if i == r:
-                        continue
-                    factor = aug[i][c]
-                    if field.is_zero(factor):
-                        continue
-                    row_i = aug[i]
-                    for j in support:
-                        row_i[j] = field.sub(row_i[j], field.mul(factor, row_r[j]))
-                pivots.append((r, c))
-                r += 1
-                if r == self.n_rows:
-                    break
-            self.pivots = pivots
+        self.pivots = _rref_in_place(aug, field, self.n_cols)
         self.ops = [row[self.n_cols :] for row in aug]
-
-    @property
-    def rank(self) -> int:
-        return len(self.pivots)
 
     def solve(self, v: list) -> list:
         """Unique solution of M x = v; raises FieldError if inconsistent.
@@ -238,21 +217,13 @@ class LinearSolver:
         how the cohomology projections use it.
         """
         field = self.field
-        w = []
-        for row in self.ops:
-            acc = field.zero
-            for a, b in zip(row, v):
-                if not field.is_zero(a) and not field.is_zero(b):
-                    acc = field.add(acc, field.mul(a, b))
-            w.append(acc)
+        w = mat_vec(self.ops, v, field)
+        # pivots sit in rows 0..rank-1; the rows below must reduce to zero
+        if any(not field.is_zero(a) for a in w[len(self.pivots) :]):
+            raise FieldError("inconsistent linear system")
         x = [field.zero] * self.n_cols
-        pivot_rows = set()
         for r, c in self.pivots:
             x[c] = w[r]
-            pivot_rows.add(r)
-        for r in range(self.n_rows):
-            if r not in pivot_rows and not field.is_zero(w[r]):
-                raise FieldError("inconsistent linear system")
         return x
 
 

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 from eqtc.complex_core import SimplicialComplex
 from eqtc.homology import CochainBasis, cohomology_basis
-from eqtc.linalg import Field, FieldError, nullspace
+from eqtc.linalg import Field, nullspace
 
 
 def cup_product_cochain(
@@ -89,12 +89,6 @@ class CohomologyRing:
                         out[k] = acc
         return out
 
-    def element_degree(self, x: Element) -> int | None:
-        degs = {self.degrees[i] for i in x}
-        if len(degs) > 1:
-            raise FieldError("inhomogeneous ring element")
-        return degs.pop() if degs else None
-
 
 def ring_structure(K: SimplicialComplex, field: Field) -> CohomologyRing:
     """Cohomology ring of K: basis representatives with projected cup products.
@@ -143,11 +137,14 @@ def ring_structure(K: SimplicialComplex, field: Field) -> CohomologyRing:
             lhs = ring.multiply_basis(i, j)
             rhs = ring.multiply_basis(j, i)
             scaled = {k: field.mul(sign, c) for k, c in rhs.items()}
-            assert lhs == scaled, f"cup product not graded-commutative at ({i},{j})"
+            if lhs != scaled:
+                raise AssertionError(f"cup product not graded-commutative at ({i},{j})")
     # unit acts as identity on the basis
     for i in range(n):
-        assert ring.multiply(unit, {i: field.one}) == {i: field.one}
-        assert ring.multiply({i: field.one}, unit) == {i: field.one}
+        if ring.multiply(unit, {i: field.one}) != {i: field.one}:
+            raise AssertionError(f"unit does not act as the identity on the left of {i}")
+        if ring.multiply({i: field.one}, unit) != {i: field.one}:
+            raise AssertionError(f"unit does not act as the identity on the right of {i}")
     return ring
 
 
@@ -172,9 +169,6 @@ class TensorRing:
     def top_degree(self) -> int:
         return 2 * self.ring.top_degree
 
-    def pair_degree(self, pair: tuple[int, int]) -> int:
-        return self.ring.degrees[pair[0]] + self.ring.degrees[pair[1]]
-
     def pairs_of_degree(self, d: int) -> list[tuple[int, int]]:
         out = [
             (i, j)
@@ -183,10 +177,6 @@ class TensorRing:
             if self.ring.degrees[i] + self.ring.degrees[j] == d
         ]
         return sorted(out)
-
-    def pair_label(self, pair: tuple[int, int]) -> str:
-        li, lj = self.ring.labels[pair[0]], self.ring.labels[pair[1]]
-        return f"{li}(x){lj}"
 
     def tensor(self, x: Element, y: Element) -> TensorElement:
         field = self.field
@@ -237,12 +227,6 @@ class TensorRing:
                 else:
                     out[k] = acc
         return out
-
-    def element_degree(self, x: TensorElement) -> int | None:
-        degs = {self.pair_degree(p) for p in x}
-        if len(degs) > 1:
-            raise FieldError("inhomogeneous tensor element")
-        return degs.pop() if degs else None
 
 
 def kunneth_tensor_ring(ring: CohomologyRing) -> TensorRing:
@@ -321,7 +305,8 @@ def zero_divisor_set(T: TensorRing, mode: str = "elementary") -> ZeroDivisorSet:
         raise ValueError(f"unknown zero-divisor mode {mode!r}")
 
     for z in elements:
-        assert not T.cup(z.element()), f"{z.label} does not map to zero"
+        if T.cup(z.element()):
+            raise AssertionError(f"{z.label} does not map to zero")
     return ZeroDivisorSet(mode, T, elements)
 
 
@@ -361,47 +346,63 @@ def verify_zero_divisor_certificate(T: TensorRing, factors: list[ZeroDivisor]) -
     return bool(acc)
 
 
+def _longest_product(cands: list, multiply, degree_of, top_degree: int, depth_cap: int) -> list:
+    """Longest multiset of cands, taken in list order, whose product is nonzero.
+
+    multiply(None, c) is c as an element and multiply(p, c) the product p.c.
+    The search extends sorted chains depth first, so order only matters up to
+    sign (graded commutativity); it drops a branch as soon as the product is
+    zero or its degree would pass top_degree, and stops at depth_cap factors.
+    The first longest chain in that order is returned ([] when depth_cap < 1).
+    """
+    best: list = []
+    chain: list = []
+
+    def extend(prod, degree: int, start: int) -> None:
+        nonlocal best
+        if len(chain) > len(best):
+            best = list(chain)
+        if len(chain) >= depth_cap:
+            return
+        for idx in range(start, len(cands)):
+            c = cands[idx]
+            if degree + degree_of(c) > top_degree:
+                continue
+            nxt = multiply(prod, c)
+            if nxt:
+                chain.append(c)
+                extend(nxt, degree + degree_of(c), idx)
+                chain.pop()
+
+    extend(None, 0, 0)
+    # extend refers to itself through its closure; breaking that cycle frees
+    # the products (and the ring behind multiply) now, not at a later GC pass
+    del extend
+    return best
+
+
 def nilpotency_lower_bound(
     T: TensorRing, Z: ZeroDivisorSet, depth_cap: int
 ) -> tuple[ProductCertificate, list[ZeroDivisor]]:
     """Longest nonzero product found among products of elements of Z.
 
-    Enumerates multisets of the given elements (graded commutativity makes
-    order irrelevant up to sign) with zero-product pruning; the result is a
-    valid lower bound for the nilpotency of the zero-divisor ideal.
+    Enumerates multisets of the given elements with zero-product pruning;
+    the result is a valid lower bound for the nilpotency of the
+    zero-divisor ideal, and it is re-multiplied before it is returned.
     """
     if depth_cap < 1:
         raise ValueError("depth_cap must be >= 1")
-    cands = sorted(Z.elements, key=lambda z: (z.degree, z.label))
-    best_len = 0
-    best: list[ZeroDivisor] = []
-
-    def extend(prod: TensorElement, start: int, chain: list[ZeroDivisor]) -> None:
-        nonlocal best_len, best
-        if len(chain) > best_len:
-            best_len, best = len(chain), list(chain)
-        if len(chain) >= depth_cap:
-            return
-        prod_degree = T.element_degree(prod)
-        for idx in range(start, len(cands)):
-            z = cands[idx]
-            if prod_degree + z.degree > T.top_degree:
-                continue
-            nxt = T.multiply(prod, z.element())
-            if nxt:
-                chain.append(z)
-                extend(nxt, idx, chain)
-                chain.pop()
-
-    for idx, z in enumerate(cands):
-        elem = z.element()
-        if elem:
-            extend(elem, idx, [z])
-
-    if best:
-        assert verify_zero_divisor_certificate(T, best), "certificate failed re-multiplication"
+    best = _longest_product(
+        sorted(Z.elements, key=lambda z: (z.degree, z.label)),
+        lambda prod, z: z.element() if prod is None else T.multiply(prod, z.element()),
+        lambda z: z.degree,
+        T.top_degree,
+        depth_cap,
+    )
+    if best and not verify_zero_divisor_certificate(T, best):
+        raise AssertionError("certificate failed re-multiplication")
     cert = ProductCertificate(
-        length=best_len,
+        length=len(best),
         factor_labels=[z.label for z in best],
         field_name=T.field.name,
         value_degree=sum(z.degree for z in best) if best else None,
@@ -411,30 +412,17 @@ def nilpotency_lower_bound(
 
 def reduced_cuplength(ring: CohomologyRing, depth_cap: int) -> ProductCertificate:
     """Longest nonzero product of positive-degree basis classes."""
-    field = ring.field
-    cands = [g for g in range(ring.size) if ring.degrees[g] > 0]
-    best_len = 0
-    best: list[int] = []
-    if depth_cap >= 1:
-        def extend(prod: Element, start: int, chain: list[int]) -> None:
-            nonlocal best_len, best
-            if len(chain) > best_len:
-                best_len, best = len(chain), list(chain)
-            if len(chain) >= depth_cap:
-                return
-            for idx in range(start, len(cands)):
-                g = cands[idx]
-                nxt = ring.multiply(prod, {g: field.one})
-                if nxt:
-                    chain.append(g)
-                    extend(nxt, idx, chain)
-                    chain.pop()
-
-        for idx, g in enumerate(cands):
-            extend({g: field.one}, idx, [g])
+    one = ring.field.one
+    best = _longest_product(
+        [g for g in range(ring.size) if ring.degrees[g] > 0],
+        lambda prod, g: {g: one} if prod is None else ring.multiply(prod, {g: one}),
+        ring.degrees.__getitem__,
+        ring.top_degree,
+        depth_cap,
+    )
     return ProductCertificate(
-        length=best_len,
+        length=len(best),
         factor_labels=[ring.labels[g] for g in best],
-        field_name=field.name,
+        field_name=ring.field.name,
         value_degree=sum(ring.degrees[g] for g in best) if best else None,
     )

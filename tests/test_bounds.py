@@ -217,19 +217,31 @@ def test_r12_upper_from_asserted_cat_g():
 
 def test_engine_checks_survive_python_O():
     # the checks are explicit raises, not asserts, so -O cannot strip them
-    code = (
+    bound_check = (
         "from eqtc.bounds import EngineConfig, FactBase, Quantity\n"
         "fb = FactBase(EngineConfig())\n"
         "fb.register('', Quantity('cat', 'X'))\n"
         "fb.add_bound('', Quantity('cat', 'X'), 'lower', 0, 'R2')\n"
     )
+    ring_check = (
+        "import eqtc.ring as r\n"
+        "from eqtc.complex_core import torus_seven_vertex\n"
+        "from eqtc.homology import parse_field\n"
+        "r.verify_zero_divisor_certificate = lambda T, factors: False\n"
+        "T = r.kunneth_tensor_ring(r.ring_structure(torus_seven_vertex(), parse_field('F2')))\n"
+        "r.nilpotency_lower_bound(T, r.combined_zero_divisors(T), 2)\n"
+    )
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = {**os.environ, "PYTHONPATH": src}
-    proc = subprocess.run(
-        [sys.executable, "-O", "-c", code], env=env, capture_output=True, text=True
-    )
-    assert proc.returncode != 0
-    assert "AssertionError: bound value must be" in proc.stderr
+    for code, message in (
+        (bound_check, "AssertionError: bound value must be"),
+        (ring_check, "AssertionError: certificate failed re-multiplication"),
+    ):
+        proc = subprocess.run(
+            [sys.executable, "-O", "-c", code], env=env, capture_output=True, text=True
+        )
+        assert proc.returncode != 0
+        assert message in proc.stderr
 
 
 def test_saturation_confluent_under_rule_orders():
@@ -259,7 +271,7 @@ def test_g_connectivity_rules_record_their_hypotheses():
     for name in ("sphere-reflection-n2", "ngon-rotation-6"):
         fb = analyze_problem(EXAMPLES[name])
         for b in fb.bounds:
-            if b.rule in ("R10", "R11", "R12", "R13", "R14", "R16"):
+            if b.rule in ("R10", "R11", "R12", "R14", "R16"):
                 assert any("G-connected" in h for h in b.hypotheses), b
             if b.rule == "ASSERT":
                 assert "user-asserted" in b.hypotheses

@@ -193,6 +193,60 @@ def test_cupfind_respects_depth_cap(tmp_path):
     assert "zero-divisor length 1" in out
 
 
+def test_cupfind_takes_depth_cap_from_config(tmp_path):
+    path = write_example(tmp_path, "torus7", mutate=lambda d: d.update(config={"depth_cap": 1}))
+    code, out = run(["cupfind", path, "--field", "F2"])
+    assert code == EXIT_OK
+    assert out.startswith("zero-divisor length 1,")
+    code, out = run(["cupfind", path, "--field", "F2", "--depth-cap", "2"])
+    assert out.startswith("zero-divisor length 2,")
+
+
+def test_cupfind_honours_ring_size_limit(tmp_path):
+    # torus7 has 42 simplices; analyze skips its rings, so cupfind must stop
+    path = write_example(
+        tmp_path, "torus7", mutate=lambda d: d.update(config={"max_ring_simplices": 10})
+    )
+    code, out = run(["cupfind", path])
+    assert code == EXIT_CAP
+    assert out == ""
+    assert "cohomology skipped" in run(["analyze", path])[1]
+
+
+@pytest.mark.parametrize("verb", ["betti", "cupfind"])
+def test_betti_and_cupfind_reject_malformed_config(tmp_path, verb):
+    for config in ({"seed": 0}, {"fields": ["F4"]}, {"subgroup_mode": "some"}):
+        path = write_example(tmp_path, "torus7", mutate=lambda d: d.update(config=config))
+        assert run([verb, path])[0] == EXIT_INVALID, config
+
+
+@pytest.mark.parametrize(
+    "argv_tail, config",
+    [
+        (["--depth-cap", "0"], {}),
+        (["--depth-cap", "-3"], {}),
+        ([], {"depth_cap": "x"}),
+        ([], {"depth_cap": 0}),
+        ([], {"depth_cap": True}),
+        ([], {"depth_cap": 1.5}),
+        ([], {"group_order_cap": 0}),
+        ([], {"subgroup_cap": False}),
+        ([], {"max_ring_simplices": "4000"}),
+        ([], {"fields": "F2"}),
+        ([], {"fields": [2]}),
+    ],
+)
+def test_bad_engine_settings_exit_invalid(tmp_path, capsys, argv_tail, config):
+    path = write_example(tmp_path, "torus7", mutate=lambda d: d.update(config=config))
+    assert run(["analyze", path, *argv_tail])[0] == EXIT_INVALID
+    assert "error: " in capsys.readouterr().err
+
+
+def test_bad_group_cap_env_exits_invalid(tmp_path, monkeypatch):
+    monkeypatch.setenv("EQTC_GROUP_ORDER_CAP", "many")
+    assert run(["analyze", write_example(tmp_path, "torus7")])[0] == EXIT_INVALID
+
+
 def test_schema_rejections():
     with pytest.raises(ProblemFormatError):
         parse_problem({"schema_version": 2, "name": "x", "vertex_count": 1,

@@ -11,6 +11,8 @@ from eqtc.complex_core import (
     cycle_complex,
     empty_complex,
     from_maximal_simplices,
+    klein_bottle_grid,
+    projective_plane_six_vertex,
     solid_simplex,
     torus_seven_vertex,
 )
@@ -22,7 +24,14 @@ from eqtc.homology import (
     cohomology_basis,
     parse_field,
 )
-from eqtc.linalg import FieldError, mat_vec
+from eqtc.linalg import (
+    FieldError,
+    LinearSolver,
+    column_space_basis,
+    mat_vec,
+    nullspace,
+    rank,
+)
 from oracles import oracle_rank
 
 F2 = parse_field("F2")
@@ -170,18 +179,86 @@ def test_projection_of_representatives_is_unit_coordinate():
 
 
 def test_projection_splits_cocycle_into_basis_plus_coboundary():
-    K = cycle_complex(4)
-    field = Q
-    basis = cohomology_basis(K, field)
-    rep = basis.representatives[1][0]
-    # perturb by a coboundary: delta of a vertex indicator
-    delta = coboundary_matrix(K, field, 0)
-    bump = [field.one if i == 0 else field.zero for i in range(4)]
-    cob = mat_vec(delta, bump, field)
-    vec = [field.add(a, b) for a, b in zip(rep, cob)]
-    coords, part = basis.project(1, vec)
-    assert coords == [field.one]
-    assert part == cob
+    # a random combination of representatives plus the coboundary of a random
+    # cochain projects to exactly those coefficients and that coboundary
+    rng = random.Random(4)
+    complexes = [torus_seven_vertex(), projective_plane_six_vertex(), klein_bottle_grid(),
+                 cycle_complex(4)]
+    for K in complexes:
+        for field in FIELDS:
+            basis = cohomology_basis(K, field)
+            for d in range(K.dim + 1):
+                reps = basis.representatives[d]
+                n_d = len(K.simplices_of_dim(d))
+                coeffs = [field.of_int(rng.randint(-2, 2)) for _ in reps]
+                vec = [field.zero] * n_d
+                for c, rep in zip(coeffs, reps):
+                    vec = [field.add(a, field.mul(c, b)) for a, b in zip(vec, rep)]
+                cob = [field.zero] * n_d
+                if d >= 1:
+                    a = [field.of_int(rng.randint(-2, 2)) for _ in K.simplices_of_dim(d - 1)]
+                    cob = mat_vec(coboundary_matrix(K, field, d - 1), a, field)
+                vec = [field.add(x, y) for x, y in zip(vec, cob)]
+                assert basis.is_cocycle(d, vec)
+                coords, part = basis.project(d, vec)
+                assert coords == coeffs, (K.f_vector(), field, d)
+                assert part == cob, (K.f_vector(), field, d)
+
+
+def test_coboundary_basis_is_a_basis_of_the_coboundaries():
+    for K in [torus_seven_vertex(), projective_plane_six_vertex(), klein_bottle_grid()]:
+        for field in FIELDS:
+            basis = cohomology_basis(K, field)
+            assert basis._cobound[0] == []
+            for d in range(1, K.dim + 1):
+                cols = basis._cobound[d]
+                delta = coboundary_matrix(K, field, d - 1)
+                assert len(cols) == rank(delta, field)
+                assert rank(cols, field) == len(cols)
+                # each basis vector is a column of delta, so it is a coboundary
+                delta_cols = [list(col) for col in zip(*delta)]
+                assert all(col in delta_cols for col in cols)
+
+
+def test_coboundary_matrix_is_transposed_boundary_matrix():
+    two_pieces = from_maximal_simplices(5, [[0, 1, 2], [3, 4]])
+    for K in [torus_seven_vertex(), klein_bottle_grid(), boundary_sphere(3), two_pieces]:
+        for field in FIELDS:
+            for d in range(K.dim + 1):
+                B = boundary_matrix(K, field, d + 1)
+                assert coboundary_matrix(K, field, d) == [list(col) for col in zip(*B)], d
+
+
+def test_elimination_routines_agree_on_random_matrices():
+    rng = random.Random(2)
+    for field in FIELDS:
+        for _ in range(30):
+            rows, cols = rng.randint(1, 7), rng.randint(1, 7)
+            mat = [[field.of_int(rng.choice((0, 0, 0, 1, -1, 2))) for _ in range(cols)]
+                   for _ in range(rows)]
+            kernel = nullspace(mat, field)
+            pivots = column_space_basis(mat, field)
+            assert len(pivots) == rank(mat, field) == cols - len(kernel)
+            for v in kernel:
+                assert all(field.is_zero(x) for x in mat_vec(mat, v, field))
+            # a kernel vector ends in its free column; the other columns are pivots
+            last = {max(j for j, x in enumerate(v) if not field.is_zero(x)) for v in kernel}
+            assert sorted(set(range(cols)) - last) == pivots
+            # the solver recovers x from M x on the independent columns
+            sub = [[row[c] for c in pivots] for row in mat]
+            x = [field.of_int(rng.randint(-3, 3)) for _ in pivots]
+            assert LinearSolver(sub, field).solve(mat_vec(sub, x, field)) == x
+            if len(pivots) < rows:
+                # some unit vector lies outside the column space
+                solver = LinearSolver(sub, field)
+                outside = 0
+                for i in range(rows):
+                    e = [field.one if r == i else field.zero for r in range(rows)]
+                    try:
+                        solver.solve(e)
+                    except FieldError:
+                        outside += 1
+                assert outside > 0
 
 
 def test_coboundary_squared_is_zero():

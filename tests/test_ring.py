@@ -273,6 +273,8 @@ def test_reduced_cuplength_values():
     assert reduced_cuplength(ring_structure(torus_seven_vertex(), F2), 2).length == 2
     assert reduced_cuplength(ring_structure(torus_seven_vertex(), Q), 2).length == 2
     assert reduced_cuplength(ring_structure(solid_simplex(3), Q), 3).length == 0
+    cert = reduced_cuplength(ring_structure(torus_seven_vertex(), Q), 0)
+    assert (cert.length, cert.factor_labels, cert.value_degree) == (0, [], None)
 
 
 def test_two_point_space_zero_divisors_are_idempotent():
