@@ -426,18 +426,13 @@ def _build_action_context(name: str, problem: Problem, config: EngineConfig) -> 
         ctx.empty_fixed_classes = tuple(ctx.classes[p].display for p in conn.empty_classes)
         ctx.fixed_vertex = has_fixed_vertex(R)
 
-        iso_keys = []
-        for v in range(R.complex.vertex_count):
-            stab = isotropy(R.action, v)
-            for cls in ctx.classes:
-                if any(
-                    cls.subgroup.conjugate(g).elements == stab.elements
-                    for g in R.group.elements
-                ):
-                    if cls.key not in iso_keys:
-                        iso_keys.append(cls.key)
-                    break
-        ctx.isotropy_classes = tuple(sorted(iso_keys))
+        # each subgroup maps to the first listed class it is conjugate to
+        class_of: dict[frozenset, str] = {}
+        for cls in ctx.classes:
+            for conj in cls.subgroup.conjugates:
+                class_of.setdefault(conj, cls.key)
+        stabilizers = {isotropy(R.action, v).elements for v in range(R.complex.vertex_count)}
+        ctx.isotropy_classes = tuple(sorted({class_of[s] for s in stabilizers}))
 
         if "free_action" in ctx.annotations and ctx.fixed_vertex:
             ctx.notes.append(

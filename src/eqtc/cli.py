@@ -8,7 +8,7 @@ Subcommands:
   cupfind   zero-divisor cup-length certificate for the problem's complex
 
 Exit codes: 0 success, 2 parse/validation error, 3 inconsistent fact base,
-4 enumeration cap exceeded.
+4 enumeration cap exceeded, 5 an internal self-check failed (a bug, not bad input).
 """
 
 from __future__ import annotations
@@ -44,6 +44,7 @@ EXIT_OK = 0
 EXIT_INVALID = 2
 EXIT_INCONSISTENT = 3
 EXIT_CAP = 4
+EXIT_SELFCHECK = 5
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -241,6 +242,10 @@ def main(argv: list[str] | None = None, out=None) -> int:
     ) as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_INVALID
+    except AssertionError as err:
+        # raised explicitly by the certificate and regularity checks, so -O keeps them
+        print(f"error: self-check failed: {err}", file=sys.stderr)
+        return EXIT_SELFCHECK
 
 
 def entry() -> None:

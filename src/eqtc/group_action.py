@@ -13,6 +13,9 @@ property (so fixed sets are full subcomplexes) and guarantee that the
 vertex-orbit quotient triangulates the orbit space.  Two barycentric
 subdivisions always suffice to reach this state; the transported action is
 re-checked and the construction fails loudly if that ever breaks.
+
+Groups and subgroups are closed from their generators by one BFS routine,
+`_close`; `subgroups` enumerates the lattice by cyclic extension with it.
 """
 
 from __future__ import annotations
@@ -90,15 +93,9 @@ class FiniteGroup:
         return frozenset(self.elements)
 
 
-def group_closure(vertex_count: int, generators: list[list[int]], cap: int = 10_000) -> FiniteGroup:
-    """Close the generators under composition; error beyond the cap."""
-    gens: list[Perm] = []
-    for raw in generators:
-        p = tuple(raw)
-        if sorted(p) != list(range(vertex_count)):
-            raise GroupError(f"generator {raw} is not a bijection on 0..{vertex_count - 1}")
-        gens.append(p)
-    ident = identity_perm(vertex_count)
+def _close(gens: tuple[Perm, ...], degree: int, cap: int | None = None) -> frozenset[Perm]:
+    """The group the generators generate, by BFS: each new element times each generator."""
+    ident = identity_perm(degree)
     elements = {ident}
     frontier = [ident]
     while frontier:
@@ -109,9 +106,21 @@ def group_closure(vertex_count: int, generators: list[list[int]], cap: int = 10_
                 if q not in elements:
                     elements.add(q)
                     nxt.append(q)
-                    if len(elements) > cap:
+                    if cap is not None and len(elements) > cap:
                         raise CapExceeded(f"group closure exceeded cap {cap}")
         frontier = nxt
+    return frozenset(elements)
+
+
+def group_closure(vertex_count: int, generators: list[list[int]], cap: int = 10_000) -> FiniteGroup:
+    """Close the generators under composition; error beyond the cap."""
+    gens: list[Perm] = []
+    for raw in generators:
+        p = tuple(raw)
+        if sorted(p) != list(range(vertex_count)):
+            raise GroupError(f"generator {raw} is not a bijection on 0..{vertex_count - 1}")
+        gens.append(p)
+    elements = _close(tuple(gens), vertex_count, cap)
     return FiniteGroup(vertex_count, tuple(sorted(elements)), tuple(gens))
 
 
@@ -141,58 +150,44 @@ class Subgroup:
         gi = inverse(g)
         return Subgroup(self.group, frozenset(compose(compose(g, h), gi) for h in self.elements))
 
-
-def _close_subset(seed: set[Perm], degree: int) -> frozenset[Perm]:
-    elements = set(seed)
-    elements.add(identity_perm(degree))
-    frontier = list(elements)
-    while frontier:
-        nxt = []
-        for p in frontier:
-            for q in list(elements):
-                for r in (compose(p, q), compose(q, p)):
-                    if r not in elements:
-                        elements.add(r)
-                        nxt.append(r)
-        frontier = nxt
-    return frozenset(elements)
+    @cached_property
+    def conjugates(self) -> frozenset[frozenset[Perm]]:
+        """The conjugacy class of this subgroup, as element sets."""
+        return frozenset(self.conjugate(g).elements for g in self.group.elements)
 
 
 def subgroups(G: FiniteGroup, mode: str = "all", cap: int = 256) -> list[Subgroup]:
-    """All subgroups, or one representative per conjugacy class.
+    """All subgroups, or one representative per conjugacy class, by (order, key).
 
-    Closes the cyclic subgroups under pairwise joins until saturation; fine
-    for desk-scale groups, guarded by the cap on |G|.
+    Cyclic extension: starting from the trivial group, each subgroup found
+    is joined with every cyclic subgroup it lacks, closing its generators
+    plus the cyclic one's.  Every subgroup is generated by finitely many
+    cyclic subgroups, so this reaches them all.  Guarded by the cap on |G|.
     """
     if mode not in ("all", "up_to_conjugacy"):
         raise GroupError(f"unknown subgroup mode {mode!r}")
     if G.order > cap:
         raise CapExceeded(f"subgroup enumeration needs |G| <= {cap}, got {G.order}")
-    found: set[frozenset[Perm]] = {frozenset({G.identity})}
-    for g in G.elements:
-        found.add(_close_subset({g}, G.degree))
-    changed = True
-    while changed:
-        changed = False
-        pool = sorted(found, key=lambda s: tuple(sorted(s)))
-        for i in range(len(pool)):
-            for j in range(i + 1, len(pool)):
-                join = _close_subset(set(pool[i]) | set(pool[j]), G.degree)
-                if join not in found:
-                    found.add(join)
-                    changed = True
-    subs = [Subgroup(G, s) for s in found]
-    subs.sort(key=lambda h: (h.order, h.key()))
+    cyclic = {_close((g,), G.degree): g for g in G.elements}  # one generator each
+    gens: dict[frozenset[Perm], tuple[Perm, ...]] = {frozenset({G.identity}): ()}
+    work = list(gens)
+    while work:
+        H = work.pop()
+        for g in cyclic.values():
+            if g not in H:
+                J = _close(gens[H] + (g,), G.degree)
+                if J not in gens:
+                    gens[J] = gens[H] + (g,)
+                    work.append(J)
+    subs = sorted((Subgroup(G, s) for s in gens), key=lambda h: (h.order, h.key()))
     if mode == "all":
         return subs
     classes: list[Subgroup] = []
     seen: set[frozenset[Perm]] = set()
     for h in subs:
-        if h.elements in seen:
-            continue
-        orbit = {h.conjugate(g).elements for g in G.elements}
-        seen.update(orbit)
-        classes.append(h)
+        if h.elements not in seen:
+            seen |= h.conjugates
+            classes.append(h)
     return classes
 
 
@@ -407,15 +402,6 @@ def isotropy(A: GroupAction, v: int) -> Subgroup:
     if v < 0 or v >= A.complex.vertex_count:
         raise ActionError(f"vertex {v} out of range")
     return Subgroup(A.group, frozenset(g for g in A.group.elements if g[v] == v))
-
-
-def minimal_isotropy_subgroups(R: RegularAction) -> list[Subgroup]:
-    """The distinct isotropy subgroups occurring at vertices."""
-    seen: dict[tuple[Perm, ...], Subgroup] = {}
-    for v in range(R.complex.vertex_count):
-        h = isotropy(R.action, v)
-        seen.setdefault(h.key(), h)
-    return [seen[k] for k in sorted(seen)]
 
 
 def has_fixed_vertex(R: RegularAction) -> bool:

@@ -2,12 +2,14 @@
 
 These deliberately re-derive results with different code paths than the
 package: plain row reduction for ranks, flat all-tuples enumeration for
-longest nonzero products.
+longest nonzero products, closure of every small generating set for the
+subgroup lattice.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import combinations
 from itertools import product as iproduct
 
 
@@ -66,3 +68,46 @@ def oracle_longest_product(T, elements, depth_cap: int) -> int:
         else:
             break
     return best
+
+
+def oracle_subgroups(elements, degree: int):
+    """Every subgroup and one per conjugacy class, from every small generating set.
+
+    Each generator that is not already in the group it joins at least doubles
+    it, so no subgroup of G needs more than floor(log2 |G|) generators, and
+    closing every subset of at most that many elements finds them all.
+    Returns (all subgroups, class representatives), each a list of sorted
+    element tuples in (order, elements) order; a class is represented by its
+    first member in that order.
+    """
+    elems = sorted(elements)
+    index = {p: i for i, p in enumerate(elems)}
+    # table[a][b] is the index of the product "a after b"
+    table = [[index[tuple(a[b[v]] for v in range(degree))] for b in elems] for a in elems]
+    ident = index[tuple(range(degree))]
+    found = set()
+    for size in range(len(elems).bit_length()):
+        for gens in combinations(range(len(elems)), size):
+            group, stack = {ident}, [ident]
+            while stack:
+                x = stack.pop()
+                for g in gens:
+                    y = table[x][g]
+                    if y not in group:
+                        group.add(y)
+                        stack.append(y)
+            found.add(frozenset(group))
+    inv = [row.index(ident) for row in table]
+    every = sorted((tuple(sorted(s)) for s in found), key=lambda s: (len(s), s))
+    classes, seen = [], set()
+    for sub in every:
+        if sub in seen:
+            continue
+        classes.append(sub)
+        for g in range(len(elems)):
+            seen.add(tuple(sorted(table[table[g][h]][inv[g]] for h in sub)))
+
+    def as_perms(subs):
+        return [tuple(sorted(elems[i] for i in s)) for s in subs]
+
+    return as_perms(every), as_perms(classes)

@@ -5,7 +5,14 @@ import json
 
 import pytest
 
-from eqtc.cli import EXIT_CAP, EXIT_INCONSISTENT, EXIT_INVALID, EXIT_OK, main
+from eqtc.cli import (
+    EXIT_CAP,
+    EXIT_INCONSISTENT,
+    EXIT_INVALID,
+    EXIT_OK,
+    EXIT_SELFCHECK,
+    main,
+)
 from eqtc.problems import (
     ProblemFormatError,
     builtin_examples,
@@ -211,6 +218,15 @@ def test_cupfind_honours_ring_size_limit(tmp_path):
     assert code == EXIT_CAP
     assert out == ""
     assert "cohomology skipped" in run(["analyze", path])[1]
+
+
+def test_failed_self_check_exits_selfcheck(tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr("eqtc.ring.verify_zero_divisor_certificate", lambda T, factors: False)
+    path = write_example(tmp_path, "torus7")
+    code, out = run(["cupfind", path, "--field", "F2"])
+    assert code == EXIT_SELFCHECK == 5
+    assert out == ""
+    assert "error: self-check failed: certificate failed re-multiplication" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("verb", ["betti", "cupfind"])

@@ -17,7 +17,6 @@ from eqtc.group_action import (
     has_fixed_vertex,
     is_G_connected,
     isotropy,
-    minimal_isotropy_subgroups,
     orbit_complex,
     regularize,
     subgroups,
@@ -25,6 +24,8 @@ from eqtc.group_action import (
     vertex_orbits,
 )
 from eqtc.homology import betti_numbers, parse_field
+
+from oracles import oracle_subgroups
 
 F2 = parse_field("F2")
 Q = parse_field("Q")
@@ -99,6 +100,58 @@ def test_subgroup_cap():
     G = group_closure(4, [[1, 2, 3, 0]])
     with pytest.raises(CapExceeded):
         subgroups(G, "all", cap=2)
+
+
+def _quaternion_regular_representation() -> list[list[int]]:
+    """Left multiplication by i and j on Q8, element 4*s + u standing for (-1)^s u."""
+    units = {  # u * w = (sign, unit) for the units i, j, k = 1, 2, 3; unit 0 is 1
+        (1, 1): (1, 0), (1, 2): (0, 3), (1, 3): (1, 2),
+        (2, 1): (1, 3), (2, 2): (1, 0), (2, 3): (0, 1),
+        (3, 1): (0, 2), (3, 2): (1, 1), (3, 3): (1, 0),
+    }
+
+    def left(u: int) -> list[int]:
+        out = []
+        for x in range(8):
+            s, w = divmod(x, 4)
+            t, v = units.get((u, w), (0, u or w))
+            out.append(4 * (s ^ t) + v)
+        return out
+
+    return [left(1), left(2)]
+
+
+# name: (degree, generators, known subgroup count, known conjugacy-class count)
+SMALL_GROUPS = {
+    "S3": (3, [[1, 0, 2], [1, 2, 0]], 6, 4),
+    "S4": (4, [[1, 0, 2, 3], [1, 2, 3, 0]], 30, 11),
+    "A4": (4, [[1, 2, 0, 3], [0, 2, 3, 1]], 10, 5),
+    "D4": (4, [[1, 2, 3, 0], [0, 3, 2, 1]], 10, 8),
+    "Q8": (8, _quaternion_regular_representation(), 6, 6),
+    "Z2^3": (6, [[1, 0, 2, 3, 4, 5], [0, 1, 3, 2, 4, 5], [0, 1, 2, 3, 5, 4]], 16, 16),
+    "Z4xZ4": (8, [[1, 2, 3, 0, 4, 5, 6, 7], [0, 1, 2, 3, 5, 6, 7, 4]], 15, 15),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SMALL_GROUPS))
+def test_subgroups_match_brute_force_oracle(name):
+    degree, gens, n_all, n_classes = SMALL_GROUPS[name]
+    G = group_closure(degree, gens)
+    every, classes = oracle_subgroups(G.elements, degree)
+    assert [h.key() for h in subgroups(G, "all")] == every
+    assert [h.key() for h in subgroups(G, "up_to_conjugacy")] == classes
+    assert (len(every), len(classes)) == (n_all, n_classes)
+
+
+def test_subgroup_conjugates_is_the_conjugacy_class():
+    G = group_closure(4, SMALL_GROUPS["S4"][1])
+    classes = subgroups(G, "up_to_conjugacy")
+    assert all(h.elements in h.conjugates for h in classes)
+    # S4: 1; order 2: 6 + 3; order 3: 4; order 4: 3 + 3 + 1; S3: 4; D4: 3; A4: 1; S4: 1
+    assert sorted(len(h.conjugates) for h in classes) == [1, 1, 1, 1, 3, 3, 3, 3, 4, 4, 6]
+    assert set().union(*(h.conjugates for h in classes)) == {
+        h.elements for h in subgroups(G, "all")
+    }
 
 
 def test_regularize_trivial_group_is_immediate():
@@ -236,8 +289,8 @@ def test_isotropy_trivial_group_is_whole_group():
 
 def test_minimal_isotropy_subgroups_reflection():
     R = regular(boundary_sphere(2), [[1, 0, 2, 3]])
-    kinds = sorted(h.order for h in minimal_isotropy_subgroups(R))
-    assert kinds == [1, 2]
+    stabilizers = {isotropy(R.action, v).elements for v in range(R.complex.vertex_count)}
+    assert sorted(len(h) for h in stabilizers) == [1, 2]
 
 
 def test_has_fixed_vertex():
