@@ -427,11 +427,11 @@ def _build_action_context(name: str, problem: Problem, config: EngineConfig) -> 
         ctx.fixed_vertex = has_fixed_vertex(R)
 
         # each subgroup maps to the first listed class it is conjugate to
-        class_of: dict[frozenset, str] = {}
+        class_of: dict[frozenset[int], str] = {}
         for cls in ctx.classes:
             for conj in cls.subgroup.conjugates:
                 class_of.setdefault(conj, cls.key)
-        stabilizers = {isotropy(R.action, v).elements for v in range(R.complex.vertex_count)}
+        stabilizers = {isotropy(R.action, v).members for v in range(R.complex.vertex_count)}
         ctx.isotropy_classes = tuple(sorted({class_of[s] for s in stabilizers}))
 
         if "free_action" in ctx.annotations and ctx.fixed_vertex:

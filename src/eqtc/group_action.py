@@ -8,19 +8,24 @@ construction honest:
       g_n v_n) span a simplex, a single group element realizes all the
       images at once.
 
-Together they imply the weaker "setwise-fixed implies pointwise-fixed"
-property (so fixed sets are full subcomplexes) and guarantee that the
-vertex-orbit quotient triangulates the orbit space.  Two barycentric
-subdivisions always suffice to reach this state; the transported action is
-re-checked and the construction fails loudly if that ever breaks.
+(A) implies the weaker "setwise-fixed implies pointwise-fixed" property, so
+fixed sets are full subcomplexes: if g.s = s, then g(v) lies in s and in the
+orbit of v, and v is the only vertex of s in that orbit.  Under (A) the
+simplices with one orbit image are the per-vertex images of any one of them,
+so (B) holds exactly when each such set is one G-orbit, which
+`check_regularity` counts.  Together (A) and (B) make the vertex-orbit
+quotient triangulate the orbit space.  Two barycentric subdivisions always
+suffice; the transported action is re-checked and the construction fails
+loudly if that ever breaks.
 
-Groups and subgroups are closed from their generators by one BFS routine,
-`_close`; `subgroups` enumerates the lattice by cyclic extension with it.
+Groups are closed from generators by one BFS, `_close`.  `subgroups` runs it
+on element indices through the group's Cayley table, which only `subgroups`
+builds, after its cap on |G|, and bounds its work by SUBGROUP_WORK_BUDGET.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 
 from eqtc.complex_core import (
@@ -51,7 +56,7 @@ def identity_perm(n: int) -> Perm:
 
 def compose(p: Perm, q: Perm) -> Perm:
     """p after q: (p.q)(v) = p(q(v))."""
-    return tuple(p[q[v]] for v in range(len(p)))
+    return tuple(map(p.__getitem__, q))
 
 
 def inverse(p: Perm) -> Perm:
@@ -67,7 +72,10 @@ def apply_perm(p: Perm, s: Simplex) -> Simplex:
 
 @dataclass(frozen=True)
 class FiniteGroup:
-    """A finite permutation group on the vertex range, closed and with identity."""
+    """A finite permutation group on the vertex range, closed and with identity.
+
+    `elements` is sorted, so element indices follow permutation order.
+    """
 
     degree: int
     elements: tuple[Perm, ...]
@@ -86,23 +94,41 @@ class FiniteGroup:
         return self.order == 1
 
     def __contains__(self, p: Perm) -> bool:
-        return p in self._element_set
+        return p in self.index
 
     @cached_property
-    def _element_set(self) -> frozenset[Perm]:
-        return frozenset(self.elements)
+    def index(self) -> dict[Perm, int]:
+        """Permutation -> its position in `elements`."""
+        return {p: i for i, p in enumerate(self.elements)}
+
+    @cached_property
+    def inv(self) -> tuple[int, ...]:
+        """inv[i] is the index of the inverse of elements[i]."""
+        return tuple(self.index[inverse(p)] for p in self.elements)
+
+    @cached_property
+    def mul(self) -> tuple[tuple[int, ...], ...]:
+        """Cayley table: mul[i][j] is the index of elements[i] after elements[j].
+
+        |G|^2 compositions: only `subgroups` builds it, after its cap on |G|.
+        """
+        index, elements = self.index, self.elements
+        return tuple(tuple(index[compose(p, q)] for q in elements) for p in elements)
 
 
-def _close(gens: tuple[Perm, ...], degree: int, cap: int | None = None) -> frozenset[Perm]:
-    """The group the generators generate, by BFS: each new element times each generator."""
-    ident = identity_perm(degree)
-    elements = {ident}
-    frontier = [ident]
+def _close(gens: tuple, identity, mult, cap: int | None = None) -> frozenset:
+    """The group the generators generate, by BFS: each new element times each generator.
+
+    `mult(a, b)` is "a after b": `compose` on permutations, or a Cayley-table
+    lookup on element indices.
+    """
+    elements = {identity}
+    frontier = [identity]
     while frontier:
         nxt = []
         for p in frontier:
             for g in gens:
-                q = compose(g, p)
+                q = mult(g, p)
                 if q not in elements:
                     elements.add(q)
                     nxt.append(q)
@@ -120,20 +146,20 @@ def group_closure(vertex_count: int, generators: list[list[int]], cap: int = 10_
         if sorted(p) != list(range(vertex_count)):
             raise GroupError(f"generator {raw} is not a bijection on 0..{vertex_count - 1}")
         gens.append(p)
-    elements = _close(tuple(gens), vertex_count, cap)
+    elements = _close(tuple(gens), identity_perm(vertex_count), compose, cap)
     return FiniteGroup(vertex_count, tuple(sorted(elements)), tuple(gens))
 
 
 @dataclass(frozen=True)
 class Subgroup:
-    """A subgroup of a FiniteGroup, stored as its element set."""
+    """A subgroup of a FiniteGroup, stored as the indices of its elements."""
 
     group: FiniteGroup
-    elements: frozenset[Perm]
+    members: frozenset[int]
 
     @property
     def order(self) -> int:
-        return len(self.elements)
+        return len(self.members)
 
     @property
     def is_trivial(self) -> bool:
@@ -143,17 +169,28 @@ class Subgroup:
     def is_full(self) -> bool:
         return self.order == self.group.order
 
-    def key(self) -> tuple[Perm, ...]:
-        return tuple(sorted(self.elements))
+    @cached_property
+    def elements(self) -> frozenset[Perm]:
+        return frozenset(self.group.elements[i] for i in self.members)
 
-    def conjugate(self, g: Perm) -> "Subgroup":
-        gi = inverse(g)
-        return Subgroup(self.group, frozenset(compose(compose(g, h), gi) for h in self.elements))
+    def key(self) -> tuple[Perm, ...]:
+        return tuple(self.group.elements[i] for i in sorted(self.members))
+
+    def conjugate(self, g: int) -> "Subgroup":
+        """g H g^-1 for the element with index g."""
+        mul, gi = self.group.mul, self.group.inv[g]
+        row = mul[g]
+        return Subgroup(self.group, frozenset(mul[row[h]][gi] for h in self.members))
 
     @cached_property
-    def conjugates(self) -> frozenset[frozenset[Perm]]:
-        """The conjugacy class of this subgroup, as element sets."""
-        return frozenset(self.conjugate(g).elements for g in self.group.elements)
+    def conjugates(self) -> frozenset[frozenset[int]]:
+        """The conjugacy class of this subgroup, as member sets."""
+        return frozenset(self.conjugate(g).members for g in range(self.group.order))
+
+
+# Products the closures of one `subgroups` call may take: S_5 (156 subgroups)
+# takes 2.1 million, and (Z/2)^8 (about 417k subgroups) stops here, not hangs.
+SUBGROUP_WORK_BUDGET = 25_000_000
 
 
 def subgroups(G: FiniteGroup, mode: str = "all", cap: int = 256) -> list[Subgroup]:
@@ -162,30 +199,42 @@ def subgroups(G: FiniteGroup, mode: str = "all", cap: int = 256) -> list[Subgrou
     Cyclic extension: starting from the trivial group, each subgroup found
     is joined with every cyclic subgroup it lacks, closing its generators
     plus the cyclic one's.  Every subgroup is generated by finitely many
-    cyclic subgroups, so this reaches them all.  Guarded by the cap on |G|.
+    cyclic subgroups, so this reaches them all.  Elements are indices into
+    the sorted `G.elements`, so sorting member sets sorts by key.  Guarded
+    by the cap on |G| and by SUBGROUP_WORK_BUDGET.
     """
     if mode not in ("all", "up_to_conjugacy"):
         raise GroupError(f"unknown subgroup mode {mode!r}")
     if G.order > cap:
         raise CapExceeded(f"subgroup enumeration needs |G| <= {cap}, got {G.order}")
-    cyclic = {_close((g,), G.degree): g for g in G.elements}  # one generator each
-    gens: dict[frozenset[Perm], tuple[Perm, ...]] = {frozenset({G.identity}): ()}
+    table, ident, spent = G.mul, G.index[G.identity], 0
+
+    def close(gens: tuple[int, ...]) -> frozenset[int]:
+        nonlocal spent
+        group = _close(gens, ident, lambda a, b: table[a][b])
+        spent += len(group) * len(gens)  # the products _close took
+        if spent > SUBGROUP_WORK_BUDGET:
+            raise CapExceeded(f"subgroup enumeration exceeded {SUBGROUP_WORK_BUDGET} products")
+        return group
+
+    cyclic = {close((g,)): g for g in range(G.order)}  # one generator each
+    gens: dict[frozenset[int], tuple[int, ...]] = {frozenset({ident}): ()}
     work = list(gens)
     while work:
         H = work.pop()
         for g in cyclic.values():
             if g not in H:
-                J = _close(gens[H] + (g,), G.degree)
+                J = close(gens[H] + (g,))
                 if J not in gens:
                     gens[J] = gens[H] + (g,)
                     work.append(J)
-    subs = sorted((Subgroup(G, s) for s in gens), key=lambda h: (h.order, h.key()))
+    subs = sorted((Subgroup(G, s) for s in gens), key=lambda h: (h.order, sorted(h.members)))
     if mode == "all":
         return subs
     classes: list[Subgroup] = []
-    seen: set[frozenset[Perm]] = set()
+    seen: set[frozenset[int]] = set()
     for h in subs:
-        if h.elements not in seen:
+        if h.members not in seen:
             seen |= h.conjugates
             classes.append(h)
     return classes
@@ -207,11 +256,10 @@ def validate_action(K: SimplicialComplex, G: FiniteGroup) -> GroupAction:
     inverse.
     """
     if G.degree != K.vertex_count:
-        raise ActionError(
-            f"group acts on {G.degree} vertices but the complex has {K.vertex_count}"
-        )
+        raise ActionError(f"group acts on {G.degree} vertices but the complex has {K.vertex_count}")
+    simplices = sorted(K.simplices)
     for g in G.generators:
-        for s in sorted(K.simplices):
+        for s in simplices:
             if apply_perm(g, s) not in K.simplices:
                 raise ActionError(
                     f"not a simplicial action: image {apply_perm(g, s)} of simplex "
@@ -223,90 +271,49 @@ def validate_action(K: SimplicialComplex, G: FiniteGroup) -> GroupAction:
 @dataclass(frozen=True)
 class RegularityCertificate:
     orbit_condition: bool  # (A)
-    transporter_condition: bool  # (B)
-    setwise_pointwise: bool  # implied weak condition, checked anyway
+    transporter_condition: bool  # (B), checked only once (A) holds
     failure: str | None = None
 
     @property
     def ok(self) -> bool:
-        return self.orbit_condition and self.transporter_condition and self.setwise_pointwise
+        return self.orbit_condition and self.transporter_condition
 
 
 def vertex_orbits(action: GroupAction) -> list[int]:
     """Vertex -> orbit id, orbits numbered by smallest member."""
-    n = action.complex.vertex_count
-    orbit = [-1] * n
+    orbit = [-1] * action.complex.vertex_count
     next_id = 0
-    for v in range(n):
-        if orbit[v] != -1:
-            continue
-        for g in action.group.elements:
-            orbit[g[v]] = next_id
-        next_id += 1
+    for v in range(len(orbit)):
+        if orbit[v] == -1:
+            for g in action.group.elements:
+                orbit[g[v]] = next_id
+            next_id += 1
     return orbit
 
 
 def check_regularity(action: GroupAction) -> RegularityCertificate:
+    """(A) simplex by simplex, then (B) by orbit counting.
+
+    Under (A), (B) holds exactly when the simplices sharing an orbit image
+    form one G-orbit (module docstring).  The G-orbit of a member lies in
+    its image's set, so comparing sizes suffices.
+    """
     K, G = action.complex, action.group
     orbit = vertex_orbits(action)
-
-    orbit_ok, transporter_ok, weak_ok = True, True, True
-    failure = None
-
+    by_image: dict[Simplex, list[Simplex]] = {}
     for s in sorted(K.simplices):
-        if len({orbit[v] for v in s}) != len(s):
-            orbit_ok = False
-            failure = f"simplex {s} has two vertices in one orbit"
-            break
-
-    if orbit_ok:
-        for g in G.elements:
-            if g == G.identity:
-                continue
-            for s in sorted(K.simplices):
-                if apply_perm(g, s) == s and any(g[v] != v for v in s):
-                    weak_ok = False
-                    failure = f"{g} fixes {s} setwise but not pointwise"
-                    break
-            if not weak_ok:
-                break
-
-    if orbit_ok and weak_ok:
-        # (B): every per-vertex-reachable image tuple is reachable by one element.
-        # With (A) verified, orbits of a simplex's vertices are disjoint, so
-        # candidate image tuples are automatically injective.
-        orbit_members: list[list[int]] = [[] for _ in range(max(orbit) + 1)]
-        for v in range(K.vertex_count):
-            orbit_members[orbit[v]].append(v)
-
-        def search(s: Simplex, chosen: list[int], uniform: list[Perm]) -> str | None:
-            i = len(chosen)
-            if i == len(s):
-                return (
-                    None
-                    if uniform
-                    else f"image {tuple(chosen)} of {s} is reachable vertexwise "
-                    "but by no single element"
-                )
-            for w in orbit_members[orbit[s[i]]]:
-                if tuple(sorted(chosen + [w])) not in K.simplices:
-                    continue
-                bad = search(s, chosen + [w], [g for g in uniform if g[s[i]] == w])
-                if bad:
-                    return bad
-            return None
-
-        all_elements = list(G.elements)
-        for s in sorted(K.simplices):
-            if len(s) < 2:
-                continue
-            bad = search(s, [], all_elements)
-            if bad:
-                transporter_ok = False
-                failure = bad
-                break
-
-    return RegularityCertificate(orbit_ok, transporter_ok, weak_ok, failure)
+        image = tuple(sorted({orbit[v] for v in s}))
+        if len(image) != len(s):
+            return RegularityCertificate(False, True, f"simplex {s} has two vertices in one orbit")
+        by_image.setdefault(image, []).append(s)
+    for same in by_image.values():
+        s = same[0]
+        reached = {apply_perm(g, s) for g in G.elements}
+        if len(reached) != len(same):
+            t = next(t for t in same if t not in reached)
+            failure = f"image {t} of {s} is reachable vertexwise but by no single element"
+            return RegularityCertificate(True, False, failure)
+    return RegularityCertificate(True, True)
 
 
 @dataclass(frozen=True)
@@ -321,6 +328,8 @@ class RegularAction:
     original: SimplicialComplex
     subdivision_rounds: int
     certificate: RegularityCertificate
+    # fixed_subcomplex results by subgroup element set, each computed once
+    _fixed: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
     def complex(self) -> SimplicialComplex:
@@ -331,9 +340,7 @@ class RegularAction:
         return self.action.group
 
 
-def transport_action(
-    G: FiniteGroup, provenance: dict[int, Simplex]
-) -> FiniteGroup:
+def transport_action(G: FiniteGroup, provenance: dict[int, Simplex]) -> FiniteGroup:
     """Induced permutations on subdivision vertices (which are old simplices)."""
     vid = {s: i for i, s in provenance.items()}
     n = len(provenance)
@@ -363,25 +370,22 @@ def regularize(A: GroupAction, max_rounds: int = 2) -> RegularAction:
             break
         sd, prov = barycentric_subdivision(current.complex)
         current = validate_action(sd, transport_action(current.group, prov))
-    raise AssertionError(
-        f"action not regular after {max_rounds} subdivisions: {cert.failure}"
-    )
+    raise AssertionError(f"action not regular after {max_rounds} subdivisions: {cert.failure}")
 
 
-def fixed_subcomplex(
-    R: RegularAction, H: Subgroup
-) -> tuple[SimplicialComplex, dict[int, int]]:
+def fixed_subcomplex(R: RegularAction, H: Subgroup) -> tuple[SimplicialComplex, dict[int, int]]:
     """Full subcomplex on the vertices fixed by every element of H.
 
     Under regularity this triangulates the geometric H-fixed set.  Returns
-    the subcomplex (possibly empty) and the old->new vertex map.
+    the subcomplex (possibly empty) and the old->new vertex map.  Each fixed
+    set is built once per RegularAction.
     """
-    fixed = {
-        v
-        for v in range(R.complex.vertex_count)
-        if all(h[v] == v for h in H.elements)
-    }
-    return full_subcomplex(R.complex, fixed)
+    cached = R._fixed.get(H.elements)
+    if cached is None:
+        fixed = {v for v in range(R.complex.vertex_count) if all(h[v] == v for h in H.elements)}
+        cached = R._fixed[H.elements] = full_subcomplex(R.complex, fixed)
+    sub, index_map = cached
+    return sub, dict(index_map)
 
 
 def orbit_complex(R: RegularAction) -> tuple[SimplicialComplex, list[int]]:
@@ -401,14 +405,11 @@ def isotropy(A: GroupAction, v: int) -> Subgroup:
     """Stabilizer subgroup of a vertex."""
     if v < 0 or v >= A.complex.vertex_count:
         raise ActionError(f"vertex {v} out of range")
-    return Subgroup(A.group, frozenset(g for g in A.group.elements if g[v] == v))
+    return Subgroup(A.group, frozenset(i for i, g in enumerate(A.group.elements) if g[v] == v))
 
 
 def has_fixed_vertex(R: RegularAction) -> bool:
-    return any(
-        all(g[v] == v for g in R.group.generators)
-        for v in range(R.complex.vertex_count)
-    )
+    return any(all(g[v] == v for g in R.group.generators) for v in range(R.complex.vertex_count))
 
 
 @dataclass(frozen=True)
@@ -418,9 +419,7 @@ class GConnectivity:
     empty_classes: tuple[int, ...]  # class positions with empty fixed set
 
 
-def is_G_connected(
-    R: RegularAction, classes: list[Subgroup] | None = None
-) -> GConnectivity:
+def is_G_connected(R: RegularAction, classes: list[Subgroup] | None = None) -> GConnectivity:
     """Path-connectivity of every fixed set, one subgroup per conjugacy class.
 
     Conjugate subgroups have simplicially isomorphic fixed sets, so classes

@@ -3,7 +3,7 @@
 These deliberately re-derive results with different code paths than the
 package: plain row reduction for ranks, flat all-tuples enumeration for
 longest nonzero products, closure of every small generating set for the
-subgroup lattice.
+subgroup lattice, a per-simplex transporter search for regularity.
 """
 
 from __future__ import annotations
@@ -111,3 +111,36 @@ def oracle_subgroups(elements, degree: int):
         return [tuple(sorted(elems[i] for i in s)) for s in subs]
 
     return as_perms(every), as_perms(classes)
+
+
+def oracle_regularity(action) -> tuple[bool, bool, bool]:
+    """Conditions (A), (B) and "setwise-fixed implies pointwise-fixed", by direct search.
+
+    (A) compares orbit sets per simplex.  The weak condition tries every
+    non-identity element on every simplex.  (B) is a recursive search per
+    simplex over per-vertex images inside the vertex orbits, keeping the
+    elements that realize every image chosen so far.  As in the package,
+    the later checks run only once the earlier ones hold and read True
+    otherwise.  Returns (A, B, weak).
+    """
+    K, elements = action.complex, action.group.elements
+    orbit = [frozenset(g[v] for g in elements) for v in range(K.vertex_count)]
+    simplices = sorted(K.simplices)
+    if any(len({orbit[v] for v in s}) != len(s) for s in simplices):
+        return False, True, True
+    for g in elements:
+        for s in simplices:
+            if tuple(sorted(g[v] for v in s)) == s and any(g[v] != v for v in s):
+                return True, True, False
+
+    def realizable(s, chosen, uniform) -> bool:
+        i = len(chosen)
+        if i == len(s):
+            return bool(uniform)
+        return all(
+            realizable(s, chosen + [w], [g for g in uniform if g[s[i]] == w])
+            for w in sorted(orbit[s[i]])
+            if tuple(sorted(chosen + [w])) in K.simplices
+        )
+
+    return True, all(realizable(s, [], list(elements)) for s in simplices if len(s) > 1), True

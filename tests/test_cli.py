@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import io
 import json
+import time
 
 import pytest
 
@@ -146,6 +147,25 @@ def test_analyze_cap_exceeded_exit_code(tmp_path):
     )
     code, _ = run(["analyze", path])
     assert code == EXIT_CAP
+
+
+def test_analyze_huge_subgroup_lattice_exits_on_work_budget(tmp_path, capsys):
+    # (Z/2)^8 swapping the ends of 8 disjoint edges: order 256 passes the
+    # subgroup cap, but its ~417k subgroups exceed the closure work budget
+    gens = []
+    for i in range(8):
+        g = list(range(16))
+        g[2 * i], g[2 * i + 1] = g[2 * i + 1], g[2 * i]
+        gens.append(g)
+    data = {"schema_version": 1, "name": "z2-8", "vertex_count": 16,
+            "maximal_simplices": [[2 * i, 2 * i + 1] for i in range(8)], "group_generators": gens}
+    path = tmp_path / "z2-8.json"
+    path.write_text(json.dumps(data), encoding="utf-8")
+    start = time.perf_counter()
+    code, _ = run(["analyze", str(path)])
+    assert code == EXIT_CAP
+    assert time.perf_counter() - start < 10
+    assert "subgroup enumeration exceeded" in capsys.readouterr().err
 
 
 def test_fixed_honours_config_caps(tmp_path):

@@ -4,7 +4,13 @@ import random
 
 import pytest
 
-from eqtc.complex_core import boundary_sphere, cycle_complex, solid_simplex
+from eqtc.complex_core import (
+    barycentric_subdivision,
+    boundary_sphere,
+    cycle_complex,
+    from_maximal_simplices,
+    solid_simplex,
+)
 from eqtc.group_action import (
     ActionError,
     CapExceeded,
@@ -15,17 +21,20 @@ from eqtc.group_action import (
     fixed_subcomplex,
     group_closure,
     has_fixed_vertex,
+    inverse,
     is_G_connected,
     isotropy,
     orbit_complex,
     regularize,
     subgroups,
+    transport_action,
     validate_action,
     vertex_orbits,
 )
 from eqtc.homology import betti_numbers, parse_field
+from eqtc.problems import builtin_examples
 
-from oracles import oracle_subgroups
+from oracles import oracle_regularity, oracle_subgroups
 
 F2 = parse_field("F2")
 Q = parse_field("Q")
@@ -143,14 +152,46 @@ def test_subgroups_match_brute_force_oracle(name):
     assert (len(every), len(classes)) == (n_all, n_classes)
 
 
+@pytest.mark.parametrize("name", sorted(SMALL_GROUPS))
+def test_cayley_table_agrees_with_permutations(name):
+    degree, gens, _, _ = SMALL_GROUPS[name]
+    G = group_closure(degree, gens)
+    els = G.elements
+    for i, p in enumerate(els):
+        assert els[G.inv[i]] == inverse(p)
+        assert [els[k] for k in G.mul[i]] == [compose(p, q) for q in els]
+    subs = subgroups(G, "all")
+    assert [(h.order, h.key()) for h in subs] == sorted((h.order, h.key()) for h in subs)
+    for h in subs:
+        for i, g in enumerate(els):
+            gi = inverse(g)
+            assert h.conjugate(i).elements == {compose(compose(g, x), gi) for x in h.elements}
+
+
+def test_cayley_table_is_built_only_by_subgroups():
+    K = boundary_sphere(2)
+    G = group_closure(4, SMALL_GROUPS["S4"][1])
+    R = regularize(validate_action(K, G))
+    isotropy(R.action, 0)
+    assert "mul" not in vars(G) and "mul" not in vars(R.group)
+    subgroups(R.group)
+    assert "mul" in vars(R.group)
+
+
+def test_subgroups_of_s5_fit_the_work_budget():
+    G = group_closure(5, [[1, 0, 2, 3, 4], [1, 2, 3, 4, 0]])
+    assert len(subgroups(G, "all")) == 156
+    assert len(subgroups(G, "up_to_conjugacy")) == 19
+
+
 def test_subgroup_conjugates_is_the_conjugacy_class():
     G = group_closure(4, SMALL_GROUPS["S4"][1])
     classes = subgroups(G, "up_to_conjugacy")
-    assert all(h.elements in h.conjugates for h in classes)
+    assert all(h.members in h.conjugates for h in classes)
     # S4: 1; order 2: 6 + 3; order 3: 4; order 4: 3 + 3 + 1; S3: 4; D4: 3; A4: 1; S4: 1
     assert sorted(len(h.conjugates) for h in classes) == [1, 1, 1, 1, 3, 3, 3, 3, 4, 4, 6]
     assert set().union(*(h.conjugates for h in classes)) == {
-        h.elements for h in subgroups(G, "all")
+        h.members for h in subgroups(G, "all")
     }
 
 
@@ -170,6 +211,58 @@ def test_regularize_sphere_reflection():
     assert 1 <= R.subdivision_rounds <= 2
     assert R.certificate.ok
     assert R.original.dim == R.complex.dim == 2
+
+
+def _rounds(K, gens):
+    """The action and its transports to the first and second barycentric subdivisions."""
+    A = validate_action(K, group_closure(K.vertex_count, gens))
+    out = [A]
+    for _ in range(2):
+        sd, prov = barycentric_subdivision(A.complex)
+        A = validate_action(sd, transport_action(A.group, prov))
+        out.append(A)
+    return out
+
+
+def _regularity_inputs():
+    inputs = {
+        name: (from_maximal_simplices(p.vertex_count, [list(s) for s in p.maximal_simplices]),
+               [list(g) for g in p.group_generators])
+        for name, p in builtin_examples().items()
+        if not p.is_associated_space
+    }
+    torus7 = inputs["torus7"][0]
+    inputs.update({
+        "square-reflection": (cycle_complex(4), [[1, 0, 3, 2]]),
+        "pentagon-reflection": (cycle_complex(5), [[0, 4, 3, 2, 1]]),
+        "octagon-D8": (cycle_complex(8), [[1, 2, 3, 4, 5, 6, 7, 0], [0, 7, 6, 5, 4, 3, 2, 1]]),
+        "S2-S4": (boundary_sphere(2), SMALL_GROUPS["S4"][1]),
+        "S2-A4": (boundary_sphere(2), SMALL_GROUPS["A4"][1]),
+        "S2-Z2xZ2": (boundary_sphere(2), [[1, 0, 2, 3], [0, 1, 3, 2]]),
+        "S3-Z3": (boundary_sphere(3), [[1, 2, 0, 3, 4]]),
+        "S3-Z6": (boundary_sphere(3), [[1, 2, 0, 3, 4], [0, 1, 2, 4, 3]]),
+        "triangle-rotation": (solid_simplex(2), [[1, 2, 0]]),
+        "tetrahedron-swap": (solid_simplex(3), [[1, 0, 2, 3]]),
+        "torus7-Z7": (torus7, [[(v + 1) % 7 for v in range(7)]]),
+    })
+    return inputs
+
+
+def test_check_regularity_agrees_with_transporter_search_oracle():
+    results = {}
+    for name, (K, gens) in _regularity_inputs().items():
+        for rnd, A in enumerate(_rounds(K, gens)):
+            a, b, weak = oracle_regularity(A)
+            cert = check_regularity(A)
+            assert (cert.orbit_condition, cert.transporter_condition) == (a, b), (name, rnd)
+            assert cert.ok == (a and b and weak), (name, rnd)
+            # (A) implies the weak condition, which is why the package skips it
+            assert weak or not a, (name, rnd)
+            results[name, rnd] = (a, b)
+    # the hexagon with its rotation, once subdivided, fails (B) alone
+    assert results["ngon-rotation-6", 1] == (True, False)
+    assert any(not a for a, _ in results.values())
+    assert any(a and b for a, b in results.values())
 
 
 def test_weak_condition_fails_before_subdivision():
