@@ -350,7 +350,13 @@ def quantity_display(ctx: ProblemContext, q: Quantity) -> str:
 # context construction and seeding
 
 
-def _analyze_space(info: SpaceInfo, config: EngineConfig) -> None:
+def _analyze_space(info: SpaceInfo, config: EngineConfig, known: dict) -> None:
+    """Dimension, connectivity and, under the size limit, one ring per field.
+
+    known maps a complex's simplices to its rings by field name, so
+    complexes that coincide (such as the fixed sets of several classes)
+    share one ring computation per field.
+    """
     K = info.complex
     if K is None or info.empty:
         return
@@ -363,10 +369,12 @@ def _analyze_space(info: SpaceInfo, config: EngineConfig) -> None:
             f"configured limit {config.max_ring_simplices}"
         )
         return
+    rings = known.setdefault(K.simplices, {})
     for name in config.fields:
         # one ring per field; Betti numbers come with the basis for free
-        ring = ring_structure(K, parse_field(name))
-        info.rings[name] = ring
+        if name not in rings:
+            rings[name] = ring_structure(K, parse_field(name))
+        ring = info.rings[name] = rings[name]
         info.betti[name] = ring.basis.betti_vector()
     info.analyzed = True
 
@@ -385,8 +393,9 @@ def _build_action_context(name: str, problem: Problem, config: EngineConfig) -> 
     ctx.equivariant = not G.is_trivial
     ctx.annotations = tuple(problem.annotations)
 
+    known: dict = {}  # simplices -> rings by field name, for this context
     ctx.spaces["X"] = SpaceInfo("X", "X", K)
-    _analyze_space(ctx.spaces["X"], config)
+    _analyze_space(ctx.spaces["X"], config, known)
     ctx.spaces["XxX"] = SpaceInfo(
         "XxX", "X x X", None, formal=True, dim=2 * K.dim, connected=ctx.spaces["X"].connected
     )
@@ -407,7 +416,7 @@ def _build_action_context(name: str, problem: Problem, config: EngineConfig) -> 
                 fixed_key = f"fix:{key}"
                 info = SpaceInfo(fixed_key, f"X^{display}", fixed, empty=fixed.is_empty)
                 if not fixed.is_empty:
-                    _analyze_space(info, config)
+                    _analyze_space(info, config, known)
                 ctx.spaces[fixed_key] = info
             ctx.classes.append(
                 SubgroupClassInfo(key, display, H, H.order, H.is_trivial, H.is_full, fixed_key)
@@ -415,7 +424,7 @@ def _build_action_context(name: str, problem: Problem, config: EngineConfig) -> 
 
         quotient, _ = orbit_complex(R)
         orbit_info = SpaceInfo("orbit", "X/G", quotient)
-        _analyze_space(orbit_info, config)
+        _analyze_space(orbit_info, config, known)
         ctx.spaces["orbit"] = orbit_info
 
         conn = is_G_connected(R, [c.subgroup for c in ctx.classes])

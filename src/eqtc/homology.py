@@ -1,10 +1,12 @@
-"""Boundary matrices, Betti numbers, and cohomology bases with projection.
+"""Boundary and coboundary matrices, Betti numbers, and cohomology bases.
 
 Signs come from the global vertex order of each complex, so the boundary
 and coboundary operators (and later the cup product) are consistent across
-the whole package.  Both operators are filled directly from the face lists;
-CochainBasis builds each coboundary matrix once, and all elimination goes
-through the single Gauss-Jordan loop in eqtc.linalg.
+the whole package.  Matrices are lists of sparse columns, as in
+eqtc.linalg: the coboundary delta_d has one column per sorted d-simplex,
+holding (-1)^i at each coface that drops the simplex as its i-th face.
+CochainBasis builds each delta_d once, and all elimination goes through the
+single column reduction in eqtc.linalg.
 """
 
 from __future__ import annotations
@@ -14,12 +16,11 @@ from eqtc.linalg import (
     Field,
     FieldError,
     LinearSolver,
+    add_multiple,
     column_space_basis,
-    mat_vec,
     nullspace,
     parse_field,
     rank,
-    zero_matrix,
 )
 
 __all__ = [
@@ -33,52 +34,50 @@ __all__ = [
 ]
 
 
-def boundary_matrix(K: SimplicialComplex, field: Field, d: int) -> list[list]:
-    """Matrix of the boundary map from d-chains to (d-1)-chains.
+def _sparse(v: list, field: Field) -> dict:
+    return {r: a for r, a in enumerate(v) if not field.is_zero(a)}
 
-    Rows are indexed by the sorted (d-1)-simplices, columns by the sorted
-    d-simplices; the entry for dropping the i-th vertex is (-1)^i.
+
+def boundary_matrix(K: SimplicialComplex, field: Field, d: int) -> list[dict]:
+    """Boundary map from d-chains to (d-1)-chains (d >= 1).
+
+    One column per sorted d-simplex; the face that drops the i-th vertex
+    gets (-1)^i in the row of its position among the (d-1)-simplices.
     """
-    rows = K.simplices_of_dim(d - 1)
     cols = K.simplices_of_dim(d)
-    row_index = K.index_of[d - 1] if rows else {}
-    mat = zero_matrix(len(rows), len(cols), field)
-    for j, s in enumerate(cols):
-        for i, f in enumerate(faces(s)):
-            sign = field.of_int(-1 if i % 2 else 1)
-            r = row_index[f]
-            mat[r][j] = field.add(mat[r][j], sign)
-    return mat
+    index = K.index_of[d - 1] if cols else {}
+    signs = (field.one, field.neg(field.one))
+    return [{index[f]: signs[i % 2] for i, f in enumerate(faces(s))} for s in cols]
 
 
-def boundary_matrices(K: SimplicialComplex, field: Field) -> list[list[list]]:
-    """All boundary matrices, index d giving the map from d-chains (d >= 1)."""
+def boundary_matrices(K: SimplicialComplex, field: Field) -> list[list[dict]]:
+    """All boundary matrices, index d-1 giving the map from d-chains (d >= 1)."""
     return [boundary_matrix(K, field, d) for d in range(1, K.dim + 1)]
 
 
-def coboundary_matrix(K: SimplicialComplex, field: Field, d: int) -> list[list]:
-    """Matrix of the coboundary from d-cochains to (d+1)-cochains.
+def coboundary_matrix(K: SimplicialComplex, field: Field, d: int) -> list[dict]:
+    """Coboundary from d-cochains to (d+1)-cochains, the transposed boundary.
 
-    This is the transpose of the boundary map one degree up, filled row by
-    row: (delta a)(tau) = sum_i (-1)^i a(tau with i-th vertex dropped).
+    (delta a)(tau) = sum_i (-1)^i a(tau with its i-th vertex dropped), so
+    column j holds those signs in the rows of the cofaces of simplex j.
+    In the top degree every column is empty.
     """
-    rows = K.simplices_of_dim(d + 1)
-    col_index = K.index_of[d] if rows else {}
-    mat = zero_matrix(len(rows), len(K.simplices_of_dim(d)), field)
-    for row, s in zip(mat, rows):
+    cols: list[dict] = [{} for _ in K.simplices_of_dim(d)]
+    cofaces = K.simplices_of_dim(d + 1)
+    index = K.index_of[d] if cofaces else {}
+    signs = (field.one, field.neg(field.one))
+    for r, s in enumerate(cofaces):
         for i, f in enumerate(faces(s)):
-            c = col_index[f]
-            row[c] = field.add(row[c], field.of_int(-1 if i % 2 else 1))
-    return mat
+            cols[index[f]][r] = signs[i % 2]
+    return cols
 
 
 def betti_numbers(K: SimplicialComplex, field: Field) -> tuple[int, ...]:
     """Betti numbers b_0..b_dim over the given field."""
     if K.is_empty:
         raise FieldError("Betti numbers of the empty complex are undefined")
-    ranks = [0] * (K.dim + 2)
-    for d in range(1, K.dim + 1):
-        ranks[d] = rank(boundary_matrix(K, field, d), field)
+    # ranks[d + 1] = rank delta_d; b_d = f_d - rank delta_{d-1} - rank delta_d
+    ranks = [0] + [rank(coboundary_matrix(K, field, d), field) for d in range(K.dim)] + [0]
     f = K.f_vector()
     return tuple(f[d] - ranks[d] - ranks[d + 1] for d in range(K.dim + 1))
 
@@ -87,12 +86,14 @@ class CochainBasis:
     """Representative cocycles per degree plus coordinate projection.
 
     One pass over the degrees builds each coboundary matrix delta_d once and
-    drops it after taking its kernel (the cocycles of degree d) and its
-    independent columns (the coboundary basis of degree d+1).  Degree 0 is
-    represented by the component indicators; in degree d >= 1 the
-    representatives are the cocycles at the leftmost pivots of
-    [coboundaries | cocycles].  A solver for [representatives | coboundaries]
+    keeps only its kernel (the cocycles of degree d) and its independent
+    columns (the coboundary basis of degree d+1).  Degree 0 is represented
+    by the component indicators; in degree d >= 1 the representatives are
+    the cocycles at the leftmost pivots of [coboundaries | cocycles].  A
+    solver for [representatives | coboundaries], built on first use,
     writes any cocycle as (basis coordinates, coboundary part).
+    Representatives and projections are dense lists, one entry per sorted
+    d-simplex.
     """
 
     def __init__(self, K: SimplicialComplex, field: Field):
@@ -101,44 +102,37 @@ class CochainBasis:
         self.complex = K
         self.field = field
         self.representatives: dict[int, list[list]] = {}
-        self._cobound: dict[int, list[list]] = {}
+        self._cobound: dict[int, list[dict]] = {}
         self._solvers: dict[int, LinearSolver] = {}
-        cobound: list[list] = []  # coboundary basis in degree d
+        cobound: list[dict] = []  # coboundary basis in degree d
         for d in range(K.dim + 1):
             n_d = len(K.simplices_of_dim(d))
-            delta = coboundary_matrix(K, field, d)  # [] in the top degree
+            delta = coboundary_matrix(K, field, d)
             if d == 0:
                 pivots = column_space_basis(delta, field)
-            else:
-                cocycles = nullspace(delta, field, n_d)
-                # each kernel vector ends in its free column; the rest are pivots
-                free = {max(j for j, x in enumerate(v) if not field.is_zero(x)) for v in cocycles}
-                pivots = [c for c in range(n_d) if c not in free]
-            next_cobound = [[row[c] for row in delta] for c in pivots]
-            del delta
-            if d == 0:
                 # canonical representatives: component indicator cochains
                 labels = K.component_labels
                 reps = [[field.one if labels[v] == comp else field.zero for v in range(n_d)]
                         for comp in range(K.connected_components())]
             else:
+                cocycles = nullspace(delta, field)
+                # each kernel vector ends in its own column; the rest are pivots
+                free = {max(v) for v in cocycles}
+                pivots = [c for c in range(n_d) if c not in free]
                 # extend the coboundary basis by independent cocycles
-                candidates = cobound + cocycles
-                m = [[col[r] for col in candidates] for r in range(n_d)]
-                reps = [cocycles[c - len(cobound)]
-                        for c in column_space_basis(m, field) if c >= len(cobound)]
+                reps = [[cocycles[c - len(cobound)].get(r, field.zero) for r in range(n_d)]
+                        for c in column_space_basis(cobound + cocycles, field)
+                        if c >= len(cobound)]
             self.representatives[d] = reps
             self._cobound[d] = cobound
-            cobound = next_cobound
+            cobound = [delta[c] for c in pivots]
 
     def _solver(self, d: int) -> LinearSolver:
         # built lazily: projections are only ever requested in the few
-        # degrees where cup products land, and the solver is the costly part
+        # degrees where cup products land
         if d not in self._solvers:
-            columns = self.representatives[d] + self._cobound[d]
-            n_d = len(self.complex.simplices_of_dim(d))
-            mat = [[col[r] for col in columns] for r in range(n_d)]
-            self._solvers[d] = LinearSolver(mat, self.field)
+            reps = [_sparse(rep, self.field) for rep in self.representatives[d]]
+            self._solvers[d] = LinearSolver(reps + self._cobound[d], self.field)
         return self._solvers[d]
 
     def betti(self, d: int) -> int:
@@ -148,24 +142,23 @@ class CochainBasis:
         return tuple(self.betti(d) for d in range(self.complex.dim + 1))
 
     def is_cocycle(self, d: int, v: list) -> bool:
-        if d >= self.complex.dim:
-            return True
-        delta = coboundary_matrix(self.complex, self.field, d)
-        return all(self.field.is_zero(x) for x in mat_vec(delta, v, self.field))
+        field = self.field
+        image: dict = {}
+        for a, col in zip(v, coboundary_matrix(self.complex, field, d)):
+            if not field.is_zero(a):
+                add_multiple(image, a, col, field)
+        return not image
 
     def project(self, d: int, cocycle: list) -> tuple[list, list]:
         """Coordinates of a cocycle in the chosen basis, plus its coboundary part."""
-        k = len(self.representatives[d])
-        x = self._solver(d).solve(cocycle)
-        coords = x[:k]
         field = self.field
-        n_d = len(self.complex.simplices_of_dim(d))
-        rest = [field.zero] * n_d
-        for c, coeff in enumerate(x[k:]):
-            if field.is_zero(coeff):
-                continue
-            col = self._cobound[d][c]
-            rest = [field.add(rest[r], field.mul(coeff, col[r])) for r in range(n_d)]
+        reps = self.representatives[d]
+        x = self._solver(d).solve(_sparse(cocycle, field))
+        coords = [x.get(i, field.zero) for i in range(len(reps))]
+        rest = list(cocycle)
+        for c, rep in zip(coords, reps):
+            if not field.is_zero(c):
+                rest = [field.sub(a, field.mul(c, b)) for a, b in zip(rest, rep)]
         return coords, rest
 
 

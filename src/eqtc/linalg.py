@@ -1,12 +1,16 @@
 """Exact linear algebra over prime fields and the rationals.
 
 No floating point anywhere: prime-field elements are ints reduced mod p,
-rationals are fractions.Fraction.  Matrices are dense lists of rows, which
-is plenty at the scale of the complexes handled here.
+rationals are fractions.Fraction.  A vector is a sparse dict (index ->
+nonzero scalar), and a matrix is a list of such columns: coboundary
+matrices are more than 99% zeros.
 
-All elimination goes through one Gauss-Jordan loop, _rref_in_place: rank,
-nullspace and column_space_basis reduce a copy of the matrix, and
-LinearSolver reduces [M | I] while pivoting only in M.
+All elimination goes through one left-to-right column reduction,
+_reduce_columns: each column is reduced against a pivot table keyed by the
+lowest row of the columns before it, and may carry a mask of the column
+operations.  rank counts its pivots, column_space_basis lists them,
+nullspace returns the masks of the columns that reduce to zero, and
+LinearSolver keeps the table and the masks to solve against them.
 """
 
 from __future__ import annotations
@@ -111,128 +115,119 @@ def parse_field(spec: str) -> Field:
     return _CACHE[key]
 
 
-def zero_matrix(rows: int, cols: int, field: Field) -> list[list]:
-    return [[field.zero] * cols for _ in range(rows)]
+def add_multiple(y: dict, a, x: dict, field: Field) -> None:
+    """y += a * x on sparse vectors, in place; a is nonzero, cancelled entries are dropped.
 
-
-def _rref_in_place(
-    mat: list[list], field: Field, n_pivot_cols: int | None = None
-) -> list[tuple[int, int]]:
-    """Gauss-Jordan on mat; returns pivot (row, col) pairs.
-
-    Pivots are sought only in the first n_pivot_cols columns (all of them by
-    default), but every row operation spans the full width, so the columns
-    after them record the operations ([M | I] gives the inverse row ops).
-    Row updates only touch the support of the pivot row; boundary matrices
-    are very sparse, so this is the difference between usable and slow.
+    This is the inner loop of every reduction, so it does the arithmetic
+    itself instead of calling the field's methods.
     """
-    pivots: list[tuple[int, int]] = []
-    if not mat:
-        return pivots
-    n_rows, width = len(mat), len(mat[0])
-    r = 0
-    for c in range(width if n_pivot_cols is None else n_pivot_cols):
-        pivot_row = next((i for i in range(r, n_rows) if not field.is_zero(mat[i][c])), None)
-        if pivot_row is None:
-            continue
-        mat[r], mat[pivot_row] = mat[pivot_row], mat[r]
-        inv = field.inv(mat[r][c])
-        if inv != field.one:
-            mat[r] = [x if field.is_zero(x) else field.mul(inv, x) for x in mat[r]]
-        row_r = mat[r]
-        support = [j for j in range(width) if not field.is_zero(row_r[j])]
-        for i in range(n_rows):
-            if i == r:
-                continue
-            factor = mat[i][c]
-            if field.is_zero(factor):
-                continue
-            row_i = mat[i]
-            for j in support:
-                row_i[j] = field.sub(row_i[j], field.mul(factor, row_r[j]))
-        pivots.append((r, c))
-        r += 1
-        if r == n_rows:
-            break
-    return pivots
+    p, get = field.char, y.get
+    for r, b in x.items():
+        c = get(r, 0) + a * b
+        if p:
+            c %= p
+        if c:
+            y[r] = c
+        else:
+            del y[r]  # a * b != 0, so a zero sum means r was already in y
 
 
-def rank(mat: list[list], field: Field) -> int:
-    work = [row[:] for row in mat]
-    return len(_rref_in_place(work, field))
+def _compact(a):
+    # integral rationals as ints: coboundary entries are +-1, and int
+    # arithmetic is many times faster than Fraction's (ints pass unchanged)
+    return a.numerator if a.denominator == 1 else a
 
 
-def nullspace(mat: list[list], field: Field, n_cols: int | None = None) -> list[list]:
-    """Basis of the kernel of mat (rows x cols), one vector per free column.
+def _exact(v: dict, field: Field) -> dict:
+    """v with field elements again: Fractions over Q, where _compact made ints."""
+    return v if field.char else {k: Fraction(a) for k, a in v.items()}
 
-    The free column is each vector's last nonzero entry (the reduced matrix
-    is in echelon form), so the columns that no vector ends in are exactly
-    the pivot columns that column_space_basis returns.
+
+def _reduce(v: dict, mask: dict | None, table: dict, field: Field):
+    """Reduce v in place against the pivot table; return its lowest row, or None at zero.
+
+    Each step cancels v's lowest entry with the pivot column that has the
+    same lowest row.  When a mask is given, the same multiples of the
+    pivots' masks are added to it, so it records the column operations.
     """
-    if n_cols is None:
-        if not mat:
-            raise FieldError("nullspace of an empty matrix needs n_cols")
-        n_cols = len(mat[0])
-    work = [row[:] for row in mat]
-    pivots = _rref_in_place(work, field)
-    pivot_cols = {c for _, c in pivots}
-    basis = []
-    for free in range(n_cols):
-        if free in pivot_cols:
-            continue
-        vec = [field.zero] * n_cols
-        vec[free] = field.one
-        for r, c in pivots:
-            vec[c] = field.neg(work[r][free])
-        basis.append(vec)
-    return basis
+    while v:
+        low = max(v)
+        pivot = table.get(low)
+        if pivot is None:
+            return low
+        column, column_mask, inv = pivot
+        a = _compact(field.neg(field.mul(v[low], inv)))
+        add_multiple(v, a, column, field)
+        if mask is not None:
+            add_multiple(mask, a, column_mask, field)
+    return None
 
 
-def column_space_basis(mat: list[list], field: Field) -> list[int]:
-    """Indices of a deterministic set of independent columns (leftmost pivots)."""
-    work = [row[:] for row in mat]
-    return [c for _, c in _rref_in_place(work, field)]
+def _reduce_columns(mat: list[dict], field: Field, masks: bool = False):
+    """The one elimination: a left-to-right pass over the columns of mat.
+
+    Returns (pivot columns, pivot table, kernel masks).  The table maps the
+    lowest row of each reduced pivot column to (reduced column, mask,
+    inverse of its lowest entry).  Column j is a pivot exactly when it is
+    independent of columns 0..j-1.  With masks=True, each column carries a
+    mask m with mat * m equal to its reduced column, starting from {j: 1};
+    only pivot columns are ever added, so the mask of a column that
+    reduces to zero is the kernel vector with a 1 on its own column and
+    support in the earlier pivot columns.  Those are returned in order.
+    The input columns are not changed.
+    """
+    table: dict = {}
+    pivots: list[int] = []
+    kernel: list[dict] = []
+    for j, column in enumerate(mat):
+        v = {r: _compact(a) for r, a in column.items()}
+        mask = {j: 1} if masks else None
+        low = _reduce(v, mask, table, field)
+        if low is None:
+            kernel.append(mask)
+        else:
+            table[low] = (v, mask, _compact(field.inv(v[low])))
+            pivots.append(j)
+    return pivots, table, kernel
+
+
+def rank(mat: list[dict], field: Field) -> int:
+    return len(_reduce_columns(mat, field)[0])
+
+
+def nullspace(mat: list[dict], field: Field) -> list[dict]:
+    """Basis of the kernel of mat, one sparse vector per dependent column.
+
+    Each vector is 1 on its own column, which is its largest index, and
+    is otherwise supported on earlier independent columns: the kernel
+    basis read off the reduced row echelon form.  The columns that no
+    vector ends in are exactly what column_space_basis returns.
+    """
+    return [_exact(m, field) for m in _reduce_columns(mat, field, masks=True)[2]]
+
+
+def column_space_basis(mat: list[dict], field: Field) -> list[int]:
+    """Indices of the leftmost independent columns."""
+    return _reduce_columns(mat, field)[0]
 
 
 class LinearSolver:
-    """Repeated exact solves of M x = v for a fixed matrix M.
+    """Repeated exact solves of M x = v for a fixed M with independent columns.
 
-    Row-reduces [M | I] once, pivoting only in M; each solve is a
-    matrix-vector product plus a consistency check on the non-pivot rows.
+    Reduces the columns of M once, with masks; each solve reduces v against
+    the pivot table, and the masks of the pivots it used add up to x.
     """
 
-    def __init__(self, mat: list[list], field: Field):
+    def __init__(self, mat: list[dict], field: Field):
         self.field = field
-        self.n_rows = len(mat)
-        self.n_cols = len(mat[0]) if mat else 0
-        aug = [row + [field.one if i == j else field.zero for j in range(self.n_rows)]
-               for i, row in enumerate(mat)]
-        self.pivots = _rref_in_place(aug, field, self.n_cols)
-        self.ops = [row[self.n_cols :] for row in aug]
+        _, self._table, _ = _reduce_columns(mat, field, masks=True)
 
-    def solve(self, v: list) -> list:
-        """Unique solution of M x = v; raises FieldError if inconsistent.
-
-        Assumes the columns of M are independent (rank == n_cols), which is
-        how the cohomology projections use it.
-        """
+    def solve(self, v: dict) -> dict:
+        """The unique sparse x with M x = v; raises FieldError if there is none."""
         field = self.field
-        w = mat_vec(self.ops, v, field)
-        # pivots sit in rows 0..rank-1; the rows below must reduce to zero
-        if any(not field.is_zero(a) for a in w[len(self.pivots) :]):
+        # reducing -v to zero adds up M x = v in the mask
+        w = {r: field.neg(_compact(a)) for r, a in v.items()}
+        x: dict = {}
+        if _reduce(w, x, self._table, field) is not None:
             raise FieldError("inconsistent linear system")
-        x = [field.zero] * self.n_cols
-        for r, c in self.pivots:
-            x[c] = w[r]
-        return x
-
-
-def mat_vec(mat: list[list], v: list, field: Field) -> list:
-    out = []
-    for row in mat:
-        acc = field.zero
-        for a, b in zip(row, v):
-            if not field.is_zero(a) and not field.is_zero(b):
-                acc = field.add(acc, field.mul(a, b))
-        out.append(acc)
-    return out
+        return _exact(x, field)

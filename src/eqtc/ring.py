@@ -284,23 +284,10 @@ def zero_divisor_set(T: TensorRing, mode: str = "elementary") -> ZeroDivisorSet:
             pairs = T.pairs_of_degree(d)
             if not pairs:
                 continue
-            targets = ring.indices_of_degree(d)
-            mat = [[field.zero] * len(pairs) for _ in targets]
-            row_of = {g: r for r, g in enumerate(targets)}
-            for c, pair in enumerate(pairs):
-                for g, coeff in ring.multiply_basis(*pair).items():
-                    mat[row_of[g]][c] = coeff
-            if targets:
-                kernel = nullspace(mat, field, len(pairs))
-            else:
-                kernel = [
-                    [field.one if i == c else field.zero for i in range(len(pairs))]
-                    for c in range(len(pairs))
-                ]
+            kernel = nullspace([ring.multiply_basis(*pair) for pair in pairs], field)
             for k, vec in enumerate(kernel):
-                elem = {pairs[c]: v for c, v in enumerate(vec) if not field.is_zero(v)}
-                if elem:
-                    elements.append(ZeroDivisor(f"zker{d}_{k}", d, _freeze(elem)))
+                elem = {pairs[c]: v for c, v in vec.items()}
+                elements.append(ZeroDivisor(f"zker{d}_{k}", d, _freeze(elem)))
     else:
         raise ValueError(f"unknown zero-divisor mode {mode!r}")
 

@@ -1,37 +1,126 @@
 """Independent brute-force oracles shared by the unit and acceptance tests.
 
 These deliberately re-derive results with different code paths than the
-package: plain row reduction for ranks, flat all-tuples enumeration for
+package: dense Gauss-Jordan on lists of rows for ranks, kernels, pivot
+columns and cohomology representatives, flat all-tuples enumeration for
 longest nonzero products, closure of every small generating set for the
-subgroup lattice, a per-simplex transporter search for regularity.
+subgroup lattice, a per-simplex transporter search for regularity.  The
+package's matrices are lists of sparse columns; to_rows and to_columns
+convert at the test boundary.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from itertools import combinations
 from itertools import product as iproduct
 
+from eqtc.linalg import parse_field
 
-def oracle_rank(rows: list[list[Fraction]]) -> int:
-    """Row-reduction rank over Q, written independently of eqtc.linalg."""
-    work = [[Fraction(x) for x in row] for row in rows]
-    rnk = 0
-    for col in range(len(work[0]) if work else 0):
-        pivot = None
-        for i in range(rnk, len(work)):
-            if work[i][col] != 0:
-                pivot = i
-                break
-        if pivot is None:
+
+def to_rows(columns: list[dict], n_rows: int, field) -> list[list]:
+    """Dense rows of a matrix given as sparse columns."""
+    return [[col.get(r, field.zero) for col in columns] for r in range(n_rows)]
+
+
+def to_columns(rows: list[list], field) -> list[dict]:
+    """Sparse columns of a matrix given as dense rows."""
+    n_cols = len(rows[0]) if rows else 0
+    return [{r: row[c] for r, row in enumerate(rows) if not field.is_zero(row[c])}
+            for c in range(n_cols)]
+
+
+def to_dense(v: dict, n: int, field) -> list:
+    return [v.get(i, field.zero) for i in range(n)]
+
+
+def to_sparse(v: list, field) -> dict:
+    return {i: a for i, a in enumerate(v) if not field.is_zero(a)}
+
+
+def mat_vec(rows: list[list], v: list, field) -> list:
+    out = []
+    for row in rows:
+        acc = field.zero
+        for a, b in zip(row, v):
+            acc = field.add(acc, field.mul(a, b))
+        out.append(acc)
+    return out
+
+
+def dense_coboundary_matrix(K, field, d: int) -> list[list]:
+    """Rows: sorted (d+1)-simplices; columns: sorted d-simplices; (-1)^i per dropped vertex."""
+    cols = sorted(s for s in K.simplices if len(s) == d + 1)
+    col_of = {s: j for j, s in enumerate(cols)}
+    rows = []
+    for tau in sorted(s for s in K.simplices if len(s) == d + 2):
+        row = [field.zero] * len(cols)
+        for i in range(len(tau)):
+            row[col_of[tau[:i] + tau[i + 1 :]]] = field.of_int((-1) ** i)
+        rows.append(row)
+    return rows
+
+
+def oracle_rref(rows: list[list], field) -> tuple[list[list], list[int]]:
+    """Dense Gauss-Jordan on a copy of the rows: (reduced rows, pivot columns)."""
+    work = [list(row) for row in rows]
+    pivots: list[int] = []
+    for c in range(len(work[0]) if work else 0):
+        r = len(pivots)
+        p = next((i for i in range(r, len(work)) if not field.is_zero(work[i][c])), None)
+        if p is None:
             continue
-        work[rnk], work[pivot] = work[pivot], work[rnk]
-        for i in range(len(work)):
-            if i != rnk and work[i][col] != 0:
-                f = work[i][col] / work[rnk][col]
-                work[i] = [a - f * b for a, b in zip(work[i], work[rnk])]
-        rnk += 1
-    return rnk
+        work[r], work[p] = work[p], work[r]
+        inv = field.inv(work[r][c])
+        pivot_row = work[r] = [field.mul(inv, x) for x in work[r]]
+        support = [j for j, x in enumerate(pivot_row) if not field.is_zero(x)]
+        for i, row in enumerate(work):
+            f = row[c]
+            if i != r and not field.is_zero(f):
+                for j in support:
+                    row[j] = field.sub(row[j], field.mul(f, pivot_row[j]))
+        pivots.append(c)
+    return work, pivots
+
+
+def oracle_rank(rows: list[list]) -> int:
+    """Rank over Q by dense row reduction."""
+    return len(oracle_rref(rows, parse_field("Q"))[1])
+
+
+def oracle_nullspace(rows: list[list], field, n_cols: int) -> list[list]:
+    """Kernel basis read off the RREF: one vector per free column, 1 there."""
+    work, pivots = oracle_rref(rows, field)
+    basis = []
+    for free in range(n_cols):
+        if free in pivots:
+            continue
+        vec = [field.zero] * n_cols
+        vec[free] = field.one
+        for r, c in enumerate(pivots):
+            vec[c] = field.neg(work[r][free])
+        basis.append(vec)
+    return basis
+
+
+def oracle_representatives(K, field) -> dict[int, list[list]]:
+    """Cohomology representatives by the dense rule.
+
+    Degree 0: the component indicators.  Degree d >= 1: the RREF kernel of
+    delta_d, and the cocycles at the leftmost pivot columns of
+    [coboundaries | cocycles], where the coboundaries are the columns of
+    delta_{d-1} at its pivot columns.
+    """
+    n = [sum(len(s) == d + 1 for s in K.simplices) for d in range(K.dim + 1)]
+    reps = {0: [[field.one if label == comp else field.zero for label in K.component_labels]
+                for comp in range(K.connected_components())]}
+    for d in range(1, K.dim + 1):
+        lower = dense_coboundary_matrix(K, field, d - 1)
+        cobound = [[row[c] for row in lower] for c in oracle_rref(lower, field)[1]]
+        cocycles = oracle_nullspace(dense_coboundary_matrix(K, field, d), field, n[d])
+        candidates = cobound + cocycles
+        _, pivots = oracle_rref([[v[r] for v in candidates] for r in range(n[d])], field)
+        reps[d] = [candidates[c] for c in pivots if c >= len(cobound)]
+    return reps
 
 
 def oracle_multiply(T, x, y):

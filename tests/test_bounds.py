@@ -363,6 +363,43 @@ def test_full_symmetry_group_on_sphere_is_not_g_connected():
     assert not fb.inconsistencies
 
 
+def test_equal_fixed_sets_share_one_ring_per_field(monkeypatch):
+    # under S4 on the tetrahedron boundary several classes fix the same set
+    # (up to the relabeling of the fixed subcomplex), and each distinct
+    # analyzed complex gets one ring per field
+    from collections import Counter
+    from itertools import combinations
+
+    import eqtc.bounds as bounds
+
+    calls = Counter()
+    ring_structure = bounds.ring_structure
+
+    def counted(K, field):
+        calls[(K.simplices, field.name)] += 1
+        return ring_structure(K, field)
+
+    monkeypatch.setattr(bounds, "ring_structure", counted)
+    p = Problem(
+        name="tetra-s4",
+        vertex_count=4,
+        maximal_simplices=tuple(tuple(c) for c in combinations(range(4), 3)),
+        group_generators=((1, 0, 2, 3), (1, 2, 3, 0)),
+    )
+    fb = analyze_problem(p)
+    spaces = fb.contexts[""].spaces.values()
+    analyzed = {info.complex.simplices for info in spaces if info.analyzed}
+    fields = bounds.EngineConfig().fields
+    assert set(calls) == {(s, name) for s in analyzed for name in fields}
+    assert set(calls.values()) == {1}
+    fixed = [info.complex.simplices for info in spaces
+             if info.key.startswith("fix:") and info.analyzed]
+    assert len(set(fixed)) < len(fixed)
+    for info in spaces:
+        if info.analyzed:
+            assert info.betti == {name: r.basis.betti_vector() for name, r in info.rings.items()}
+
+
 def test_disconnected_space_with_swap_action():
     # two disjoint circles exchanged by the action: X itself is a
     # disconnected fixed set (of the trivial subgroup), so everything blows up

@@ -28,11 +28,22 @@ from eqtc.linalg import (
     FieldError,
     LinearSolver,
     column_space_basis,
-    mat_vec,
     nullspace,
     rank,
 )
-from oracles import oracle_rank
+from eqtc.problems import builtin_examples
+from oracles import (
+    dense_coboundary_matrix,
+    mat_vec,
+    oracle_nullspace,
+    oracle_rank,
+    oracle_representatives,
+    oracle_rref,
+    to_columns,
+    to_dense,
+    to_rows,
+    to_sparse,
+)
 
 F2 = parse_field("F2")
 F3 = parse_field("F3")
@@ -40,15 +51,21 @@ Q = parse_field("Q")
 FIELDS = [F2, F3, Q]
 
 
+def dense_boundaries(K, field):
+    """boundary_matrices(K, field) as dense rows."""
+    f = K.f_vector()
+    return [to_rows(m, f[d], field) for d, m in enumerate(boundary_matrices(K, field))]
+
+
 def test_single_edge_boundary_matrix():
     K = from_maximal_simplices(2, [[0, 1]])
-    B1 = boundary_matrix(K, Q, 1)
+    B1 = to_rows(boundary_matrix(K, Q, 1), 2, Q)
     assert B1 == [[Fraction(-1)], [Fraction(1)]]
 
 
 def test_triangle_boundary_columns_sum_to_zero():
     K = cycle_complex(3)
-    B1 = boundary_matrix(K, Q, 1)
+    B1 = to_rows(boundary_matrix(K, Q, 1), 3, Q)
     assert len(B1) == 3 and len(B1[0]) == 3
     for j in range(3):
         assert sum(B1[i][j] for i in range(3)) == 0
@@ -57,7 +74,7 @@ def test_triangle_boundary_columns_sum_to_zero():
 @pytest.mark.parametrize("field", FIELDS)
 def test_boundary_squared_is_zero_on_sphere(field):
     K = boundary_sphere(3)
-    mats = boundary_matrices(K, field)
+    mats = dense_boundaries(K, field)
     for d in range(1, len(mats)):
         lower, upper = mats[d - 1], mats[d]
         for j in range(len(upper[0])):
@@ -74,7 +91,7 @@ def test_boundary_squared_on_random_complexes():
         relabel = {v: i for i, v in enumerate(used)}
         K = from_maximal_simplices(len(used), [[relabel[v] for v in s] for s in maximal])
         for field in (F2, Q):
-            mats = boundary_matrices(K, field)
+            mats = dense_boundaries(K, field)
             for d in range(1, len(mats)):
                 lower, upper = mats[d - 1], mats[d]
                 for j in range(len(upper[0])):
@@ -94,8 +111,8 @@ def test_betti_of_seven_vertex_torus_with_oracle():
     assert K.f_vector() == (7, 21, 14)
     assert betti_numbers(K, Q) == (1, 2, 1)
     # independent oracle: b_d = f_d - rank B_d - rank B_{d+1}
-    b1 = oracle_rank(boundary_matrix(K, Q, 1))
-    b2 = oracle_rank(boundary_matrix(K, Q, 2))
+    b1 = oracle_rank(to_rows(boundary_matrix(K, Q, 1), 7, Q))
+    b2 = oracle_rank(to_rows(boundary_matrix(K, Q, 2), 21, Q))
     assert (7 - b1, 21 - b1 - b2, 14 - b2) == (1, 2, 1)
 
 
@@ -197,7 +214,7 @@ def test_projection_splits_cocycle_into_basis_plus_coboundary():
                 cob = [field.zero] * n_d
                 if d >= 1:
                     a = [field.of_int(rng.randint(-2, 2)) for _ in K.simplices_of_dim(d - 1)]
-                    cob = mat_vec(coboundary_matrix(K, field, d - 1), a, field)
+                    cob = mat_vec(dense_coboundary_matrix(K, field, d - 1), a, field)
                 vec = [field.add(x, y) for x, y in zip(vec, cob)]
                 assert basis.is_cocycle(d, vec)
                 coords, part = basis.project(d, vec)
@@ -211,10 +228,11 @@ def test_coboundary_basis_is_a_basis_of_the_coboundaries():
             basis = cohomology_basis(K, field)
             assert basis._cobound[0] == []
             for d in range(1, K.dim + 1):
-                cols = basis._cobound[d]
-                delta = coboundary_matrix(K, field, d - 1)
-                assert len(cols) == rank(delta, field)
-                assert rank(cols, field) == len(cols)
+                n_d = len(K.simplices_of_dim(d))
+                cols = [to_dense(col, n_d, field) for col in basis._cobound[d]]
+                delta = dense_coboundary_matrix(K, field, d - 1)
+                assert len(cols) == rank(to_columns(delta, field), field)
+                assert rank(basis._cobound[d], field) == len(cols)
                 # each basis vector is a column of delta, so it is a coboundary
                 delta_cols = [list(col) for col in zip(*delta)]
                 assert all(col in delta_cols for col in cols)
@@ -224,9 +242,12 @@ def test_coboundary_matrix_is_transposed_boundary_matrix():
     two_pieces = from_maximal_simplices(5, [[0, 1, 2], [3, 4]])
     for K in [torus_seven_vertex(), klein_bottle_grid(), boundary_sphere(3), two_pieces]:
         for field in FIELDS:
+            f = K.f_vector() + (0,)
             for d in range(K.dim + 1):
-                B = boundary_matrix(K, field, d + 1)
-                assert coboundary_matrix(K, field, d) == [list(col) for col in zip(*B)], d
+                B = to_rows(boundary_matrix(K, field, d + 1), f[d], field)
+                delta = to_rows(coboundary_matrix(K, field, d), f[d + 1], field)
+                assert delta == [list(col) for col in zip(*B)], d
+                assert delta == dense_coboundary_matrix(K, field, d), d
 
 
 def test_elimination_routines_agree_on_random_matrices():
@@ -236,9 +257,10 @@ def test_elimination_routines_agree_on_random_matrices():
             rows, cols = rng.randint(1, 7), rng.randint(1, 7)
             mat = [[field.of_int(rng.choice((0, 0, 0, 1, -1, 2))) for _ in range(cols)]
                    for _ in range(rows)]
-            kernel = nullspace(mat, field)
-            pivots = column_space_basis(mat, field)
-            assert len(pivots) == rank(mat, field) == cols - len(kernel)
+            sparse = to_columns(mat, field)
+            kernel = [to_dense(v, cols, field) for v in nullspace(sparse, field)]
+            pivots = column_space_basis(sparse, field)
+            assert len(pivots) == rank(sparse, field) == cols - len(kernel)
             for v in kernel:
                 assert all(field.is_zero(x) for x in mat_vec(mat, v, field))
             # a kernel vector ends in its free column; the other columns are pivots
@@ -247,26 +269,64 @@ def test_elimination_routines_agree_on_random_matrices():
             # the solver recovers x from M x on the independent columns
             sub = [[row[c] for c in pivots] for row in mat]
             x = [field.of_int(rng.randint(-3, 3)) for _ in pivots]
-            assert LinearSolver(sub, field).solve(mat_vec(sub, x, field)) == x
+            solver = LinearSolver(to_columns(sub, field), field)
+            solved = solver.solve(to_sparse(mat_vec(sub, x, field), field))
+            assert to_dense(solved, len(pivots), field) == x
             if len(pivots) < rows:
                 # some unit vector lies outside the column space
-                solver = LinearSolver(sub, field)
                 outside = 0
                 for i in range(rows):
                     e = [field.one if r == i else field.zero for r in range(rows)]
                     try:
-                        solver.solve(e)
+                        solver.solve(to_sparse(e, field))
                     except FieldError:
                         outside += 1
                 assert outside > 0
 
 
+def test_sparse_elimination_matches_dense_gauss_jordan():
+    # repr compares values and types: kernel entries over Q are Fractions
+    rng = random.Random(5)
+    for field in FIELDS:
+        for _ in range(60):
+            rows, cols = rng.randint(1, 8), rng.randint(1, 8)
+            density = rng.choice((0.2, 0.5, 0.9))
+            mat = [[field.zero] * cols for _ in range(rows)]
+            for i in range(rows):
+                for j in range(cols):
+                    if rng.random() < density:
+                        a = rng.choice((1, -1, 2, 3))
+                        mat[i][j] = (Fraction(a, rng.choice((1, 1, 2, 3))) if field is Q
+                                     else field.of_int(a))
+            sparse = to_columns(mat, field)
+            kernel = [to_dense(v, cols, field) for v in nullspace(sparse, field)]
+            assert repr(kernel) == repr(oracle_nullspace(mat, field, cols))
+            _, pivots = oracle_rref(mat, field)
+            assert column_space_basis(sparse, field) == pivots
+            assert rank(sparse, field) == len(pivots)
+            assert to_rows(sparse, rows, field) == mat  # the input is left as it was
+
+
+def test_representatives_match_the_dense_rule_on_builtins():
+    # builtins and their first subdivision, over F2, F3 and Q
+    for problem in builtin_examples().values():
+        if problem.is_associated_space:
+            continue  # no complex of its own
+        K = from_maximal_simplices(problem.vertex_count,
+                                   [list(s) for s in problem.maximal_simplices])
+        for X in (K, barycentric_subdivision(K)[0]):
+            for field in FIELDS:
+                got = cohomology_basis(X, field).representatives
+                assert repr(got) == repr(oracle_representatives(X, field)), (problem.name, field)
+
+
 def test_coboundary_squared_is_zero():
     K = boundary_sphere(3)
     for field in (F2, Q):
+        f = K.f_vector()
         for d in range(K.dim - 1):
-            d1 = coboundary_matrix(K, field, d)
-            d2 = coboundary_matrix(K, field, d + 1)
+            d1 = to_rows(coboundary_matrix(K, field, d), f[d + 1], field)
+            d2 = to_rows(coboundary_matrix(K, field, d + 1), f[d + 2], field)
             for j in range(len(d1[0])):
                 col = [d1[i][j] for i in range(len(d1))]
                 assert all(field.is_zero(x) for x in mat_vec(d2, col, field))

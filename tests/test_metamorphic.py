@@ -9,6 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from eqtc.bounds import Quantity, analyze_problem
+from eqtc.complex_core import barycentric_subdivision, from_maximal_simplices
+from eqtc.homology import betti_numbers, parse_field
 from eqtc.problems import Problem, builtin_examples
 
 EXAMPLES = builtin_examples()
@@ -66,3 +68,42 @@ def test_relabeling_vertices_changes_no_answer(data):
     problem = EXAMPLES[name]
     s = data.draw(st.permutations(range(problem.vertex_count)), label="relabeling")
     assert invariants(relabel(problem, s)) == reference(name)
+
+
+F2, F3, Q = parse_field("F2"), parse_field("F3"), parse_field("Q")
+
+
+@st.composite
+def small_complexes(draw):
+    """Up to six maximal simplices of dimension <= 3 on at most seven vertices."""
+    n = draw(st.integers(1, 7), label="vertices")
+    tops = draw(st.lists(st.lists(st.integers(0, n - 1), min_size=1, max_size=4, unique=True),
+                         min_size=1, max_size=6), label="maximal simplices")
+    used = sorted({v for s in tops for v in s})
+    index = {v: i for i, v in enumerate(used)}
+    return from_maximal_simplices(len(used), [[index[v] for v in s] for s in tops])
+
+
+@settings(derandomize=True, deadline=None, max_examples=100)
+@given(small_complexes())
+def test_betti_numbers_over_f_p_bound_those_over_q(K):
+    # universal coefficients: torsion can only add classes mod p
+    over_q = betti_numbers(K, Q)
+    for field in (F2, F3):
+        assert all(b >= c for b, c in zip(betti_numbers(K, field), over_q))
+
+
+@settings(derandomize=True, deadline=None, max_examples=100)
+@given(small_complexes())
+def test_alternating_betti_sum_is_the_euler_characteristic(K):
+    for field in (F2, F3, Q):
+        betti = betti_numbers(K, field)
+        assert sum((-1) ** d * b for d, b in enumerate(betti)) == K.euler_characteristic()
+
+
+@settings(derandomize=True, deadline=None, max_examples=50)
+@given(small_complexes())
+def test_subdivision_leaves_betti_numbers_unchanged(K):
+    sd, _ = barycentric_subdivision(K)
+    for field in (F2, F3, Q):
+        assert betti_numbers(sd, field) == betti_numbers(K, field)
