@@ -194,6 +194,8 @@ class SpaceInfo:
     simplex_count: int | None = None
     betti: dict[str, tuple[int, ...]] = field(default_factory=dict)
     rings: dict[str, object] = field(default_factory=dict)  # field name -> CohomologyRing
+    # field name -> (R1 zero-divisor, R2 cup-length ProductCertificate), None if disconnected
+    certificates: dict[str, tuple | None] = field(default_factory=dict)
     analyzed: bool = False
     skip_reason: str | None = None
 
@@ -350,12 +352,26 @@ def quantity_display(ctx: ProblemContext, q: Quantity) -> str:
 # context construction and seeding
 
 
+def _ring_and_certificates(K: SimplicialComplex, name: str, config: EngineConfig) -> tuple:
+    """The ring of K over one field and, for a connected K, its R1 and R2 certificates."""
+    ring = ring_structure(K, parse_field(name))
+    if not K.is_connected():
+        # for disconnected spaces the infinity seed always dominates R1,
+        # and component idempotents would make the product search useless
+        return ring, None
+    zd_cap = config.depth_cap if config.depth_cap is not None else max(1, 2 * K.dim)
+    cup_cap = config.depth_cap if config.depth_cap is not None else max(1, K.dim)
+    tensor = kunneth_tensor_ring(ring)
+    cert, _ = nilpotency_lower_bound(tensor, combined_zero_divisors(tensor), zd_cap)
+    return ring, (cert, reduced_cuplength(ring, cup_cap))
+
+
 def _analyze_space(info: SpaceInfo, config: EngineConfig, known: dict) -> None:
     """Dimension, connectivity and, under the size limit, one ring per field.
 
-    known maps a complex's simplices to its rings by field name, so
-    complexes that coincide (such as the fixed sets of several classes)
-    share one ring computation per field.
+    known maps a complex's simplices to its rings and certificates by field
+    name, so complexes that coincide (such as the fixed sets of several
+    classes) share one ring computation and one product search per field.
     """
     K = info.complex
     if K is None or info.empty:
@@ -369,13 +385,13 @@ def _analyze_space(info: SpaceInfo, config: EngineConfig, known: dict) -> None:
             f"configured limit {config.max_ring_simplices}"
         )
         return
-    rings = known.setdefault(K.simplices, {})
+    computed = known.setdefault(K.simplices, {})
     for name in config.fields:
-        # one ring per field; Betti numbers come with the basis for free
-        if name not in rings:
-            rings[name] = ring_structure(K, parse_field(name))
-        ring = info.rings[name] = rings[name]
-        info.betti[name] = ring.basis.betti_vector()
+        # Betti numbers come with the basis for free
+        if name not in computed:
+            computed[name] = _ring_and_certificates(K, name, config)
+        info.rings[name], info.certificates[name] = computed[name]
+        info.betti[name] = info.rings[name].basis.betti_vector()
     info.analyzed = True
 
 
@@ -393,7 +409,7 @@ def _build_action_context(name: str, problem: Problem, config: EngineConfig) -> 
     ctx.equivariant = not G.is_trivial
     ctx.annotations = tuple(problem.annotations)
 
-    known: dict = {}  # simplices -> rings by field name, for this context
+    known: dict = {}  # simplices -> field name -> (ring, certificates), for this context
     ctx.spaces["X"] = SpaceInfo("X", "X", K)
     _analyze_space(ctx.spaces["X"], config, known)
     ctx.spaces["XxX"] = SpaceInfo(
@@ -478,7 +494,6 @@ def _certificate_dict(cert: ProductCertificate) -> dict:
 
 
 def _seed_space_bounds(fb: FactBase, ctx: ProblemContext) -> None:
-    config = fb.config
     for key, info in sorted(ctx.spaces.items()):
         if info.formal or info.empty or info.complex is None:
             continue
@@ -497,17 +512,8 @@ def _seed_space_bounds(fb: FactBase, ctx: ProblemContext) -> None:
             )
         if not info.analyzed:
             continue
-        K = info.complex
-        zd_cap = config.depth_cap if config.depth_cap is not None else max(1, 2 * K.dim)
-        cup_cap = config.depth_cap if config.depth_cap is not None else max(1, K.dim)
         if info.connected:
-            # for disconnected spaces the infinity seed always dominates R1,
-            # and component idempotents would make the product search useless
-            for field_name in config.fields:
-                ring = info.rings[field_name]
-                tensor = kunneth_tensor_ring(ring)
-                zd = combined_zero_divisors(tensor)
-                cert, _ = nilpotency_lower_bound(tensor, zd, zd_cap)
+            for cert, cup in info.certificates.values():  # in the order of config.fields
                 if cert.length >= 1:
                     fb.add_bound(
                         ctx.name,
@@ -517,7 +523,6 @@ def _seed_space_bounds(fb: FactBase, ctx: ProblemContext) -> None:
                         "R1",
                         certificate=_certificate_dict(cert),
                     )
-                cup = reduced_cuplength(ring, cup_cap)
                 if cup.length >= 1:
                     fb.add_bound(
                         ctx.name,

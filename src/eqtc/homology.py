@@ -2,11 +2,12 @@
 
 Signs come from the global vertex order of each complex, so the boundary
 and coboundary operators (and later the cup product) are consistent across
-the whole package.  Matrices are lists of sparse columns, as in
-eqtc.linalg: the coboundary delta_d has one column per sorted d-simplex,
-holding (-1)^i at each coface that drops the simplex as its i-th face.
-CochainBasis builds each delta_d once, and all elimination goes through the
-single column reduction in eqtc.linalg.
+the whole package.  Matrices are lists of sparse columns and cochains are
+sparse vectors, as in eqtc.linalg: a d-cochain maps the position of a
+sorted d-simplex to a nonzero scalar.  The coboundary delta_d has one
+column per sorted d-simplex, holding (-1)^i at each coface that drops the
+simplex as its i-th face.  CochainBasis builds each delta_d once, and all
+elimination and every sparse sum go through eqtc.linalg.
 """
 
 from __future__ import annotations
@@ -32,10 +33,6 @@ __all__ = [
     "cohomology_basis",
     "parse_field",
 ]
-
-
-def _sparse(v: list, field: Field) -> dict:
-    return {r: a for r, a in enumerate(v) if not field.is_zero(a)}
 
 
 def boundary_matrix(K: SimplicialComplex, field: Field, d: int) -> list[dict]:
@@ -89,11 +86,10 @@ class CochainBasis:
     keeps only its kernel (the cocycles of degree d) and its independent
     columns (the coboundary basis of degree d+1).  Degree 0 is represented
     by the component indicators; in degree d >= 1 the representatives are
-    the cocycles at the leftmost pivots of [coboundaries | cocycles].  A
-    solver for [representatives | coboundaries], built on first use,
-    writes any cocycle as (basis coordinates, coboundary part).
-    Representatives and projections are dense lists, one entry per sorted
-    d-simplex.
+    the kernel vectors of delta_d at the leftmost pivots of
+    [coboundaries | cocycles].  A solver for [representatives |
+    coboundaries], built on first use, reads the basis coordinates of any
+    cocycle.  Representatives, cocycles and coordinates are sparse dicts.
     """
 
     def __init__(self, K: SimplicialComplex, field: Field):
@@ -101,26 +97,25 @@ class CochainBasis:
             raise FieldError("cohomology of the empty complex is undefined")
         self.complex = K
         self.field = field
-        self.representatives: dict[int, list[list]] = {}
+        self.representatives: dict[int, list[dict]] = {}
         self._cobound: dict[int, list[dict]] = {}
         self._solvers: dict[int, LinearSolver] = {}
         cobound: list[dict] = []  # coboundary basis in degree d
         for d in range(K.dim + 1):
-            n_d = len(K.simplices_of_dim(d))
             delta = coboundary_matrix(K, field, d)
             if d == 0:
                 pivots = column_space_basis(delta, field)
                 # canonical representatives: component indicator cochains
                 labels = K.component_labels
-                reps = [[field.one if labels[v] == comp else field.zero for v in range(n_d)]
+                reps = [{v: field.one for v, label in enumerate(labels) if label == comp}
                         for comp in range(K.connected_components())]
             else:
                 cocycles = nullspace(delta, field)
                 # each kernel vector ends in its own column; the rest are pivots
                 free = {max(v) for v in cocycles}
-                pivots = [c for c in range(n_d) if c not in free]
+                pivots = [c for c in range(len(delta)) if c not in free]
                 # extend the coboundary basis by independent cocycles
-                reps = [[cocycles[c - len(cobound)].get(r, field.zero) for r in range(n_d)]
+                reps = [cocycles[c - len(cobound)]
                         for c in column_space_basis(cobound + cocycles, field)
                         if c >= len(cobound)]
             self.representatives[d] = reps
@@ -131,8 +126,7 @@ class CochainBasis:
         # built lazily: projections are only ever requested in the few
         # degrees where cup products land
         if d not in self._solvers:
-            reps = [_sparse(rep, self.field) for rep in self.representatives[d]]
-            self._solvers[d] = LinearSolver(reps + self._cobound[d], self.field)
+            self._solvers[d] = LinearSolver(self.representatives[d] + self._cobound[d], self.field)
         return self._solvers[d]
 
     def betti(self, d: int) -> int:
@@ -141,25 +135,18 @@ class CochainBasis:
     def betti_vector(self) -> tuple[int, ...]:
         return tuple(self.betti(d) for d in range(self.complex.dim + 1))
 
-    def is_cocycle(self, d: int, v: list) -> bool:
-        field = self.field
+    def is_cocycle(self, d: int, v: dict) -> bool:
+        delta = coboundary_matrix(self.complex, self.field, d)
         image: dict = {}
-        for a, col in zip(v, coboundary_matrix(self.complex, field, d)):
-            if not field.is_zero(a):
-                add_multiple(image, a, col, field)
+        for j, a in v.items():
+            add_multiple(image, a, delta[j], self.field)
         return not image
 
-    def project(self, d: int, cocycle: list) -> tuple[list, list]:
-        """Coordinates of a cocycle in the chosen basis, plus its coboundary part."""
-        field = self.field
-        reps = self.representatives[d]
-        x = self._solver(d).solve(_sparse(cocycle, field))
-        coords = [x.get(i, field.zero) for i in range(len(reps))]
-        rest = list(cocycle)
-        for c, rep in zip(coords, reps):
-            if not field.is_zero(c):
-                rest = [field.sub(a, field.mul(c, b)) for a, b in zip(rest, rep)]
-        return coords, rest
+    def project(self, d: int, cocycle: dict) -> dict:
+        """Coordinates {basis index: coefficient} of a cocycle in the chosen basis."""
+        n = len(self.representatives[d])
+        # the solution's other entries write the rest as a sum of coboundaries
+        return {i: c for i, c in sorted(self._solver(d).solve(cocycle).items()) if i < n}
 
 
 def cohomology_basis(K: SimplicialComplex, field: Field) -> CochainBasis:

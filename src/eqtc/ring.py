@@ -11,6 +11,12 @@ as the graded tensor square of the cohomology ring (exact over a field),
 and the zero-divisors are the kernel of the multiplication map back to the
 ring.  Any nonzero product of k zero-divisors certifies TC > k; the search
 below looks for the longest such certificate.
+
+Cochains, ring elements and tensor elements share the sparse format of
+eqtc.linalg: a dict from index to nonzero scalar, with {} as zero.  A
+cochain is indexed by the sorted simplices of its degree, a ring element
+by basis classes (degree by degree, each at the offset of its degree), and
+a tensor element by pairs of them.  Every sum goes through add_multiple.
 """
 
 from __future__ import annotations
@@ -19,27 +25,29 @@ from dataclasses import dataclass
 
 from eqtc.complex_core import SimplicialComplex
 from eqtc.homology import CochainBasis, cohomology_basis
-from eqtc.linalg import Field, nullspace
+from eqtc.linalg import Field, add_multiple, nullspace
 
 
 def cup_product_cochain(
-    K: SimplicialComplex, field: Field, a: list, b: list, p: int, q: int
-) -> list:
+    K: SimplicialComplex, field: Field, a: dict, b: dict, p: int, q: int
+) -> dict:
     """Cochain-level cup product of a (degree p) and b (degree q).
 
-    Returns the zero cochain when p+q exceeds dim K.
+    Returns the zero cochain {} when p+q exceeds dim K.
     """
-    d = p + q
-    top = K.simplices_of_dim(d)
+    top = K.simplices_of_dim(p + q)
     if not top:
-        return []
+        return {}
     idx_p = K.index_of[p]
     idx_q = K.index_of[q]
-    out = []
-    for s in top:
-        front = s[: p + 1]
-        back = s[p:]
-        out.append(field.mul(a[idx_p[front]], b[idx_q[back]]))
+    out = {}
+    for r, s in enumerate(top):
+        front = a.get(idx_p[s[: p + 1]])
+        if front is not None:
+            back = b.get(idx_q[s[p:]])
+            if back is not None:
+                # a product of nonzero scalars is nonzero in a field
+                out[r] = field.mul(front, back)
     return out
 
 
@@ -55,7 +63,6 @@ class CohomologyRing:
     basis: CochainBasis
     degrees: list[int]
     labels: list[str]
-    local_index: list[tuple[int, int]]  # global index -> (degree, index within degree)
     constants: dict[tuple[int, int], Element]
     unit: Element
 
@@ -78,15 +85,7 @@ class CohomologyRing:
         field = self.field
         for i, ci in x.items():
             for j, cj in y.items():
-                coeff = field.mul(ci, cj)
-                if field.is_zero(coeff):
-                    continue
-                for k, c in self.multiply_basis(i, j).items():
-                    acc = field.add(out.get(k, field.zero), field.mul(coeff, c))
-                    if field.is_zero(acc):
-                        out.pop(k, None)
-                    else:
-                        out[k] = acc
+                add_multiple(out, field.mul(ci, cj), self.multiply_basis(i, j), field)
         return out
 
 
@@ -97,39 +96,24 @@ def ring_structure(K: SimplicialComplex, field: Field) -> CohomologyRing:
     unit class acts as the identity.
     """
     basis = cohomology_basis(K, field)
-    degrees: list[int] = []
-    labels: list[str] = []
-    local_index: list[tuple[int, int]] = []
-    for d in range(K.dim + 1):
-        for i in range(basis.betti(d)):
-            degrees.append(d)
-            labels.append(f"a{d}_{i}")
-            local_index.append((d, i))
-    globals_of: dict[tuple[int, int], int] = {li: g for g, li in enumerate(local_index)}
+    betti = basis.betti_vector()
+    offset = [sum(betti[:d]) for d in range(K.dim + 1)]  # the classes of degree d start here
+    classes = [(d, rep) for d in range(K.dim + 1) for rep in basis.representatives[d]]
+    degrees = [d for d, _ in classes]
+    labels = [f"a{d}_{g - offset[d]}" for g, d in enumerate(degrees)]
 
     constants: dict[tuple[int, int], Element] = {}
-    n = len(degrees)
-    for i in range(n):
-        di, ii = local_index[i]
-        rep_i = basis.representatives[di][ii]
-        for j in range(n):
-            dj, jj = local_index[j]
-            d = di + dj
-            if d > K.dim:
-                continue
-            rep_j = basis.representatives[dj][jj]
-            prod = cup_product_cochain(K, field, rep_i, rep_j, di, dj)
-            coords, _ = basis.project(d, prod)
-            entry: Element = {}
-            for k, c in enumerate(coords):
-                if not field.is_zero(c):
-                    entry[globals_of[(d, k)]] = c
-            if entry:
-                constants[(i, j)] = entry
+    for i, (di, rep_i) in enumerate(classes):
+        for j, (dj, rep_j) in enumerate(classes):
+            if di + dj <= K.dim:
+                prod = cup_product_cochain(K, field, rep_i, rep_j, di, dj)
+                coords = basis.project(di + dj, prod)
+                if coords:
+                    constants[(i, j)] = {offset[di + dj] + k: c for k, c in coords.items()}
 
-    unit: Element = {g: field.one for g, (d, _) in enumerate(local_index) if d == 0}
-    ring = CohomologyRing(K, field, basis, degrees, labels, local_index, constants, unit)
-
+    unit: Element = {g: field.one for g in range(betti[0])}
+    ring = CohomologyRing(K, field, basis, degrees, labels, constants, unit)
+    n = ring.size
     # graded commutativity: c_ij = (-1)^{|i||j|} c_ji
     for i in range(n):
         for j in range(n):
@@ -170,62 +154,38 @@ class TensorRing:
         return 2 * self.ring.top_degree
 
     def pairs_of_degree(self, d: int) -> list[tuple[int, int]]:
-        out = [
-            (i, j)
-            for i in range(self.ring.size)
-            for j in range(self.ring.size)
-            if self.ring.degrees[i] + self.ring.degrees[j] == d
-        ]
-        return sorted(out)
+        """The basis pairs of degree d, in sorted order."""
+        degrees = self.ring.degrees
+        n = self.ring.size
+        return [(i, j) for i in range(n) for j in range(n) if degrees[i] + degrees[j] == d]
 
     def tensor(self, x: Element, y: Element) -> TensorElement:
-        field = self.field
-        out: TensorElement = {}
-        for i, ci in x.items():
-            for j, cj in y.items():
-                c = field.mul(ci, cj)
-                if not field.is_zero(c):
-                    out[(i, j)] = c
-        return out
+        mul = self.field.mul
+        # a product of nonzero scalars is nonzero in a field
+        return {(i, j): mul(ci, cj) for i, ci in x.items() for j, cj in y.items()}
 
     def multiply(self, x: TensorElement, y: TensorElement) -> TensorElement:
         field = self.field
         degrees = self.ring.degrees
+        multiply_basis = self.ring.multiply_basis
         out: TensorElement = {}
         for (i, j), cx in x.items():
             for (k, l), cy in y.items():
-                sign = field.of_int((-1) ** (degrees[j] * degrees[k]))
-                coeff = field.mul(sign, field.mul(cx, cy))
-                if field.is_zero(coeff):
-                    continue
-                left = self.ring.multiply_basis(i, k)
-                if not left:
-                    continue
-                right = self.ring.multiply_basis(j, l)
-                if not right:
-                    continue
-                for m, cm in left.items():
-                    for nn, cn in right.items():
-                        add = field.mul(coeff, field.mul(cm, cn))
-                        key = (m, nn)
-                        acc = field.add(out.get(key, field.zero), add)
-                        if field.is_zero(acc):
-                            out.pop(key, None)
-                        else:
-                            out[key] = acc
+                left = multiply_basis(i, k)
+                if left:
+                    right = multiply_basis(j, l)
+                    if right:
+                        coeff = field.mul(cx, cy)
+                        if degrees[j] * degrees[k] % 2:
+                            coeff = field.neg(coeff)
+                        add_multiple(out, coeff, self.tensor(left, right), field)
         return out
 
     def cup(self, x: TensorElement) -> Element:
         """Image under the multiplication map to the underlying ring."""
-        field = self.field
         out: Element = {}
         for (i, j), c in x.items():
-            for k, ck in self.ring.multiply_basis(i, j).items():
-                acc = field.add(out.get(k, field.zero), field.mul(c, ck))
-                if field.is_zero(acc):
-                    out.pop(k, None)
-                else:
-                    out[k] = acc
+            add_multiple(out, c, self.ring.multiply_basis(i, j), self.field)
         return out
 
 
@@ -271,12 +231,7 @@ def zero_divisor_set(T: TensorRing, mode: str = "elementary") -> ZeroDivisorSet:
                 continue
             x: Element = {g: field.one}
             elem = T.tensor(x, ring.unit)
-            for key, c in T.tensor(ring.unit, x).items():
-                acc = field.sub(elem.get(key, field.zero), c)
-                if field.is_zero(acc):
-                    elem.pop(key, None)
-                else:
-                    elem[key] = acc
+            add_multiple(elem, field.neg(field.one), T.tensor(ring.unit, x), field)
             elements.append(ZeroDivisor(f"zbar({ring.labels[g]})", d, _freeze(elem)))
     elif mode == "full_kernel":
         # degree 0 matters for disconnected spaces (component idempotents)

@@ -2,11 +2,13 @@
 
 These deliberately re-derive results with different code paths than the
 package: dense Gauss-Jordan on lists of rows for ranks, kernels, pivot
-columns and cohomology representatives, flat all-tuples enumeration for
+columns and cohomology representatives, the cup product on dense cochains,
+tensor multiplication by its formula, flat all-tuples enumeration for
 longest nonzero products, closure of every small generating set for the
 subgroup lattice, a per-simplex transporter search for regularity.  The
-package's matrices are lists of sparse columns; to_rows and to_columns
-convert at the test boundary.
+package's matrices are lists of sparse columns and its cochains sparse
+vectors; to_rows, to_columns, to_dense and to_sparse convert at the test
+boundary.
 """
 
 from __future__ import annotations
@@ -121,6 +123,19 @@ def oracle_representatives(K, field) -> dict[int, list[list]]:
         _, pivots = oracle_rref([[v[r] for v in candidates] for r in range(n[d])], field)
         reps[d] = [candidates[c] for c in pivots if c >= len(cobound)]
     return reps
+
+
+def oracle_cup_product(K, field, a: list, b: list, p: int, q: int) -> list:
+    """Front-face/back-face cup product of dense cochains of degrees p and q.
+
+    (a.b)(v_0..v_{p+q}) = a(v_0..v_p) * b(v_p..v_{p+q}) on every sorted
+    (p+q)-simplex; the empty list when there is none.
+    """
+    def index(d):
+        return {s: i for i, s in enumerate(sorted(s for s in K.simplices if len(s) == d + 1))}
+
+    idx_p, idx_q = index(p), index(q)
+    return [field.mul(a[idx_p[s[: p + 1]]], b[idx_q[s[p:]]]) for s in sorted(index(p + q))]
 
 
 def oracle_multiply(T, x, y):

@@ -37,7 +37,14 @@ from eqtc.ring import (
     ring_structure,
     zero_divisor_set,
 )
-from oracles import dense_coboundary_matrix, mat_vec, oracle_longest_product, to_rows
+from oracles import (
+    dense_coboundary_matrix,
+    mat_vec,
+    oracle_longest_product,
+    to_dense,
+    to_rows,
+    to_sparse,
+)
 
 EXAMPLES = builtin_examples()
 F2, F3, Q = parse_field("F2"), parse_field("F3"), parse_field("Q")
@@ -182,9 +189,13 @@ def _check_leibniz(K, rng, pairs=200):
                     return []
                 return mat_vec(dense_coboundary_matrix(K, field, d), v, field)
 
-            lhs = delta(p + q, cup_product_cochain(K, field, a, b, p, q))
-            da_b = cup_product_cochain(K, field, delta(p, a), b, p + 1, q)
-            a_db = cup_product_cochain(K, field, a, delta(q, b), p, q + 1)
+            def cup(a, b, p, q):
+                prod = cup_product_cochain(K, field, to_sparse(a, field), to_sparse(b, field), p, q)
+                return to_dense(prod, len(K.simplices_of_dim(p + q)), field)
+
+            lhs = delta(p + q, cup(a, b, p, q))
+            da_b = cup(delta(p, a), b, p + 1, q)
+            a_db = cup(a, delta(q, b), p, q + 1)
             sign = field.of_int((-1) ** p)
             rhs = [field.add(x, field.mul(sign, y)) for x, y in zip(da_b, a_db)]
             assert lhs == rhs

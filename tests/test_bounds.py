@@ -400,6 +400,41 @@ def test_equal_fixed_sets_share_one_ring_per_field(monkeypatch):
             assert info.betti == {name: r.basis.betti_vector() for name, r in info.rings.items()}
 
 
+def test_equal_fixed_sets_share_one_product_search_per_field(monkeypatch):
+    # the R1 nil search runs once per distinct connected analyzed complex
+    # and field, however many spaces share that complex
+    from collections import Counter
+    from itertools import combinations
+
+    import eqtc.bounds as bounds
+
+    calls = Counter()
+    search = bounds.nilpotency_lower_bound
+
+    def counted(T, Z, depth_cap):
+        calls[(T.ring.complex.simplices, T.field.name)] += 1
+        return search(T, Z, depth_cap)
+
+    monkeypatch.setattr(bounds, "nilpotency_lower_bound", counted)
+    # Z/2 x Z/2 swapping two pairs of vertices of the 3-sphere boundary(Delta^4)
+    s3_klein4 = Problem(
+        name="s3-klein4",
+        vertex_count=5,
+        maximal_simplices=tuple(tuple(c) for c in combinations(range(5), 4)),
+        group_generators=((1, 0, 2, 3, 4), (0, 1, 3, 2, 4)),
+    )
+    for p in (EXAMPLES["sphere-reflection-n2"], s3_klein4):
+        calls.clear()
+        fb = analyze_problem(p)
+        spaces = fb.contexts[""].spaces.values()
+        connected = [info.complex.simplices for info in spaces
+                     if info.analyzed and info.connected]
+        fields = fb.config.fields
+        assert set(calls) == {(s, name) for s in connected for name in fields}, p.name
+        assert set(calls.values()) == {1}, p.name
+    assert len(set(connected)) < len(connected)  # some fixed sets coincide
+
+
 def test_disconnected_space_with_swap_action():
     # two disjoint circles exchanged by the action: X itself is a
     # disconnected fixed set (of the trivial subgroup), so everything blows up

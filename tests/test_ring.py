@@ -4,16 +4,26 @@ import random
 
 import pytest
 
-from oracles import dense_coboundary_matrix, mat_vec, oracle_longest_product
+from oracles import (
+    dense_coboundary_matrix,
+    mat_vec,
+    oracle_cup_product,
+    oracle_longest_product,
+    oracle_multiply,
+    to_dense,
+    to_sparse,
+)
 
 from eqtc.complex_core import (
     boundary_sphere,
     cycle_complex,
     from_maximal_simplices,
+    projective_plane_six_vertex,
     solid_simplex,
     torus_seven_vertex,
 )
 from eqtc.homology import cohomology_basis, parse_field
+from eqtc.problems import builtin_examples
 from eqtc.ring import (
     cup_product_cochain,
     kunneth_tensor_ring,
@@ -45,6 +55,12 @@ def random_cochain(K, field, d, rng):
     return [field.of_int(rng.randint(-3, 3)) for _ in range(n)]
 
 
+def dense_cup(K, field, a, b, p, q):
+    """cup_product_cochain on dense cochains."""
+    prod = cup_product_cochain(K, field, to_sparse(a, field), to_sparse(b, field), p, q)
+    return to_dense(prod, len(K.simplices_of_dim(p + q)), field)
+
+
 def apply_delta(K, field, d, v):
     if d >= K.dim:
         return []
@@ -53,9 +69,9 @@ def apply_delta(K, field, d, v):
 
 def test_unit_cocycle_is_identity_for_cup():
     K = cycle_complex(4)
-    ones = [Q.one] * 4
+    ones = {v: Q.one for v in range(4)}
     rng = random.Random(3)
-    b = random_cochain(K, Q, 1, rng)
+    b = to_sparse(random_cochain(K, Q, 1, rng), Q)
     assert cup_product_cochain(K, Q, ones, b, 0, 1) == b
 
 
@@ -63,7 +79,7 @@ def test_cup_above_dimension_is_zero_cochain():
     K = cycle_complex(4)
     basis = cohomology_basis(K, Q)
     a = basis.representatives[1][0]
-    assert cup_product_cochain(K, Q, a, a, 1, 1) == []
+    assert cup_product_cochain(K, Q, a, a, 1, 1) == {}
 
 
 def test_cochain_leibniz_rule_random_pairs():
@@ -76,9 +92,9 @@ def test_cochain_leibniz_rule_random_pairs():
                 q = rng.randint(0, K.dim - 1 - p) if K.dim - 1 - p >= 0 else 0
                 a = random_cochain(K, field, p, rng)
                 b = random_cochain(K, field, q, rng)
-                lhs = apply_delta(K, field, p + q, cup_product_cochain(K, field, a, b, p, q))
-                da_b = cup_product_cochain(K, field, apply_delta(K, field, p, a), b, p + 1, q)
-                a_db = cup_product_cochain(K, field, a, apply_delta(K, field, q, b), p, q + 1)
+                lhs = apply_delta(K, field, p + q, dense_cup(K, field, a, b, p, q))
+                da_b = dense_cup(K, field, apply_delta(K, field, p, a), b, p + 1, q)
+                a_db = dense_cup(K, field, a, apply_delta(K, field, q, b), p, q + 1)
                 sign = field.of_int((-1) ** p)
                 rhs = [field.add(x, field.mul(sign, y)) for x, y in zip(da_b, a_db)]
                 assert lhs == rhs
@@ -115,8 +131,50 @@ def test_torus_cup_product_nonzero_at_cochain_level():
     basis = cohomology_basis(K, F2)
     r1, r2 = basis.representatives[1]
     prod = cup_product_cochain(K, F2, r1, r2, 1, 1)
-    coords, _ = basis.project(2, prod)
+    coords = to_dense(basis.project(2, prod), basis.betti(2), F2)
     assert any(not F2.is_zero(c) for c in coords)
+
+
+def test_cup_product_matches_dense_oracle():
+    # every degree pair on the builtin complexes, p + q > dim included;
+    # repr compares types too, so products over Q stay Fractions
+    rng = random.Random(11)
+    for problem in builtin_examples().values():
+        if problem.is_associated_space:
+            continue  # no complex of its own
+        K = from_maximal_simplices(problem.vertex_count,
+                                   [list(s) for s in problem.maximal_simplices])
+        for field in FIELDS:
+            for p in range(K.dim + 1):
+                for q in range(K.dim + 1):
+                    a = random_cochain(K, field, p, rng)
+                    b = random_cochain(K, field, q, rng)
+                    got = dense_cup(K, field, a, b, p, q)
+                    assert repr(got) == repr(oracle_cup_product(K, field, a, b, p, q)), (
+                        problem.name, field, p, q)
+
+
+def test_tensor_multiply_matches_oracle_on_random_elements():
+    # the torus has nonzero products of odd classes, so the Koszul sign
+    # shows over F3 and Q
+    rng = random.Random(12)
+    for K in [torus_seven_vertex(), projective_plane_six_vertex(), boundary_sphere(2)]:
+        for field in FIELDS:
+            T = kunneth_tensor_ring(ring_structure(K, field))
+            pairs = [(i, j) for i in range(T.ring.size) for j in range(T.ring.size)]
+
+            def random_element():
+                out = {}
+                for pair in rng.sample(pairs, rng.randint(0, min(4, len(pairs)))):
+                    c = field.of_int(rng.choice((1, -1, 2)))
+                    if not field.is_zero(c):
+                        out[pair] = c
+                return out
+
+            for _ in range(40):
+                x, y = random_element(), random_element()
+                got = sorted(T.multiply(x, y).items())
+                assert repr(got) == repr(sorted(oracle_multiply(T, x, y).items())), (K, field)
 
 
 def test_graded_commutativity_all_builtins():
