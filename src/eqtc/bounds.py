@@ -59,7 +59,7 @@ def fmt_value(v: Value) -> str:
 @dataclass(frozen=True)
 class EngineConfig:
     fields: tuple[str, ...] = ("F2", "F3", "Q")
-    depth_cap: int | None = None  # None: 2*dim per space
+    depth_cap: int | None = None  # None: the default of each search in eqtc.ring
     subgroup_mode: str = "conjugacy"  # or "all"
     group_order_cap: int = 10_000
     subgroup_cap: int = 256
@@ -359,11 +359,9 @@ def _ring_and_certificates(K: SimplicialComplex, name: str, config: EngineConfig
         # for disconnected spaces the infinity seed always dominates R1,
         # and component idempotents would make the product search useless
         return ring, None
-    zd_cap = config.depth_cap if config.depth_cap is not None else max(1, 2 * K.dim)
-    cup_cap = config.depth_cap if config.depth_cap is not None else max(1, K.dim)
     tensor = kunneth_tensor_ring(ring)
-    cert, _ = nilpotency_lower_bound(tensor, combined_zero_divisors(tensor), zd_cap)
-    return ring, (cert, reduced_cuplength(ring, cup_cap))
+    cert, _ = nilpotency_lower_bound(tensor, combined_zero_divisors(tensor), config.depth_cap)
+    return ring, (cert, reduced_cuplength(ring, config.depth_cap))
 
 
 def _analyze_space(info: SpaceInfo, config: EngineConfig, known: dict) -> None:

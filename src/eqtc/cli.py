@@ -205,10 +205,9 @@ def cmd_cupfind(args: argparse.Namespace, out) -> int:
             f"{config.max_ring_simplices}"
         )
     field = parse_field(args.field)
-    cap = config.depth_cap if config.depth_cap is not None else max(1, 2 * K.dim)
     ring = ring_structure(K, field)
     tensor = kunneth_tensor_ring(ring)
-    cert, _ = nilpotency_lower_bound(tensor, combined_zero_divisors(tensor), cap)
+    cert, _ = nilpotency_lower_bound(tensor, combined_zero_divisors(tensor), config.depth_cap)
     factors = ", ".join(cert.factor_labels)
     out.write(f"zero-divisor length {cert.length}, certificate [{factors}]\n")
     return EXIT_OK

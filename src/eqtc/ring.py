@@ -205,8 +205,6 @@ class ZeroDivisor:
 
 @dataclass
 class ZeroDivisorSet:
-    mode: str
-    tensor: TensorRing
     elements: list[ZeroDivisor]
 
 
@@ -249,7 +247,7 @@ def zero_divisor_set(T: TensorRing, mode: str = "elementary") -> ZeroDivisorSet:
     for z in elements:
         if T.cup(z.element()):
             raise AssertionError(f"{z.label} does not map to zero")
-    return ZeroDivisorSet(mode, T, elements)
+    return ZeroDivisorSet(elements)
 
 
 def combined_zero_divisors(T: TensorRing) -> ZeroDivisorSet:
@@ -265,7 +263,7 @@ def combined_zero_divisors(T: TensorRing) -> ZeroDivisorSet:
             if z.coeffs not in seen:
                 seen.add(z.coeffs)
                 combined.append(z)
-    return ZeroDivisorSet("combined", T, combined)
+    return ZeroDivisorSet(combined)
 
 
 @dataclass
@@ -275,45 +273,51 @@ class ProductCertificate:
     length: int
     factor_labels: list[str]
     field_name: str
-    value_degree: int | None
+
+
+def _remultiply(multiply, factors: list) -> object:
+    """The product of factors (a nonempty list), multiplied left to right."""
+    acc = factors[0]
+    for x in factors[1:]:
+        acc = multiply(acc, x)
+    return acc
 
 
 def verify_zero_divisor_certificate(T: TensorRing, factors: list[ZeroDivisor]) -> bool:
     """Independent re-multiplication of a certificate, left to right."""
-    if not factors:
-        return False
-    acc = factors[0].element()
-    for z in factors[1:]:
-        acc = T.multiply(acc, z.element())
-    return bool(acc)
+    return bool(factors) and bool(_remultiply(T.multiply, [z.element() for z in factors]))
 
 
-def _longest_product(cands: list, multiply, degree_of, top_degree: int, depth_cap: int) -> list:
-    """Longest multiset of cands, taken in list order, whose product is nonzero.
+def _longest_product(cands: list[tuple[int, object]], multiply, top_degree: int,
+                     depth_cap: int) -> list[int]:
+    """Longest multiset of cands whose product is nonzero, as indices into cands.
 
-    multiply(None, c) is c as an element and multiply(p, c) the product p.c.
-    The search extends sorted chains depth first, so order only matters up to
-    sign (graded commutativity); it drops a branch as soon as the product is
-    zero or its degree would pass top_degree, and stops at depth_cap factors.
-    The first longest chain in that order is returned ([] when depth_cap < 1).
+    cands are (degree, element) pairs in ascending degree and multiply is
+    the ring's product.  The search extends sorted chains depth first, so
+    order only matters up to sign (graded commutativity); it drops a branch
+    as soon as the product is zero, stops at depth_cap factors, and ends a
+    candidate loop at the first degree that would pass top_degree, since
+    every later one would too.  The first longest chain in that order is
+    returned ([] when depth_cap < 1).
     """
-    best: list = []
-    chain: list = []
+    best: list[int] = []
+    chain: list[int] = []
 
     def extend(prod, degree: int, start: int) -> None:
+        # prod is the product of chain, None while chain is empty
         nonlocal best
         if len(chain) > len(best):
             best = list(chain)
         if len(chain) >= depth_cap:
             return
         for idx in range(start, len(cands)):
-            c = cands[idx]
-            if degree + degree_of(c) > top_degree:
-                continue
-            nxt = multiply(prod, c)
+            d, c = cands[idx]
+            if degree + d > top_degree:
+                break
+            nxt = c if prod is None else multiply(prod, c)
             if nxt:
-                chain.append(c)
-                extend(nxt, degree + degree_of(c), idx)
+                chain.append(idx)
+                extend(nxt, degree + d, idx)
                 chain.pop()
 
     extend(None, 0, 0)
@@ -324,47 +328,40 @@ def _longest_product(cands: list, multiply, degree_of, top_degree: int, depth_ca
 
 
 def nilpotency_lower_bound(
-    T: TensorRing, Z: ZeroDivisorSet, depth_cap: int
+    T: TensorRing, Z: ZeroDivisorSet, depth_cap: int | None = None
 ) -> tuple[ProductCertificate, list[ZeroDivisor]]:
     """Longest nonzero product found among products of elements of Z.
 
-    Enumerates multisets of the given elements with zero-product pruning;
-    the result is a valid lower bound for the nilpotency of the
-    zero-divisor ideal, and it is re-multiplied before it is returned.
+    Enumerates multisets of the given elements with zero-product pruning,
+    up to depth_cap factors (None: 2 dim, at least 1); the result is a
+    valid lower bound for the nilpotency of the zero-divisor ideal, and it
+    is re-multiplied before it is returned.
     """
+    if depth_cap is None:
+        depth_cap = max(1, 2 * T.ring.complex.dim)
     if depth_cap < 1:
         raise ValueError("depth_cap must be >= 1")
-    best = _longest_product(
-        sorted(Z.elements, key=lambda z: (z.degree, z.label)),
-        lambda prod, z: z.element() if prod is None else T.multiply(prod, z.element()),
-        lambda z: z.degree,
-        T.top_degree,
-        depth_cap,
-    )
+    zs = sorted(Z.elements, key=lambda z: (z.degree, z.label))
+    chain = _longest_product([(z.degree, z.element()) for z in zs], T.multiply,
+                             T.top_degree, depth_cap)
+    best = [zs[i] for i in chain]
     if best and not verify_zero_divisor_certificate(T, best):
         raise AssertionError("certificate failed re-multiplication")
-    cert = ProductCertificate(
-        length=len(best),
-        factor_labels=[z.label for z in best],
-        field_name=T.field.name,
-        value_degree=sum(z.degree for z in best) if best else None,
-    )
-    return cert, best
+    return ProductCertificate(len(best), [z.label for z in best], T.field.name), best
 
 
-def reduced_cuplength(ring: CohomologyRing, depth_cap: int) -> ProductCertificate:
-    """Longest nonzero product of positive-degree basis classes."""
+def reduced_cuplength(ring: CohomologyRing, depth_cap: int | None = None) -> ProductCertificate:
+    """Longest nonzero product of positive-degree basis classes, re-multiplied.
+
+    Searches up to depth_cap factors (None: dim, at least 1).
+    """
+    if depth_cap is None:
+        depth_cap = max(1, ring.complex.dim)
     one = ring.field.one
-    best = _longest_product(
-        [g for g in range(ring.size) if ring.degrees[g] > 0],
-        lambda prod, g: {g: one} if prod is None else ring.multiply(prod, {g: one}),
-        ring.degrees.__getitem__,
-        ring.top_degree,
-        depth_cap,
-    )
-    return ProductCertificate(
-        length=len(best),
-        factor_labels=[ring.labels[g] for g in best],
-        field_name=ring.field.name,
-        value_degree=sum(ring.degrees[g] for g in best) if best else None,
-    )
+    # the basis is ordered by degree, so these are in ascending degree
+    gens = [g for g in range(ring.size) if ring.degrees[g] > 0]
+    cands = [(ring.degrees[g], {g: one}) for g in gens]
+    chain = _longest_product(cands, ring.multiply, ring.top_degree, depth_cap)
+    if chain and not _remultiply(ring.multiply, [cands[i][1] for i in chain]):
+        raise AssertionError("certificate failed re-multiplication")
+    return ProductCertificate(len(chain), [ring.labels[gens[i]] for i in chain], ring.field.name)

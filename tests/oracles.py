@@ -4,7 +4,7 @@ These deliberately re-derive results with different code paths than the
 package: dense Gauss-Jordan on lists of rows for ranks, kernels, pivot
 columns and cohomology representatives, the cup product on dense cochains,
 tensor multiplication by its formula, flat all-tuples enumeration for
-longest nonzero products, closure of every small generating set for the
+longest nonzero products (zero-divisors and basis classes), closure of every small generating set for the
 subgroup lattice, a per-simplex transporter search for regularity.  The
 package's matrices are lists of sparse columns and its cochains sparse
 vectors; to_rows, to_columns, to_dense and to_sparse convert at the test
@@ -173,6 +173,33 @@ def oracle_longest_product(T, elements, depth_cap: int) -> int:
             break
     return best
 
+
+def oracle_cuplength(ring, depth_cap: int) -> int:
+    """All ordered tuples of positive-degree basis classes, multiplied left to right."""
+    field = ring.field
+    gens = [g for g, d in enumerate(ring.degrees) if d > 0]
+
+    def times(x, g):
+        out = {}
+        for i, ci in sorted(x.items()):
+            for k, ck in ring.multiply_basis(i, g).items():
+                out[k] = field.add(out.get(k, field.zero), field.mul(ci, ck))
+        return {k: v for k, v in out.items() if not field.is_zero(v)}
+
+    def nonzero(combo):
+        acc = {combo[0]: field.one}
+        for g in combo[1:]:
+            acc = times(acc, g)
+            if not acc:
+                return False
+        return True
+
+    best = 0
+    for length in range(1, depth_cap + 1):
+        if not any(nonzero(combo) for combo in iproduct(gens, repeat=length)):
+            break
+        best = length
+    return best
 
 def oracle_subgroups(elements, degree: int):
     """Every subgroup and one per conjugacy class, from every small generating set.

@@ -249,6 +249,16 @@ def test_failed_self_check_exits_selfcheck(tmp_path, monkeypatch, capsys):
     assert "error: self-check failed: certificate failed re-multiplication" in capsys.readouterr().err
 
 
+def test_failed_cuplength_remultiplication_exits_selfcheck(tmp_path, monkeypatch, capsys):
+    # the R1 check passes, so the failure comes from the R2 certificate
+    monkeypatch.setattr("eqtc.ring.verify_zero_divisor_certificate", lambda T, factors: True)
+    monkeypatch.setattr("eqtc.ring._remultiply", lambda multiply, factors: {})
+    code, out = run(["analyze", write_example(tmp_path, "torus7")])
+    assert code == EXIT_SELFCHECK
+    assert out == ""
+    assert "error: self-check failed: certificate failed re-multiplication" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("verb", ["betti", "cupfind"])
 def test_betti_and_cupfind_reject_malformed_config(tmp_path, verb):
     for config in ({"seed": 0}, {"fields": ["F4"]}, {"subgroup_mode": "some"}):

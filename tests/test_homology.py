@@ -27,6 +27,7 @@ from eqtc.homology import (
 from eqtc.linalg import (
     FieldError,
     LinearSolver,
+    _reduce_columns,
     column_space_basis,
     nullspace,
     rank,
@@ -94,14 +95,19 @@ def test_boundary_squared_is_zero_on_sphere(field):
             assert all(field.is_zero(x) for x in mat_vec(lower, col, field))
 
 
+def random_complex(rng, count=4):
+    """count random maximal simplices on at most 7 vertices, relabeled onto 0..n-1."""
+    n = rng.randint(3, 7)
+    maximal = [rng.sample(range(n), rng.randint(1, min(4, n))) for _ in range(count)]
+    used = sorted({v for s in maximal for v in s})
+    relabel = {v: i for i, v in enumerate(used)}
+    return from_maximal_simplices(len(used), [[relabel[v] for v in s] for s in maximal])
+
+
 def test_boundary_squared_on_random_complexes():
     rng = random.Random(1)
     for _ in range(20):
-        n = rng.randint(3, 7)
-        maximal = [rng.sample(range(n), rng.randint(1, min(4, n))) for _ in range(4)]
-        used = sorted({v for s in maximal for v in s})
-        relabel = {v: i for i, v in enumerate(used)}
-        K = from_maximal_simplices(len(used), [[relabel[v] for v in s] for s in maximal])
+        K = random_complex(rng)
         for field in (F2, Q):
             mats = dense_boundaries(K, field)
             for d in range(1, len(mats)):
@@ -336,6 +342,29 @@ def test_representatives_match_the_dense_rule_on_builtins():
                 got = {d: [to_dense(v, len(X.simplices_of_dim(d)), field) for v in vs]
                        for d, vs in reps.items()}
                 assert repr(got) == repr(oracle_representatives(X, field)), (problem.name, field)
+
+
+def test_representatives_are_the_cocycles_ending_off_the_lower_pivot_rows():
+    # in degree d >= 1 the representatives are exactly the kernel vectors of
+    # delta_d whose own (last) column is not a pivot row of the reduced
+    # delta_{d-1}, so choosing them needs no elimination of its own
+    complexes = []
+    for problem in builtin_examples().values():
+        if not problem.is_associated_space:
+            K = from_maximal_simplices(problem.vertex_count,
+                                       [list(s) for s in problem.maximal_simplices])
+            complexes += [K, barycentric_subdivision(K)[0]]
+    rng = random.Random(7)
+    # eight simplices, so that some of them leave classes in degrees 1 and 2
+    complexes += [random_complex(rng, 8) for _ in range(40)]
+    for K in complexes:
+        for field in FIELDS:
+            reps = cohomology_basis(K, field).representatives
+            for d in range(1, K.dim + 1):
+                pivot_rows = _reduce_columns(coboundary_matrix(K, field, d - 1), field)[1]
+                cocycles = nullspace(coboundary_matrix(K, field, d), field)
+                assert reps[d] == [v for v in cocycles if max(v) not in pivot_rows], (
+                    K.f_vector(), field.name, d)
 
 
 def test_coboundary_squared_is_zero():

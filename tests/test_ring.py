@@ -8,6 +8,7 @@ from oracles import (
     dense_coboundary_matrix,
     mat_vec,
     oracle_cup_product,
+    oracle_cuplength,
     oracle_longest_product,
     oracle_multiply,
     to_dense,
@@ -331,7 +332,28 @@ def test_reduced_cuplength_values():
     assert reduced_cuplength(ring_structure(torus_seven_vertex(), Q), 2).length == 2
     assert reduced_cuplength(ring_structure(solid_simplex(3), Q), 3).length == 0
     cert = reduced_cuplength(ring_structure(torus_seven_vertex(), Q), 0)
-    assert (cert.length, cert.factor_labels, cert.value_degree) == (0, [], None)
+    assert (cert.length, cert.factor_labels) == (0, [])
+
+
+def test_reduced_cuplength_agrees_with_oracle():
+    complexes = BUILTINS + [projective_plane_six_vertex()] + [
+        from_maximal_simplices(p.vertex_count, [list(s) for s in p.maximal_simplices])
+        for p in builtin_examples().values() if not p.is_associated_space
+    ]
+    for K in complexes:
+        for field in FIELDS:
+            ring = ring_structure(K, field)
+            for cap in range(K.dim + 1):
+                assert reduced_cuplength(ring, cap).length == oracle_cuplength(ring, cap), (
+                    K.f_vector(), field.name, cap)
+
+
+def test_reduced_cuplength_certificate_is_remultiplied(monkeypatch):
+    ring = ring_structure(torus_seven_vertex(), F2)
+    assert reduced_cuplength(ring, 2).factor_labels == ["a1_0", "a1_1"]
+    monkeypatch.setattr("eqtc.ring._remultiply", lambda multiply, factors: {})
+    with pytest.raises(AssertionError, match="certificate failed re-multiplication"):
+        reduced_cuplength(ring, 2)
 
 
 def test_two_point_space_zero_divisors_are_idempotent():
