@@ -380,12 +380,13 @@ def fixed_subcomplex(R: RegularAction, H: Subgroup) -> tuple[SimplicialComplex, 
     the subcomplex (possibly empty) and the old->new vertex map.  Each fixed
     set is built once per RegularAction.
     """
+    if H.is_trivial:  # the whole complex, uncopied: each vertex lies in a simplex
+        return R.complex, {v: v for v in range(R.complex.vertex_count)}
     cached = R._fixed.get(H.elements)
     if cached is None:
         fixed = {v for v in range(R.complex.vertex_count) if all(h[v] == v for h in H.elements)}
         cached = R._fixed[H.elements] = full_subcomplex(R.complex, fixed)
-    sub, index_map = cached
-    return sub, dict(index_map)
+    return cached[0], dict(cached[1])
 
 
 def orbit_complex(R: RegularAction) -> tuple[SimplicialComplex, list[int]]:

@@ -85,11 +85,12 @@ class CochainBasis:
     One pass over the degrees builds each coboundary matrix delta_d once and
     keeps only its kernel (the cocycles of degree d) and its independent
     columns (the coboundary basis of degree d+1).  Degree 0 is represented
-    by the component indicators; in degree d >= 1 the representatives are
-    the kernel vectors of delta_d at the leftmost pivots of
-    [coboundaries | cocycles].  A solver for [representatives |
-    coboundaries], built on first use, reads the basis coordinates of any
-    cocycle.  Representatives, cocycles and coordinates are sparse dicts.
+    by the component indicators.  In degree d >= 1 one solver reduces the
+    coboundary basis, and the representatives are the kernel vectors of
+    delta_d whose lowest row is not a pivot row of it: each adds a new
+    class (Chen & Kerber 2011).  Appended to the same solver, they enter
+    its table unreduced, and it reads the basis coordinates of any cocycle.
+    Representatives, cocycles and coordinates are sparse dicts.
     """
 
     def __init__(self, K: SimplicialComplex, field: Field):
@@ -98,36 +99,24 @@ class CochainBasis:
         self.complex = K
         self.field = field
         self.representatives: dict[int, list[dict]] = {}
-        self._cobound: dict[int, list[dict]] = {}
-        self._solvers: dict[int, LinearSolver] = {}
+        self._solvers: dict[int, tuple[LinearSolver, int]] = {}
         cobound: list[dict] = []  # coboundary basis in degree d
         for d in range(K.dim + 1):
             delta = coboundary_matrix(K, field, d)
+            solver = LinearSolver(cobound, field)
             if d == 0:
                 pivots = column_space_basis(delta, field)
-                # canonical representatives: component indicator cochains
-                labels = K.component_labels
-                reps = [{v: field.one for v, label in enumerate(labels) if label == comp}
+                reps = [{v: field.one for v, c in enumerate(K.component_labels) if c == comp}
                         for comp in range(K.connected_components())]
             else:
                 cocycles = nullspace(delta, field)
                 # each kernel vector ends in its own column; the rest are pivots
-                free = {max(v) for v in cocycles}
-                pivots = [c for c in range(len(delta)) if c not in free]
-                # extend the coboundary basis by independent cocycles
-                reps = [cocycles[c - len(cobound)]
-                        for c in column_space_basis(cobound + cocycles, field)
-                        if c >= len(cobound)]
+                pivots = sorted(set(range(len(delta))) - {max(v) for v in cocycles})
+                reps = [v for v in cocycles if max(v) not in solver.table]
+            solver.append(reps)
             self.representatives[d] = reps
-            self._cobound[d] = cobound
+            self._solvers[d] = (solver, len(cobound))
             cobound = [delta[c] for c in pivots]
-
-    def _solver(self, d: int) -> LinearSolver:
-        # built lazily: projections are only ever requested in the few
-        # degrees where cup products land
-        if d not in self._solvers:
-            self._solvers[d] = LinearSolver(self.representatives[d] + self._cobound[d], self.field)
-        return self._solvers[d]
 
     def betti(self, d: int) -> int:
         return len(self.representatives.get(d, []))
@@ -144,9 +133,9 @@ class CochainBasis:
 
     def project(self, d: int, cocycle: dict) -> dict:
         """Coordinates {basis index: coefficient} of a cocycle in the chosen basis."""
-        n = len(self.representatives[d])
-        # the solution's other entries write the rest as a sum of coboundaries
-        return {i: c for i, c in sorted(self._solver(d).solve(cocycle).items()) if i < n}
+        solver, skip = self._solvers[d]
+        # the solution's first skip entries write the rest as a sum of coboundaries
+        return {i - skip: c for i, c in sorted(solver.solve(cocycle).items()) if i >= skip}
 
 
 def cohomology_basis(K: SimplicialComplex, field: Field) -> CochainBasis:

@@ -10,7 +10,8 @@ _reduce_columns: each column is reduced against a pivot table keyed by the
 lowest row of the columns before it, and may carry a mask of the column
 operations.  rank counts its pivots, column_space_basis lists them,
 nullspace returns the masks of the columns that reduce to zero, and
-LinearSolver keeps the table and the masks to solve against them.
+LinearSolver keeps the table and the masks, continues the pass on columns
+appended later, and solves against them.
 """
 
 from __future__ import annotations
@@ -163,7 +164,8 @@ def _reduce(v: dict, mask: dict | None, table: dict, field: Field):
     return None
 
 
-def _reduce_columns(mat: list[dict], field: Field, masks: bool = False):
+def _reduce_columns(mat: list[dict], field: Field, masks: bool = False,
+                    table: dict | None = None, start: int = 0):
     """The one elimination: a left-to-right pass over the columns of mat.
 
     Returns (pivot columns, pivot table, kernel masks).  The table maps the
@@ -174,12 +176,13 @@ def _reduce_columns(mat: list[dict], field: Field, masks: bool = False):
     only pivot columns are ever added, so the mask of a column that
     reduces to zero is the kernel vector with a 1 on its own column and
     support in the earlier pivot columns.  Those are returned in order.
-    The input columns are not changed.
+    Given the table of an earlier pass over start columns, it continues
+    that pass.  The input columns are not changed.
     """
-    table: dict = {}
+    table = {} if table is None else table
     pivots: list[int] = []
     kernel: list[dict] = []
-    for j, column in enumerate(mat):
+    for j, column in enumerate(mat, start):
         v = {r: _compact(a) for r, a in column.items()}
         mask = {j: 1} if masks else None
         low = _reduce(v, mask, table, field)
@@ -212,15 +215,22 @@ def column_space_basis(mat: list[dict], field: Field) -> list[int]:
 
 
 class LinearSolver:
-    """Repeated exact solves of M x = v for a fixed M with independent columns.
+    """Repeated exact solves of M x = v for M with independent columns.
 
-    Reduces the columns of M once, with masks; each solve reduces v against
-    the pivot table, and the masks of the pivots it used add up to x.
+    Reduces the columns of M once, with masks; append continues the pass
+    on more columns, to the right of M.  Each solve reduces v against the
+    pivot table, and the masks of the pivots it used add up to x.
     """
 
     def __init__(self, mat: list[dict], field: Field):
         self.field = field
-        _, self._table, _ = _reduce_columns(mat, field, masks=True)
+        self._n_cols = 0
+        self.table: dict = {}  # keyed by the pivot rows, see _reduce_columns
+        self.append(mat)
+
+    def append(self, mat: list[dict]) -> None:
+        _reduce_columns(mat, self.field, True, self.table, self._n_cols)
+        self._n_cols += len(mat)
 
     def solve(self, v: dict) -> dict:
         """The unique sparse x with M x = v; raises FieldError if there is none."""
@@ -228,6 +238,6 @@ class LinearSolver:
         # reducing -v to zero adds up M x = v in the mask
         w = {r: field.neg(_compact(a)) for r, a in v.items()}
         x: dict = {}
-        if _reduce(w, x, self._table, field) is not None:
+        if _reduce(w, x, self.table, field) is not None:
             raise FieldError("inconsistent linear system")
         return _exact(x, field)

@@ -295,10 +295,10 @@ def _longest_product(cands: list[tuple[int, object]], multiply, top_degree: int,
     cands are (degree, element) pairs in ascending degree and multiply is
     the ring's product.  The search extends sorted chains depth first, so
     order only matters up to sign (graded commutativity); it drops a branch
-    as soon as the product is zero, stops at depth_cap factors, and ends a
-    candidate loop at the first degree that would pass top_degree, since
-    every later one would too.  The first longest chain in that order is
-    returned ([] when depth_cap < 1).
+    as soon as the product is zero, and ends a candidate loop at the first
+    degree that would pass top_degree, since every later one would too.
+    The first longest chain in that order is returned, and the search ends
+    at the first with depth_cap factors ([] when depth_cap < 1).
     """
     best: list[int] = []
     chain: list[int] = []
@@ -308,9 +308,9 @@ def _longest_product(cands: list[tuple[int, object]], multiply, top_degree: int,
         nonlocal best
         if len(chain) > len(best):
             best = list(chain)
-        if len(chain) >= depth_cap:
-            return
         for idx in range(start, len(cands)):
+            if len(best) >= depth_cap:
+                return  # no chain may be longer
             d, c = cands[idx]
             if degree + d > top_degree:
                 break

@@ -290,8 +290,9 @@ def test_fixed_subcomplex_trivial_subgroup_is_whole_complex():
     H = subgroups(R.group, "up_to_conjugacy")[0]
     assert H.is_trivial
     fixed, index_map = fixed_subcomplex(R, H)
+    assert fixed is R.complex  # not a copy
     assert fixed.simplices == R.complex.simplices
-    assert len(index_map) == R.complex.vertex_count
+    assert index_map == {v: v for v in range(R.complex.vertex_count)}
 
 
 def test_fixed_subcomplex_of_free_rotation_is_empty():

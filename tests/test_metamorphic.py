@@ -12,6 +12,13 @@ from eqtc.bounds import Quantity, analyze_problem
 from eqtc.complex_core import barycentric_subdivision, from_maximal_simplices
 from eqtc.homology import betti_numbers, parse_field
 from eqtc.problems import Problem, builtin_examples
+from eqtc.ring import (
+    combined_zero_divisors,
+    kunneth_tensor_ring,
+    nilpotency_lower_bound,
+    reduced_cuplength,
+    ring_structure,
+)
 
 EXAMPLES = builtin_examples()
 RELABELED = (
@@ -46,12 +53,19 @@ def relabel(problem: Problem, s: list[int]) -> Problem:
 
 
 def invariants(problem: Problem):
-    """Intervals, Betti numbers of X, and the sorted subgroup-class orders."""
+    """Intervals, Betti numbers and R1/R2 lengths of X, and the sorted subgroup-class orders.
+
+    A relabeling changes the representatives and the certificate factors,
+    but not how many factors the certificates have.
+    """
     fb = analyze_problem(problem)
     ctx = fb.contexts[""]
+    X = ctx.spaces["X"]
     return (
         [fb.interval("", q) for q in QUANTITIES],
-        ctx.spaces["X"].betti,
+        X.betti,
+        {name: None if certs is None else tuple(c.length for c in certs)
+         for name, certs in X.certificates.items()},
         sorted(c.order for c in ctx.classes),
     )
 
@@ -107,3 +121,21 @@ def test_subdivision_leaves_betti_numbers_unchanged(K):
     sd, _ = barycentric_subdivision(K)
     for field in (F2, F3, Q):
         assert betti_numbers(sd, field) == betti_numbers(K, field)
+
+
+def certificate_lengths(K, field) -> tuple[int, int]:
+    """R1 and R2 lengths at the default depths, which only depend on dim K."""
+    ring = ring_structure(K, field)
+    tensor = kunneth_tensor_ring(ring)
+    r1, _ = nilpotency_lower_bound(tensor, combined_zero_divisors(tensor))
+    return r1.length, reduced_cuplength(ring).length
+
+
+@settings(derandomize=True, deadline=None, max_examples=100)
+@given(small_complexes())
+def test_subdivision_leaves_certificate_lengths_unchanged(K):
+    # both lengths are nilpotencies of ideals of the ring (the zero-divisors
+    # and the positive degrees, capped), and subdivision keeps the ring
+    sd, _ = barycentric_subdivision(K)
+    for field in (F2, F3, Q):
+        assert certificate_lengths(sd, field) == certificate_lengths(K, field)

@@ -26,6 +26,7 @@ from eqtc.complex_core import (
 from eqtc.homology import cohomology_basis, parse_field
 from eqtc.problems import builtin_examples
 from eqtc.ring import (
+    CohomologyRing,
     cup_product_cochain,
     kunneth_tensor_ring,
     nilpotency_lower_bound,
@@ -354,6 +355,18 @@ def test_reduced_cuplength_certificate_is_remultiplied(monkeypatch):
     monkeypatch.setattr("eqtc.ring._remultiply", lambda multiply, factors: {})
     with pytest.raises(AssertionError, match="certificate failed re-multiplication"):
         reduced_cuplength(ring, 2)
+
+
+def test_product_search_ends_at_the_depth_cap(monkeypatch):
+    # on the torus over F2 the second product, a1_0 a1_1, already has dim
+    # factors, so the search ends there and only the re-multiplication follows
+    ring = ring_structure(torus_seven_vertex(), F2)
+    calls = []
+    multiply = CohomologyRing.multiply
+    monkeypatch.setattr(CohomologyRing, "multiply",
+                        lambda self, x, y: calls.append((x, y)) or multiply(self, x, y))
+    assert reduced_cuplength(ring, 2).factor_labels == ["a1_0", "a1_1"]
+    assert len(calls) == 3  # a1_0 a1_0, a1_0 a1_1, and the re-multiplication
 
 
 def test_two_point_space_zero_divisors_are_idempotent():
