@@ -106,12 +106,15 @@ class CochainBasis:
             solver = LinearSolver(cobound, field)
             if d == 0:
                 pivots = column_space_basis(delta, field)
-                reps = [{v: field.one for v, c in enumerate(K.component_labels) if c == comp}
+                # canonical representatives: component indicator cochains
+                labels = K.component_labels
+                reps = [{v: field.one for v, label in enumerate(labels) if label == comp}
                         for comp in range(K.connected_components())]
             else:
                 cocycles = nullspace(delta, field)
                 # each kernel vector ends in its own column; the rest are pivots
-                pivots = sorted(set(range(len(delta))) - {max(v) for v in cocycles})
+                free = {max(v) for v in cocycles}
+                pivots = [c for c in range(len(delta)) if c not in free]
                 reps = [v for v in cocycles if max(v) not in solver.table]
             solver.append(reps)
             self.representatives[d] = reps

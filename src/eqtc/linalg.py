@@ -217,20 +217,18 @@ def column_space_basis(mat: list[dict], field: Field) -> list[int]:
 class LinearSolver:
     """Repeated exact solves of M x = v for M with independent columns.
 
-    Reduces the columns of M once, with masks; append continues the pass
-    on more columns, to the right of M.  Each solve reduces v against the
-    pivot table, and the masks of the pivots it used add up to x.
+    Reduces the columns of M once, with masks, one table entry each, and
+    append continues the pass on more columns.  Each solve reduces v
+    against the pivot table; the masks of the pivots it used add up to x.
     """
 
     def __init__(self, mat: list[dict], field: Field):
         self.field = field
-        self._n_cols = 0
         self.table: dict = {}  # keyed by the pivot rows, see _reduce_columns
         self.append(mat)
 
     def append(self, mat: list[dict]) -> None:
-        _reduce_columns(mat, self.field, True, self.table, self._n_cols)
-        self._n_cols += len(mat)
+        _reduce_columns(mat, self.field, True, self.table, len(self.table))
 
     def solve(self, v: dict) -> dict:
         """The unique sparse x with M x = v; raises FieldError if there is none."""

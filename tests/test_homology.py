@@ -245,19 +245,25 @@ def test_projection_splits_cocycle_into_basis_plus_coboundary():
 
 
 def test_coboundary_basis_is_a_basis_of_the_coboundaries():
-    # project solves against the coboundary basis and the representatives:
-    # every column of delta_{d-1} is a coboundary, so it solves with no class
-    # coordinate, and rank delta_{d-1} coboundaries plus the classes span
-    # exactly the cocycles
+    # each degree's solver holds the coboundary basis in its first skip
+    # columns and the representatives after them; one table entry per
+    # column shows that all of them are independent
     for K in [torus_seven_vertex(), projective_plane_six_vertex(), klein_bottle_grid()]:
         for field in FIELDS:
             basis = cohomology_basis(K, field)
+            assert basis._solvers[0][1] == 0
             for d in range(1, K.dim + 1):
+                solver, skip = basis._solvers[d]
                 delta = dense_coboundary_matrix(K, field, d - 1)
+                assert skip == len(oracle_rref(delta, field)[1])
+                assert len(solver.table) == skip + basis.betti(d)
+                # every column of delta_{d-1} solves with no class
+                # coordinate, so rank delta_{d-1} independent coboundaries
+                # span all of them
                 assert all(basis.project(d, col) == {} for col in to_columns(delta, field))
                 n_d = len(K.simplices_of_dim(d))
                 cocycles = oracle_nullspace(dense_coboundary_matrix(K, field, d), field, n_d)
-                assert len(oracle_rref(delta, field)[1]) + basis.betti(d) == len(cocycles)
+                assert skip + basis.betti(d) == len(cocycles)
 
 
 def test_coboundary_matrix_is_transposed_boundary_matrix():
