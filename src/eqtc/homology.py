@@ -83,13 +83,16 @@ class CochainBasis:
     """Representative cocycles per degree plus coordinate projection.
 
     One pass over the degrees builds each coboundary matrix delta_d once and
-    keeps only its kernel (the cocycles of degree d) and its independent
-    columns (the coboundary basis of degree d+1).  Degree 0 is represented
-    by the component indicators.  In degree d >= 1 one solver reduces the
-    coboundary basis, and the representatives are the kernel vectors of
-    delta_d whose lowest row is not a pivot row of it: each adds a new
-    class (Chen & Kerber 2011).  Appended to the same solver, they enter
-    its table unreduced, and it reads the basis coordinates of any cocycle.
+    keeps only the representatives of degree d and its independent columns
+    (the coboundary basis of degree d+1).  Degree 0 is represented by the
+    component indicators.  In degree d >= 1 one solver reduces the
+    coboundary basis, and delta_d is reduced with clearing (Chen & Kerber
+    2011): a coboundary with lowest row r is a cocycle, so column r of
+    delta_d depends on earlier columns and is left out.  The rest reduce as
+    among all columns, and each of their kernel vectors ends off the pivot
+    rows, so it adds a class: these are the representatives.  Appended to
+    the same solver, they enter its table unreduced, and it reads the
+    basis coordinates of any cocycle.
     Representatives, cocycles and coordinates are sparse dicts.
     """
 
@@ -111,11 +114,13 @@ class CochainBasis:
                 reps = [{v: field.one for v, label in enumerate(labels) if label == comp}
                         for comp in range(K.connected_components())]
             else:
-                cocycles = nullspace(delta, field)
+                # clearing: the columns at the solver's pivot rows reduce to zero
+                kept = [c for c in range(len(delta)) if c not in solver.table]
+                reps = [{kept[i]: a for i, a in v.items()}
+                        for v in nullspace([delta[c] for c in kept], field)]
                 # each kernel vector ends in its own column; the rest are pivots
-                free = {max(v) for v in cocycles}
-                pivots = [c for c in range(len(delta)) if c not in free]
-                reps = [v for v in cocycles if max(v) not in solver.table]
+                free = {max(v) for v in reps}
+                pivots = [c for c in kept if c not in free]
             solver.append(reps)
             self.representatives[d] = reps
             self._solvers[d] = (solver, len(cobound))

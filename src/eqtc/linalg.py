@@ -151,13 +151,14 @@ def _reduce(v: dict, mask: dict | None, table: dict, field: Field):
     same lowest row.  When a mask is given, the same multiples of the
     pivots' masks are added to it, so it records the column operations.
     """
+    p = field.char
     while v:
         low = max(v)
         pivot = table.get(low)
         if pivot is None:
             return low
         column, column_mask, inv = pivot
-        a = _compact(field.neg(field.mul(v[low], inv)))
+        a = -v[low] * inv % p if p else _compact(field.neg(field.mul(v[low], inv)))
         add_multiple(v, a, column, field)
         if mask is not None:
             add_multiple(mask, a, column_mask, field)
@@ -183,7 +184,7 @@ def _reduce_columns(mat: list[dict], field: Field, masks: bool = False,
     pivots: list[int] = []
     kernel: list[dict] = []
     for j, column in enumerate(mat, start):
-        v = {r: _compact(a) for r, a in column.items()}
+        v = dict(column) if field.char else {r: _compact(a) for r, a in column.items()}
         mask = {j: 1} if masks else None
         low = _reduce(v, mask, table, field)
         if low is None:

@@ -9,8 +9,9 @@ which satisfies the Leibniz rule on the nose, so products of cocycles
 project to well-defined classes.  The ring of the product space is modelled
 as the graded tensor square of the cohomology ring (exact over a field),
 and the zero-divisors are the kernel of the multiplication map back to the
-ring.  Any nonzero product of k zero-divisors certifies TC > k; the search
-below looks for the longest such certificate.
+ring.  Any nonzero product of k zero-divisors certifies TC > k.  The
+length of the longest one is read off algebra generators of the ring, and
+a search capped at that length finds the certificate among the candidates.
 
 Cochains, ring elements and tensor elements share the sparse format of
 eqtc.linalg: a dict from index to nonzero scalar, with {} as zero.  A
@@ -25,7 +26,7 @@ from dataclasses import dataclass
 
 from eqtc.complex_core import SimplicialComplex
 from eqtc.homology import CochainBasis, cohomology_basis
-from eqtc.linalg import Field, add_multiple, nullspace
+from eqtc.linalg import Field, add_multiple, column_space_basis, nullspace
 
 
 def cup_product_cochain(
@@ -212,6 +213,15 @@ def _freeze(x: TensorElement) -> tuple:
     return tuple(sorted(x.items()))
 
 
+def _zbar(T: TensorRing, g: int) -> TensorElement:
+    """zbar(x) = x(x)1 - 1(x)x for the basis class x = a_g."""
+    field, unit = T.field, T.ring.unit
+    x: Element = {g: field.one}
+    elem = T.tensor(x, unit)
+    add_multiple(elem, field.neg(field.one), T.tensor(unit, x), field)
+    return elem
+
+
 def zero_divisor_set(T: TensorRing, mode: str = "elementary") -> ZeroDivisorSet:
     """Zero-divisors of the tensor ring.
 
@@ -225,12 +235,8 @@ def zero_divisor_set(T: TensorRing, mode: str = "elementary") -> ZeroDivisorSet:
     if mode == "elementary":
         for g in range(ring.size):
             d = ring.degrees[g]
-            if d == 0:
-                continue
-            x: Element = {g: field.one}
-            elem = T.tensor(x, ring.unit)
-            add_multiple(elem, field.neg(field.one), T.tensor(ring.unit, x), field)
-            elements.append(ZeroDivisor(f"zbar({ring.labels[g]})", d, _freeze(elem)))
+            if d > 0:
+                elements.append(ZeroDivisor(f"zbar({ring.labels[g]})", d, _freeze(_zbar(T, g))))
     elif mode == "full_kernel":
         # degree 0 matters for disconnected spaces (component idempotents)
         for d in range(0, T.top_degree + 1):
@@ -330,20 +336,33 @@ def _longest_product(cands: list[tuple[int, object]], multiply, top_degree: int,
 def nilpotency_lower_bound(
     T: TensorRing, Z: ZeroDivisorSet, depth_cap: int | None = None
 ) -> tuple[ProductCertificate, list[ZeroDivisor]]:
-    """Longest nonzero product found among products of elements of Z.
+    """Longest nonzero product of elements of Z, up to depth_cap factors, re-multiplied.
 
-    Enumerates multisets of the given elements with zero-product pruning,
-    up to depth_cap factors (None: 2 dim, at least 1); the result is a
-    valid lower bound for the nilpotency of the zero-divisor ideal, and it
-    is re-multiplied before it is returned.
+    Z must lie in the zero-divisor ideal I.  Since zbar(xy) =
+    (x(x)1) zbar(y) + zbar(x) (1(x)y), the zbar of algebra generators of
+    the ring generate I as an ideal, so I^k != 0 exactly when a product of
+    k of them is nonzero.  The generators are the degree-0 classes and the
+    positive-degree classes independent modulo products of two of them,
+    and a search over their zbar gives the length.  A product of k elements
+    of Z lies in I^k, so the search over Z is capped at that length: it
+    returns the first longest chain, as a search to exhaustion would, and
+    when Z spans I it stops there.  depth_cap None means 2 dim, at least 1.
     """
     if depth_cap is None:
         depth_cap = max(1, 2 * T.ring.complex.dim)
     if depth_cap < 1:
         raise ValueError("depth_cap must be >= 1")
+    ring = T.ring
+    positive = [g for g in range(ring.size) if ring.degrees[g] > 0]
+    products = [ring.multiply_basis(i, j) for i in positive for j in positive]
+    units = [{g: ring.field.one} for g in range(ring.size)]
+    gens = [c - len(products) for c in column_space_basis(products + units, ring.field)
+            if c >= len(products)]
+    length = len(_longest_product([(ring.degrees[g], _zbar(T, g)) for g in gens],
+                                  T.multiply, T.top_degree, depth_cap))
     zs = sorted(Z.elements, key=lambda z: (z.degree, z.label))
     chain = _longest_product([(z.degree, z.element()) for z in zs], T.multiply,
-                             T.top_degree, depth_cap)
+                             T.top_degree, length)
     best = [zs[i] for i in chain]
     if best and not verify_zero_divisor_certificate(T, best):
         raise AssertionError("certificate failed re-multiplication")

@@ -388,6 +388,34 @@ def test_representatives_are_the_cocycles_ending_off_the_lower_pivot_rows():
                     K.f_vector(), field.name, d)
 
 
+def test_clearing_skips_exactly_the_columns_that_reduce_to_zero(monkeypatch):
+    # the columns of delta_d at the pivot rows of degree d's coboundary basis
+    # are left out of its reduction; each of them depends on earlier columns,
+    # and every kernel vector of the rest is a representative, the same as
+    # the kernel vectors of all of delta_d that end off those rows
+    widths = []
+    monkeypatch.setattr("eqtc.homology.nullspace",
+                        lambda mat, field: widths.append(len(mat)) or nullspace(mat, field))
+    rng = random.Random(11)
+    complexes = [torus_seven_vertex(), klein_bottle_grid(), projective_plane_six_vertex()]
+    complexes += [random_complex(rng, 8) for _ in range(40)]
+    for K in complexes:
+        for field in FIELDS:
+            widths.clear()
+            basis = cohomology_basis(K, field)
+            for d in range(1, K.dim + 1):
+                solver, skip = basis._solvers[d]
+                # the first skip columns of the solver are the coboundary basis
+                rows = {r for r, (_, mask, _) in solver.table.items() if max(mask) < skip}
+                assert len(rows) == skip
+                cocycles = nullspace(coboundary_matrix(K, field, d), field)
+                assert basis.representatives[d] == [v for v in cocycles if max(v) not in rows], (
+                    K.f_vector(), field.name, d)
+                assert widths[d - 1] == len(K.simplices_of_dim(d)) - skip
+                _, pivots = oracle_rref(dense_coboundary_matrix(K, field, d), field)
+                assert rows.isdisjoint(pivots), (K.f_vector(), field.name, d)
+
+
 def test_coboundary_squared_is_zero():
     K = boundary_sphere(3)
     for field in (F2, Q):

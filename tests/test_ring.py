@@ -1,8 +1,11 @@
 from __future__ import annotations
 
 import random
+from itertools import permutations, product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oracles import (
     dense_coboundary_matrix,
@@ -27,6 +30,9 @@ from eqtc.homology import cohomology_basis, parse_field
 from eqtc.problems import builtin_examples
 from eqtc.ring import (
     CohomologyRing,
+    TensorRing,
+    _longest_product,
+    combined_zero_divisors,
     cup_product_cochain,
     kunneth_tensor_ring,
     nilpotency_lower_bound,
@@ -377,3 +383,74 @@ def test_two_point_space_zero_divisors_are_idempotent():
     Z = zero_divisor_set(T, "full_kernel")
     cert, _ = nilpotency_lower_bound(T, Z, depth_cap=5)
     assert cert.length == 5
+
+
+BASES = {
+    "none": [],
+    "circle": [[0, 1], [1, 2], [0, 2]],
+    "sphere": [list(s) for s in boundary_sphere(2).simplices_of_dim(2)],
+    "RP2": [list(s) for s in projective_plane_six_vertex().simplices_of_dim(2)],
+    "torus": [list(s) for s in torus_seven_vertex().simplices_of_dim(2)],
+}
+
+
+@st.composite
+def small_complexes(draw):
+    """A small base space, up to four random simplices of dimension <= 2, and isolated points.
+
+    The random simplices may use up to three new vertices, and the
+    isolated points make some results disconnected.
+    """
+    tops = list(BASES[draw(st.sampled_from(sorted(BASES)), label="base")])
+    n = len({v for s in tops for v in s}) + draw(st.integers(1, 3), label="new vertices")
+    tops += draw(st.lists(st.lists(st.integers(0, n - 1), min_size=1, max_size=3, unique=True),
+                          min_size=not tops, max_size=4), label="extra simplices")
+    tops += [[v] for v in range(n, n + draw(st.integers(0, 2), label="isolated points"))]
+    used = sorted({v for s in tops for v in s})
+    index = {v: i for i, v in enumerate(used)}
+    return from_maximal_simplices(len(used), [[index[v] for v in s] for s in tops])
+
+
+@settings(derandomize=True, deadline=None, max_examples=60)
+@given(small_complexes(), st.sampled_from(FIELDS), st.integers(1, 6))
+def test_nil_search_length_from_generators_matches_the_exhaustive_search(K, field, cap):
+    # the length read off the algebra generators' zbar caps the search over
+    # Z, which then stops at the chain that the search to exhaustion returns
+    T = kunneth_tensor_ring(ring_structure(K, field))
+    for Z in (combined_zero_divisors(T), zero_divisor_set(T, "elementary")):
+        zs = sorted(Z.elements, key=lambda z: (z.degree, z.label))
+        full = _longest_product([(z.degree, z.element()) for z in zs], T.multiply,
+                                T.top_degree, cap)
+        cert, _ = nilpotency_lower_bound(T, Z, depth_cap=cap)
+        assert cert.factor_labels == [zs[i].label for i in full], (K.f_vector(), field.name)
+        assert cert.length == oracle_longest_product(T, Z.elements, cap)
+
+
+def grid_torus_3():
+    """T^3 as the Freudenthal triangulation of the periodic 3x3x3 grid (162 tetrahedra)."""
+    coords = list(product(range(3), repeat=3))
+    vid = {c: i for i, c in enumerate(coords)}
+    tops = []
+    for x in coords:
+        for order in permutations(range(3)):
+            cur, simplex = list(x), [vid[x]]
+            for axis in order:
+                cur[axis] = (cur[axis] + 1) % 3
+                simplex.append(vid[tuple(cur)])
+            tops.append(simplex)
+    return from_maximal_simplices(len(coords), tops)
+
+
+def test_nil_search_on_the_three_torus_needs_few_products(monkeypatch):
+    # a deterministic work count: the generator search proves length 3 with
+    # three zbar factors, and the search over the combined zero-divisors ends
+    # at its first chain of that length (the exhaustive search took 2,017)
+    T = kunneth_tensor_ring(ring_structure(grid_torus_3(), F2))
+    Z = combined_zero_divisors(T)
+    calls = []
+    multiply = TensorRing.multiply
+    monkeypatch.setattr(TensorRing, "multiply",
+                        lambda self, x, y: calls.append(1) or multiply(self, x, y))
+    cert, _ = nilpotency_lower_bound(T, Z)
+    assert cert.length == 3
+    assert len(calls) <= 50
