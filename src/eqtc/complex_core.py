@@ -1,10 +1,15 @@
 """Finite abstract simplicial complexes and their combinatorial constructions.
 
 A simplex is a strictly increasing tuple of vertex ids; a complex is a
-downward-closed family of simplices on vertices 0..vertex_count-1.  All
-values are immutable; constructions return new complexes (plus index maps
-where vertices are re-labelled), so references stay stable for provenance
-tracking.
+downward-closed family of simplices that covers the vertices
+0..vertex_count-1.  All values are immutable; constructions return new
+complexes (plus index maps where vertices are re-labelled), so references
+stay stable for provenance tracking.
+
+Validation lives where outside input enters: `from_maximal_simplices` checks
+each maximal simplex and that every vertex is used, and builds the downward
+closure itself.  Every other construction is closed and covers its vertices
+by construction (see each one), so `SimplicialComplex` checks nothing.
 """
 
 from __future__ import annotations
@@ -25,35 +30,17 @@ def faces(simplex: Simplex) -> list[Simplex]:
     return [simplex[:i] + simplex[i + 1 :] for i in range(len(simplex))]
 
 
-def _check_simplex(simplex: Simplex, vertex_count: int) -> None:
-    if len(simplex) == 0:
-        raise ComplexError("empty simplex")
-    if any(v < 0 or v >= vertex_count for v in simplex):
-        raise ComplexError(f"vertex id out of range in {simplex}")
-    if any(simplex[i] >= simplex[i + 1] for i in range(len(simplex) - 1)):
-        raise ComplexError(f"simplex {simplex} is not strictly increasing")
-
-
 @dataclass(frozen=True)
 class SimplicialComplex:
-    """Downward-closed set of sorted vertex tuples on a contiguous vertex range."""
+    """Downward-closed set of sorted vertex tuples covering a contiguous vertex range.
+
+    A plain value: the constructions of this module and `orbit_complex`
+    build only closed, covering families, and `from_maximal_simplices`
+    checks the outside input that all of them start from.
+    """
 
     vertex_count: int
     simplices: frozenset[Simplex]
-
-    def __post_init__(self) -> None:
-        if self.vertex_count < 0:
-            raise ComplexError("negative vertex count")
-        covered = set()
-        for s in self.simplices:
-            _check_simplex(s, self.vertex_count)
-            covered.update(s)
-            if len(s) > 1:
-                for f in faces(s):
-                    if f not in self.simplices:
-                        raise ComplexError(f"face {f} of {s} missing: not downward closed")
-        if covered != set(range(self.vertex_count)):
-            raise ComplexError("some vertex id appears in no simplex")
 
     @property
     def is_empty(self) -> bool:
@@ -123,19 +110,11 @@ class SimplicialComplex:
         return self.connected_components() == 1
 
 
-def downward_closure(maximal: list[Simplex]) -> set[Simplex]:
-    closed: set[Simplex] = set()
-    for s in maximal:
-        for k in range(1, len(s) + 1):
-            closed.update(combinations(s, k))
-    return closed
-
-
 def from_maximal_simplices(vertex_count: int, maximal: list[list[int]]) -> SimplicialComplex:
-    """Downward closure of the given maximal simplices.
+    """Downward closure of the given maximal simplices: the one check on outside input.
 
-    Raises ComplexError on duplicate vertices inside a tuple, out-of-range
-    ids, or an empty maximal list.
+    Raises ComplexError on an empty maximal list, an empty or out-of-range
+    simplex, duplicate vertices inside a tuple, or a vertex id in no simplex.
     """
     if not maximal:
         raise ComplexError("empty maximal simplex list")
@@ -144,12 +123,19 @@ def from_maximal_simplices(vertex_count: int, maximal: list[list[int]]) -> Simpl
         s = tuple(sorted(raw))
         if len(set(s)) != len(s):
             raise ComplexError(f"duplicate vertex in {raw}")
-        _check_simplex(s, vertex_count)
+        if not s:
+            raise ComplexError("empty simplex")
+        if s[0] < 0 or s[-1] >= vertex_count:
+            raise ComplexError(f"vertex id out of range in {s}")
         canon.append(s)
-    return SimplicialComplex(vertex_count, frozenset(downward_closure(canon)))
+    if {v for s in canon for v in s} != set(range(vertex_count)):
+        raise ComplexError("some vertex id appears in no simplex")
+    closure = {face for s in canon for k in range(1, len(s) + 1) for face in combinations(s, k)}
+    return SimplicialComplex(vertex_count, frozenset(closure))
 
 
 def empty_complex() -> SimplicialComplex:
+    """The complex with no simplices and no vertices: there is nothing to check."""
     return SimplicialComplex(0, frozenset())
 
 
@@ -223,7 +209,9 @@ def barycentric_subdivision(
     New vertices are the simplices of K (ids assigned in (dim, lex) order);
     new simplices are the chains of proper faces.  Returns the subdivision
     and the provenance map new-vertex-id -> simplex of K, which is what
-    group actions are transported along.
+    group actions are transported along.  The result is a complex: a
+    subchain of a chain is a chain, and every simplex of K is a 1-chain, so
+    every new vertex is used.
     """
     if K.is_empty:
         return K, {}
@@ -261,24 +249,12 @@ def full_subcomplex(
     """All simplices of K with vertices inside vertex_set, re-indexed contiguously.
 
     Returns the subcomplex and the old->new vertex index map.  An empty
-    selection yields the empty complex.
+    selection yields the empty complex.  The result is a complex: the faces
+    of a kept simplex are kept, and only the used vertices are relabelled.
     """
-    if any(v < 0 or v >= K.vertex_count for v in vertex_set):
-        raise ComplexError("vertex_set not contained in the vertex range")
     kept = [s for s in K.simplices if all(v in vertex_set for v in s)]
     used = sorted({v for s in kept for v in s})
     index_map = {old: new for new, old in enumerate(used)}
     relabelled = frozenset(tuple(index_map[v] for v in s) for s in kept)
     return SimplicialComplex(len(used), relabelled), index_map
 
-
-def connected_components(K: SimplicialComplex) -> int:
-    return K.connected_components()
-
-
-def euler_characteristic(K: SimplicialComplex) -> int:
-    return K.euler_characteristic()
-
-
-def dimension(K: SimplicialComplex) -> int:
-    return K.dim

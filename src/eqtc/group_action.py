@@ -13,10 +13,16 @@ fixed sets are full subcomplexes: if g.s = s, then g(v) lies in s and in the
 orbit of v, and v is the only vertex of s in that orbit.  Under (A) the
 simplices with one orbit image are the per-vertex images of any one of them,
 so (B) holds exactly when each such set is one G-orbit, which
-`check_regularity` counts.  Together (A) and (B) make the vertex-orbit
-quotient triangulate the orbit space.  Two barycentric subdivisions always
-suffice; the transported action is re-checked and the construction fails
-loudly if that ever breaks.
+`check_regularity` compares.  Together (A) and (B) make the vertex-orbit
+quotient triangulate the orbit space.
+
+The user's action is checked once, by `validate_action`.  A round of
+`regularize` that passes `check_regularity` also proves its action
+simplicial (see there), so the actions transported to the subdivisions are
+not re-validated, and the orbit images that round grouped by are the
+simplices of X/G, which `orbit_complex` reads instead of rescanning.  Two
+barycentric subdivisions always suffice; the construction fails loudly if
+that ever breaks.
 
 Groups are closed from generators by one BFS, `_close`.  `subgroups` runs it
 on element indices through the group's Cayley table, which only `subgroups`
@@ -242,7 +248,7 @@ def subgroups(G: FiniteGroup, mode: str = "all", cap: int = 256) -> list[Subgrou
 
 @dataclass(frozen=True)
 class GroupAction:
-    """A validated simplicial action of a finite group on a complex."""
+    """A vertex-permutation action, simplicial once validated or shown regular."""
 
     complex: SimplicialComplex
     group: FiniteGroup
@@ -271,8 +277,10 @@ def validate_action(K: SimplicialComplex, G: FiniteGroup) -> GroupAction:
 @dataclass(frozen=True)
 class RegularityCertificate:
     orbit_condition: bool  # (A)
-    transporter_condition: bool  # (B), checked only once (A) holds
+    transporter_condition: bool  # (B) and simpliciality, checked only once (A) holds
     failure: str | None = None
+    # on a pass, the orbit images: the simplices of X/G
+    images: frozenset[Simplex] | None = field(default=None, repr=False, compare=False)
 
     @property
     def ok(self) -> bool:
@@ -292,40 +300,51 @@ def vertex_orbits(action: GroupAction) -> list[int]:
 
 
 def check_regularity(action: GroupAction) -> RegularityCertificate:
-    """(A) simplex by simplex, then (B) by orbit counting.
+    """(A) simplex by simplex, then (B) by comparing orbits, on any action.
 
     Under (A), (B) holds exactly when the simplices sharing an orbit image
-    form one G-orbit (module docstring).  The G-orbit of a member lies in
-    its image's set, so comparing sizes suffices.
+    form one G-orbit (module docstring).  Each g.s has the orbit image of
+    s, so when every G-orbit of a first simplex per image lies in K, the
+    orbits lie in their images' sets, and they fill them exactly when their
+    sizes add up to |K|.  Every simplex t is then some g0.s, and h.t =
+    (h g0).s, so a pass also proves the action simplicial, without
+    `validate_action`.  The passing certificate keeps the orbit images.
     """
     K, G = action.complex, action.group
+    if G.is_trivial:  # every simplex is its own orbit and its own image
+        return RegularityCertificate(True, True, images=K.simplices)
     orbit = vertex_orbits(action)
-    by_image: dict[Simplex, list[Simplex]] = {}
-    for s in sorted(K.simplices):
-        image = tuple(sorted({orbit[v] for v in s}))
-        if len(image) != len(s):
-            return RegularityCertificate(False, True, f"simplex {s} has two vertices in one orbit")
-        by_image.setdefault(image, []).append(s)
-    for same in by_image.values():
-        s = same[0]
-        reached = {apply_perm(g, s) for g in G.elements}
-        if len(reached) != len(same):
-            t = next(t for t in same if t not in reached)
-            failure = f"image {t} of {s} is reachable vertexwise but by no single element"
+    first: dict[Simplex, Simplex] = {}  # orbit image -> its first simplex
+    for level in K.by_dim:  # the sorted listing that subdivision and connectivity share
+        for s in level:
+            image = tuple(sorted({orbit[v] for v in s}))
+            if len(image) != len(s):
+                failure = f"simplex {s} has two vertices in one orbit"
+                return RegularityCertificate(False, True, failure)
+            first.setdefault(image, s)
+    covered = 0
+    for s in first.values():
+        g_orbit = {apply_perm(g, s) for g in G.elements}
+        if not g_orbit <= K.simplices:
+            failure = f"image {min(g_orbit - K.simplices)} of {s} is not a simplex"
             return RegularityCertificate(True, False, failure)
-    return RegularityCertificate(True, True)
+        covered += len(g_orbit)
+    if covered != len(K.simplices):
+        missed = len(K.simplices) - covered
+        failure = f"{missed} simplices are reachable vertexwise but by no single element"
+        return RegularityCertificate(True, False, failure)
+    return RegularityCertificate(True, True, images=frozenset(first))
 
 
 @dataclass(frozen=True)
 class RegularAction:
     """A simplicial action satisfying the regularity conditions.
 
-    `action` lives on the (possibly subdivided) complex; `original` is the
-    complex as given, whose dimension is the one used for dimension bounds.
+    `action` lives on the (possibly subdivided) complex, and `certificate`
+    is its passing regularity check.
     """
 
     action: GroupAction
-    original: SimplicialComplex
     subdivision_rounds: int
     certificate: RegularityCertificate
     # fixed_subcomplex results by subgroup element set, each computed once
@@ -359,17 +378,19 @@ def regularize(A: GroupAction, max_rounds: int = 2) -> RegularAction:
     """Subdivide (at most twice) until the action is regular.
 
     Two barycentric subdivisions always regularize a finite simplicial
-    action, so exhausting max_rounds indicates a bug and fails loudly.
+    action, so exhausting max_rounds indicates a bug and fails loudly.  A
+    transported action needs no `validate_action`: the round that passes
+    proves its action simplicial.
     """
     current = A
     for rounds in range(max_rounds + 1):
         cert = check_regularity(current)
         if cert.ok:
-            return RegularAction(current, A.complex, rounds, cert)
+            return RegularAction(current, rounds, cert)
         if rounds == max_rounds:
             break
         sd, prov = barycentric_subdivision(current.complex)
-        current = validate_action(sd, transport_action(current.group, prov))
+        current = GroupAction(sd, transport_action(current.group, prov))
     raise AssertionError(f"action not regular after {max_rounds} subdivisions: {cert.failure}")
 
 
@@ -390,16 +411,15 @@ def fixed_subcomplex(R: RegularAction, H: Subgroup) -> tuple[SimplicialComplex, 
 
 
 def orbit_complex(R: RegularAction) -> tuple[SimplicialComplex, list[int]]:
-    """Simplicial quotient: vertices are vertex orbits, simplices orbit images."""
+    """Simplicial quotient: vertices are vertex orbits, simplices orbit images.
+
+    The images are the ones the passing regularity check grouped by, so the
+    complex is not scanned again.  They form a complex: a face of an image
+    is the image of a face, (A) keeps images the size of their simplex, and
+    every orbit is the image of one of its vertices.
+    """
     orbit = vertex_orbits(R.action)
-    images = set()
-    for s in R.complex.simplices:
-        image = tuple(sorted({orbit[v] for v in s}))
-        if len(image) != len(s):
-            raise AssertionError("regular action cannot collapse a simplex")
-        images.add(image)
-    quotient = SimplicialComplex(max(orbit) + 1, frozenset(images))
-    return quotient, orbit
+    return SimplicialComplex(max(orbit) + 1, R.certificate.images), orbit
 
 
 def isotropy(A: GroupAction, v: int) -> Subgroup:

@@ -5,7 +5,8 @@ package: dense Gauss-Jordan on lists of rows for ranks, kernels, pivot
 columns and cohomology representatives, the cup product on dense cochains,
 tensor multiplication by its formula, flat all-tuples enumeration for
 longest nonzero products (zero-divisors and basis classes), closure of every small generating set for the
-subgroup lattice, a per-simplex transporter search for regularity.  The
+subgroup lattice, a per-simplex transporter search for regularity, the
+checks a complex once ran on itself, and the quotient by a full rescan.  The
 package's matrices are lists of sparse columns and its cochains sparse
 vectors; to_rows, to_columns, to_dense and to_sparse convert at the test
 boundary.
@@ -275,3 +276,35 @@ def oracle_regularity(action) -> tuple[bool, bool, bool]:
         )
 
     return True, all(realizable(s, [], list(elements)) for s in simplices if len(s) > 1), True
+
+
+def oracle_is_complex(K) -> bool:
+    """Whether K is a complex: nonempty, strictly increasing simplices on
+    vertices 0..vertex_count-1, every face present, and every vertex used."""
+    n, simplices = K.vertex_count, K.simplices
+    for s in simplices:
+        if not s or s[0] < 0 or s[-1] >= n or any(a >= b for a, b in zip(s, s[1:])):
+            return False
+        if len(s) > 1 and any(s[:i] + s[i + 1:] not in simplices for i in range(len(s))):
+            return False
+    return n >= 0 and {v for s in simplices for v in s} == set(range(n))
+
+
+def oracle_orbit_complex(R) -> tuple[int, frozenset]:
+    """X/G by rescanning the regularized complex: (orbit count, orbit images).
+
+    Orbits are numbered by smallest member, and a collapsed simplex fails.
+    """
+    elements, n = R.group.elements, R.complex.vertex_count
+    orbit: dict[int, int] = {}
+    count = 0
+    for v in range(n):
+        if v not in orbit:
+            orbit.update((g[v], count) for g in elements)
+            count += 1
+    images = set()
+    for s in R.complex.simplices:
+        image = tuple(sorted({orbit[v] for v in s}))
+        assert len(image) == len(s), f"regular action collapses {s}"
+        images.add(image)
+    return count, frozenset(images)

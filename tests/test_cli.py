@@ -126,6 +126,15 @@ def test_analyze_non_simplicial_action_exit_code(tmp_path):
     assert code == EXIT_INVALID
 
 
+def test_analyze_unused_vertex_exit_code(tmp_path, capsys):
+    # the complex is checked once, where the problem file enters
+    path = write_example(tmp_path, "torus7", mutate=lambda d: d.update(vertex_count=8))
+    code, out = run(["analyze", path])
+    assert code == EXIT_INVALID == 2
+    assert out == ""
+    assert capsys.readouterr().err == "error: some vertex id appears in no simplex\n"
+
+
 def test_analyze_inconsistent_assertion_exit_code(tmp_path):
     def mutate(d):
         d["asserted_facts"] = [

@@ -9,15 +9,14 @@ from eqtc.complex_core import (
     SimplicialComplex,
     barycentric_subdivision,
     boundary_sphere,
-    connected_components,
     cycle_complex,
-    dimension,
     empty_complex,
-    euler_characteristic,
     from_maximal_simplices,
     full_subcomplex,
     solid_simplex,
 )
+
+from oracles import oracle_is_complex
 
 
 def test_triangle_boundary_from_maximal():
@@ -46,6 +45,13 @@ def test_from_maximal_rejects_bad_input():
         from_maximal_simplices(2, [[0, 2]])
     with pytest.raises(ComplexError):
         from_maximal_simplices(2, [])
+    # the one check on a complex, so it also rejects what a complex once did
+    with pytest.raises(ComplexError, match="some vertex id appears in no simplex"):
+        from_maximal_simplices(4, [[0, 1], [1, 2]])
+    with pytest.raises(ComplexError, match="empty simplex"):
+        from_maximal_simplices(2, [[0, 1], []])
+    with pytest.raises(ComplexError, match="out of range"):
+        from_maximal_simplices(2, [[-1, 0]])
 
 
 def test_boundary_spheres():
@@ -68,8 +74,9 @@ def test_cycle_complexes():
 
 
 def test_downward_closure_is_validated():
-    with pytest.raises(ComplexError):
-        SimplicialComplex(3, frozenset({(0, 1, 2)}))
+    # a complex validates nothing itself; the oracle keeps the checks
+    assert not oracle_is_complex(SimplicialComplex(3, frozenset({(0, 1, 2)})))
+    assert oracle_is_complex(solid_simplex(2))
 
 
 def test_subdivision_of_triangle_is_hexagon():
@@ -125,11 +132,11 @@ def test_full_subcomplex_empty_selection():
 
 
 def test_euler_and_components_builtins():
-    assert euler_characteristic(cycle_complex(4)) == 0
-    assert connected_components(cycle_complex(4)) == 1
-    assert euler_characteristic(boundary_sphere(2)) == 2
-    assert dimension(boundary_sphere(2)) == 2
-    assert connected_components(empty_complex()) == 0
+    assert cycle_complex(4).euler_characteristic() == 0
+    assert cycle_complex(4).connected_components() == 1
+    assert boundary_sphere(2).euler_characteristic() == 2
+    assert boundary_sphere(2).dim == 2
+    assert empty_complex().connected_components() == 0
 
 
 def test_random_maximal_lists_are_downward_closed():

@@ -1,8 +1,13 @@
 from __future__ import annotations
 
+import importlib.util
 import random
+import sys
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from eqtc.complex_core import (
     barycentric_subdivision,
@@ -14,6 +19,7 @@ from eqtc.complex_core import (
 from eqtc.group_action import (
     ActionError,
     CapExceeded,
+    GroupAction,
     GroupError,
     apply_perm,
     check_regularity,
@@ -34,7 +40,7 @@ from eqtc.group_action import (
 from eqtc.homology import betti_numbers, parse_field
 from eqtc.problems import builtin_examples
 
-from oracles import oracle_regularity, oracle_subgroups
+from oracles import oracle_is_complex, oracle_orbit_complex, oracle_regularity, oracle_subgroups
 
 F2 = parse_field("F2")
 Q = parse_field("Q")
@@ -207,10 +213,11 @@ def test_regularize_hexagon_antipodal_is_immediate():
 
 
 def test_regularize_sphere_reflection():
-    R = regular(boundary_sphere(2), [[1, 0, 2, 3]])
+    K = boundary_sphere(2)
+    R = regular(K, [[1, 0, 2, 3]])
     assert 1 <= R.subdivision_rounds <= 2
     assert R.certificate.ok
-    assert R.original.dim == R.complex.dim == 2
+    assert R.complex.dim == K.dim == 2
 
 
 def _rounds(K, gens):
@@ -263,6 +270,120 @@ def test_check_regularity_agrees_with_transporter_search_oracle():
     assert results["ngon-rotation-6", 1] == (True, False)
     assert any(not a for a, _ in results.values())
     assert any(a and b for a, b in results.values())
+
+
+def _is_simplicial(A) -> bool:
+    return all(
+        tuple(sorted(g[v] for v in s)) in A.complex.simplices
+        for g in A.group.elements
+        for s in A.complex.simplices
+    )
+
+
+def test_check_regularity_rejects_a_non_simplicial_action():
+    # the swap maps the edge (0, 3) to (1, 2), which is not a simplex, while
+    # the two edges share one orbit image, so counting alone reads "regular"
+    K = from_maximal_simplices(4, [[0, 3], [1, 3], [2]])
+    A = GroupAction(K, group_closure(4, [[1, 0, 3, 2]]))
+    cert = check_regularity(A)
+    assert not cert.ok
+    assert cert.failure == "image (1, 2) of (0, 3) is not a simplex"
+    with pytest.raises(ActionError):
+        validate_action(K, A.group)
+
+
+def test_check_regularity_reports_a_non_simplex_image_without_raising():
+    # the G-orbit of (0, 2) holds (1, 3), which is not a simplex, and no other
+    # simplex shares its orbit image: a search for an unreached simplex finds none
+    K = from_maximal_simplices(4, [[0, 2], [1], [3]])
+    cert = check_regularity(GroupAction(K, group_closure(4, [[1, 0, 3, 2]])))
+    assert not cert.ok
+    assert cert.failure == "image (1, 3) of (0, 2) is not a simplex"
+
+
+@st.composite
+def unvalidated_actions(draw):
+    """A random complex on at most six vertices and one or two random permutations."""
+    n = draw(st.integers(1, 6), label="vertices")
+    tops = draw(st.lists(st.lists(st.integers(0, n - 1), min_size=1, max_size=3, unique=True),
+                         min_size=1, max_size=6), label="maximal simplices")
+    tops += [[v] for v in range(n)]
+    gens = draw(st.lists(st.permutations(range(n)), min_size=1, max_size=2), label="generators")
+    return GroupAction(from_maximal_simplices(n, tops), group_closure(n, gens))
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(unvalidated_actions())
+def test_check_regularity_passes_only_simplicial_regular_actions(A):
+    # a pass proves the action simplicial, which is why regularize does not
+    # validate the actions it transports
+    cert = check_regularity(A)
+    assert cert.ok == (_is_simplicial(A) and all(oracle_regularity(A)))
+
+
+def _corpus():
+    """perfbench/corpus.py, loaded by path: the benchmark's seeded problem families."""
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_corpus", Path(__file__).resolve().parents[1] / "perfbench" / "corpus.py")
+    module = sys.modules[spec.name] = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def _check_constructions(K, gens) -> None:
+    """Every complex regularization builds is a complex, and X/G is the rescan's."""
+    assert oracle_is_complex(K)
+    R = regular(K, gens)
+    sd = K
+    for _ in range(R.subdivision_rounds):
+        sd, _ = barycentric_subdivision(sd)
+        assert oracle_is_complex(sd)
+    assert sd.simplices == R.complex.simplices
+    for H in subgroups(R.group, "up_to_conjugacy"):
+        fixed, _ = fixed_subcomplex(R, H)
+        assert oracle_is_complex(fixed)
+    quotient, orbit = orbit_complex(R)
+    assert oracle_is_complex(quotient)
+    assert (quotient.vertex_count, quotient.simplices) == oracle_orbit_complex(R)
+    assert max(orbit) + 1 == quotient.vertex_count
+
+
+def test_constructions_are_complexes_on_builtins_and_corpus():
+    inputs = _regularity_inputs()
+    corpus = _corpus()
+    families = {c.family for w in ("regularize", "lattice", "cohomology")
+                for c in corpus.WORKLOADS[w].commands}
+    for family in sorted(families):
+        data = corpus.build(family, 0)
+        K = from_maximal_simplices(data["vertex_count"], data["maximal_simplices"])
+        inputs[family] = (K, data.get("group_generators", []))
+    for K, gens in inputs.values():
+        _check_constructions(K, gens)
+
+
+@st.composite
+def invariant_actions(draw):
+    """A random complex on at most six vertices, closed under a random permutation."""
+    n = draw(st.integers(1, 6), label="vertices")
+    p = draw(st.permutations(range(n)), label="generator")
+    tops = draw(st.lists(st.lists(st.integers(0, n - 1), min_size=1, max_size=3, unique=True),
+                         min_size=1, max_size=4), label="maximal simplices")
+    tops += [[v] for v in range(n)]
+    orbits = []
+    for s in tops:
+        t = sorted(s)
+        while True:
+            orbits.append(t)
+            t = sorted(p[v] for v in t)
+            if t == sorted(s):
+                break
+    return from_maximal_simplices(n, orbits), [p]
+
+
+@settings(derandomize=True, deadline=None, max_examples=100)
+@given(invariant_actions())
+def test_constructions_are_complexes_on_random_actions(action):
+    _check_constructions(*action)
 
 
 def test_weak_condition_fails_before_subdivision():

@@ -5,11 +5,13 @@ from __future__ import annotations
 from dataclasses import replace
 from functools import cache
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from eqtc.bounds import Quantity, analyze_problem
+from eqtc.bounds import EngineConfig, Quantity, analyze_problem
 from eqtc.complex_core import barycentric_subdivision, from_maximal_simplices
+from eqtc.group_action import group_closure, transport_action
 from eqtc.homology import betti_numbers, parse_field
 from eqtc.problems import Problem, builtin_examples
 from eqtc.ring import (
@@ -139,3 +141,55 @@ def test_subdivision_leaves_certificate_lengths_unchanged(K):
     sd, _ = barycentric_subdivision(K)
     for field in (F2, F3, Q):
         assert certificate_lengths(sd, field) == certificate_lengths(K, field)
+
+
+def subdivide(problem: Problem) -> Problem:
+    """The problem on the first barycentric subdivision, with its generators transported."""
+    K = from_maximal_simplices(problem.vertex_count, [list(s) for s in problem.maximal_simplices])
+    sd, provenance = barycentric_subdivision(K)
+    G = group_closure(K.vertex_count, [list(g) for g in problem.group_generators])
+    return replace(
+        problem,
+        vertex_count=sd.vertex_count,
+        maximal_simplices=tuple(sorted(sd.simplices)),
+        group_generators=transport_action(G, provenance).generators,
+    )
+
+
+def equivariant_invariants(problem: Problem):
+    """Per subgroup order, the fixed sets' R1/R2 lengths per field and DISC
+    component counts; then the same for X/G.  No space is skipped."""
+    fb = analyze_problem(problem, EngineConfig(max_ring_simplices=10**6))
+    ctx = fb.contexts[""]
+    disc = {b.quantity.space: b.certificate["components"] for b in fb.bounds if b.rule == "DISC"}
+
+    def space(key):
+        info = ctx.spaces[key]
+        assert info.skip_reason is None, info.skip_reason
+        lengths = {name: None if certs is None else tuple(c.length for c in certs)
+                   for name, certs in info.certificates.items()}
+        return lengths, disc.get(key)
+
+    by_order: dict[int, list] = {}
+    for c in ctx.classes:
+        by_order.setdefault(c.order, []).append(space(c.fixed_space))
+    return {order: sorted(spaces, key=repr) for order, spaces in by_order.items()}, space("orbit")
+
+
+SUBDIVIDED = (
+    "ngon-rotation-3",
+    "ngon-rotation-4",
+    "ngon-rotation-5",
+    "ngon-rotation-6",
+    "ngon-antipodal",
+    "sphere-reflection-n1",
+    "sphere-reflection-n2",
+)
+
+
+@pytest.mark.parametrize("name", SUBDIVIDED)
+def test_subdivision_leaves_equivariant_certificates_unchanged(name):
+    # |X^H| and |X/G| do not change when X is subdivided and the action
+    # transported, so neither do their rings nor their component counts
+    before = equivariant_invariants(EXAMPLES[name])
+    assert equivariant_invariants(subdivide(EXAMPLES[name])) == before
