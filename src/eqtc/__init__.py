@@ -29,7 +29,6 @@ from eqtc.complex_core import (
 )
 from eqtc.group_action import (
     FiniteGroup,
-    GroupAction,
     RegularAction,
     Subgroup,
     fixed_subcomplex,
@@ -72,7 +71,6 @@ __all__ = [
     "solid_simplex",
     "torus_seven_vertex",
     "FiniteGroup",
-    "GroupAction",
     "RegularAction",
     "Subgroup",
     "fixed_subcomplex",

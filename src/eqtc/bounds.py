@@ -399,8 +399,8 @@ def _build_action_context(name: str, problem: Problem, config: EngineConfig) -> 
     ctx.complex = K
     G = group_closure(K.vertex_count, [list(g) for g in problem.group_generators],
                       cap=config.group_order_cap)
-    action = validate_action(K, G)
-    R = regularize(action)
+    validate_action(K, G)
+    R = regularize(K, G)
     if R.complex.dim != K.dim:
         raise AssertionError("subdivision must preserve dimension")
     ctx.regular = R
@@ -426,7 +426,7 @@ def _build_action_context(name: str, problem: Problem, config: EngineConfig) -> 
             if H.is_trivial:
                 fixed_key = "X"
             else:
-                fixed, _ = fixed_subcomplex(R, H)
+                fixed = fixed_subcomplex(R, H)
                 fixed_key = f"fix:{key}"
                 info = SpaceInfo(fixed_key, f"X^{display}", fixed, empty=fixed.is_empty)
                 if not fixed.is_empty:
@@ -436,8 +436,7 @@ def _build_action_context(name: str, problem: Problem, config: EngineConfig) -> 
                 SubgroupClassInfo(key, display, H, H.order, H.is_trivial, H.is_full, fixed_key)
             )
 
-        quotient, _ = orbit_complex(R)
-        orbit_info = SpaceInfo("orbit", "X/G", quotient)
+        orbit_info = SpaceInfo("orbit", "X/G", orbit_complex(R))
         _analyze_space(orbit_info, config, known)
         ctx.spaces["orbit"] = orbit_info
 
@@ -454,7 +453,7 @@ def _build_action_context(name: str, problem: Problem, config: EngineConfig) -> 
         for cls in ctx.classes:
             for conj in cls.subgroup.conjugates:
                 class_of.setdefault(conj, cls.key)
-        stabilizers = {isotropy(R.action, v).members for v in range(R.complex.vertex_count)}
+        stabilizers = {isotropy(R.group, v).members for v in range(R.complex.vertex_count)}
         ctx.isotropy_classes = tuple(sorted({class_of[s] for s in stabilizers}))
 
         if "free_action" in ctx.annotations and ctx.fixed_vertex:

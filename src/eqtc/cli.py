@@ -117,7 +117,8 @@ def _regularized(problem: Problem, config: EngineConfig):
     G = group_closure(
         K.vertex_count, [list(g) for g in problem.group_generators], cap=config.group_order_cap
     )
-    return regularize(validate_action(K, G))
+    validate_action(K, G)
+    return regularize(K, G)
 
 
 def cmd_analyze(args: argparse.Namespace, out) -> int:
@@ -184,7 +185,7 @@ def cmd_fixed(args: argparse.Namespace, out) -> int:
             raise ProblemFormatError(
                 f"--subgroup must be 'full', 'trivial', or 0..{len(classes) - 1}"
             ) from None
-    fixed, _ = fixed_subcomplex(R, H)
+    fixed = fixed_subcomplex(R, H)
     if fixed.is_empty:
         out.write("empty\n")
     else:

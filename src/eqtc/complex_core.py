@@ -3,8 +3,8 @@
 A simplex is a strictly increasing tuple of vertex ids; a complex is a
 downward-closed family of simplices that covers the vertices
 0..vertex_count-1.  All values are immutable; constructions return new
-complexes (plus index maps where vertices are re-labelled), so references
-stay stable for provenance tracking.
+complexes (the subdivision with its provenance map), so references stay
+stable for provenance tracking.
 
 Validation lives where outside input enters: `from_maximal_simplices` checks
 each maximal simplex and that every vertex is used, and builds the downward
@@ -14,6 +14,7 @@ by construction (see each one), so `SimplicialComplex` checks nothing.
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations
@@ -46,16 +47,19 @@ class SimplicialComplex:
     def is_empty(self) -> bool:
         return not self.simplices
 
-    @cached_property
+    @property
     def dim(self) -> int:
         """Maximal simplex dimension; -1 for the empty complex."""
-        return max((len(s) for s in self.simplices), default=0) - 1
+        return len(self.by_dim) - 1
 
     @cached_property
     def by_dim(self) -> list[list[Simplex]]:
-        out: list[list[Simplex]] = [[] for _ in range(self.dim + 1)]
+        """The sorted simplices of each dimension, in one pass: a complex is
+        downward closed, so every size up to the largest occurs."""
+        levels: dict[int, list[Simplex]] = defaultdict(list)
         for s in self.simplices:
-            out[len(s) - 1].append(s)
+            levels[len(s)].append(s)
+        out = [levels[k] for k in range(1, len(levels) + 1)]
         for level in out:
             level.sort()
         return out
@@ -243,18 +247,16 @@ def barycentric_subdivision(
     return sd, provenance
 
 
-def full_subcomplex(
-    K: SimplicialComplex, vertex_set: set[int]
-) -> tuple[SimplicialComplex, dict[int, int]]:
+def full_subcomplex(K: SimplicialComplex, vertex_set: set[int]) -> SimplicialComplex:
     """All simplices of K with vertices inside vertex_set, re-indexed contiguously.
 
-    Returns the subcomplex and the old->new vertex index map.  An empty
-    selection yields the empty complex.  The result is a complex: the faces
-    of a kept simplex are kept, and only the used vertices are relabelled.
+    The kept vertices are renumbered in their old order, so simplices stay
+    sorted.  An empty selection yields the empty complex.  The result is a
+    complex: the faces of a kept simplex are kept, and only used vertices
+    are relabelled.
     """
-    kept = [s for s in K.simplices if all(v in vertex_set for v in s)]
-    used = sorted({v for s in kept for v in s})
-    index_map = {old: new for new, old in enumerate(used)}
-    relabelled = frozenset(tuple(index_map[v] for v in s) for s in kept)
-    return SimplicialComplex(len(used), relabelled), index_map
+    kept = [s for s in K.simplices if vertex_set.issuperset(s)]
+    index_map = {old: new for new, old in enumerate(sorted({v for s in kept for v in s}))}
+    relabelled = frozenset(tuple(map(index_map.__getitem__, s)) for s in kept)
+    return SimplicialComplex(len(index_map), relabelled)
 

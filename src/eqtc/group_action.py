@@ -16,13 +16,15 @@ so (B) holds exactly when each such set is one G-orbit, which
 `check_regularity` compares.  Together (A) and (B) make the vertex-orbit
 quotient triangulate the orbit space.
 
-The user's action is checked once, by `validate_action`.  A round of
-`regularize` that passes `check_regularity` also proves its action
-simplicial (see there), so the actions transported to the subdivisions are
-not re-validated, and the orbit images that round grouped by are the
-simplices of X/G, which `orbit_complex` reads instead of rescanning.  Two
+The user's action, a complex K and a group G on its vertices, is checked
+once, by `validate_action`.  A round of `regularize` that passes
+`check_regularity` also proves its action simplicial (see there), so the
+actions transported to the subdivisions are not re-validated.  Two
 barycentric subdivisions always suffice; the construction fails loudly if
-that ever breaks.
+that ever breaks.  The result, `RegularAction`, holds what the bounds read
+off it: the complex (fixed sets X^H), the group (isotropy groups), and the
+passing round's orbit images, the simplices of X/G, which `orbit_complex`
+reads instead of rescanning.
 
 Groups are closed from generators by one BFS, `_close`.  `subgroups` runs it
 on element indices through the group's Cayley table, which only `subgroups`
@@ -98,9 +100,6 @@ class FiniteGroup:
     @property
     def is_trivial(self) -> bool:
         return self.order == 1
-
-    def __contains__(self, p: Perm) -> bool:
-        return p in self.index
 
     @cached_property
     def index(self) -> dict[Perm, int]:
@@ -246,15 +245,7 @@ def subgroups(G: FiniteGroup, mode: str = "all", cap: int = 256) -> list[Subgrou
     return classes
 
 
-@dataclass(frozen=True)
-class GroupAction:
-    """A vertex-permutation action, simplicial once validated or shown regular."""
-
-    complex: SimplicialComplex
-    group: FiniteGroup
-
-
-def validate_action(K: SimplicialComplex, G: FiniteGroup) -> GroupAction:
+def validate_action(K: SimplicialComplex, G: FiniteGroup) -> None:
     """Check every generator maps simplices to simplices.
 
     Generators suffice: products of simplicial bijections are simplicial,
@@ -271,35 +262,21 @@ def validate_action(K: SimplicialComplex, G: FiniteGroup) -> GroupAction:
                     f"not a simplicial action: image {apply_perm(g, s)} of simplex "
                     f"{s} under {g} is not a simplex"
                 )
-    return GroupAction(K, G)
 
 
-@dataclass(frozen=True)
-class RegularityCertificate:
-    orbit_condition: bool  # (A)
-    transporter_condition: bool  # (B) and simpliciality, checked only once (A) holds
-    failure: str | None = None
-    # on a pass, the orbit images: the simplices of X/G
-    images: frozenset[Simplex] | None = field(default=None, repr=False, compare=False)
-
-    @property
-    def ok(self) -> bool:
-        return self.orbit_condition and self.transporter_condition
-
-
-def vertex_orbits(action: GroupAction) -> list[int]:
+def vertex_orbits(G: FiniteGroup) -> list[int]:
     """Vertex -> orbit id, orbits numbered by smallest member."""
-    orbit = [-1] * action.complex.vertex_count
+    orbit = [-1] * G.degree
     next_id = 0
     for v in range(len(orbit)):
         if orbit[v] == -1:
-            for g in action.group.elements:
+            for g in G.elements:
                 orbit[g[v]] = next_id
             next_id += 1
     return orbit
 
 
-def check_regularity(action: GroupAction) -> RegularityCertificate:
+def check_regularity(K: SimplicialComplex, G: FiniteGroup) -> frozenset[Simplex] | str:
     """(A) simplex by simplex, then (B) by comparing orbits, on any action.
 
     Under (A), (B) holds exactly when the simplices sharing an orbit image
@@ -308,55 +285,46 @@ def check_regularity(action: GroupAction) -> RegularityCertificate:
     orbits lie in their images' sets, and they fill them exactly when their
     sizes add up to |K|.  Every simplex t is then some g0.s, and h.t =
     (h g0).s, so a pass also proves the action simplicial, without
-    `validate_action`.  The passing certificate keeps the orbit images.
+    `validate_action`.  A pass returns the orbit images, the simplices of
+    X/G; a failure returns its message.
     """
-    K, G = action.complex, action.group
     if G.is_trivial:  # every simplex is its own orbit and its own image
-        return RegularityCertificate(True, True, images=K.simplices)
-    orbit = vertex_orbits(action)
+        return K.simplices
+    orbit = vertex_orbits(G)
     first: dict[Simplex, Simplex] = {}  # orbit image -> its first simplex
     for level in K.by_dim:  # the sorted listing that subdivision and connectivity share
         for s in level:
             image = tuple(sorted({orbit[v] for v in s}))
             if len(image) != len(s):
-                failure = f"simplex {s} has two vertices in one orbit"
-                return RegularityCertificate(False, True, failure)
+                return f"simplex {s} has two vertices in one orbit"
             first.setdefault(image, s)
     covered = 0
     for s in first.values():
         g_orbit = {apply_perm(g, s) for g in G.elements}
         if not g_orbit <= K.simplices:
-            failure = f"image {min(g_orbit - K.simplices)} of {s} is not a simplex"
-            return RegularityCertificate(True, False, failure)
+            return f"image {min(g_orbit - K.simplices)} of {s} is not a simplex"
         covered += len(g_orbit)
     if covered != len(K.simplices):
         missed = len(K.simplices) - covered
-        failure = f"{missed} simplices are reachable vertexwise but by no single element"
-        return RegularityCertificate(True, False, failure)
-    return RegularityCertificate(True, True, images=frozenset(first))
+        return f"{missed} simplices are reachable vertexwise but by no single element"
+    return frozenset(first)
 
 
 @dataclass(frozen=True)
 class RegularAction:
     """A simplicial action satisfying the regularity conditions.
 
-    `action` lives on the (possibly subdivided) complex, and `certificate`
-    is its passing regularity check.
+    `group` acts on `complex`, the input after `subdivision_rounds`
+    barycentric subdivisions, and `images` are the orbit images of its
+    passing regularity check: the simplices of X/G.
     """
 
-    action: GroupAction
+    complex: SimplicialComplex
+    group: FiniteGroup
     subdivision_rounds: int
-    certificate: RegularityCertificate
+    images: frozenset[Simplex]
     # fixed_subcomplex results by subgroup element set, each computed once
     _fixed: dict = field(default_factory=dict, init=False, repr=False, compare=False)
-
-    @property
-    def complex(self) -> SimplicialComplex:
-        return self.action.complex
-
-    @property
-    def group(self) -> FiniteGroup:
-        return self.action.group
 
 
 def transport_action(G: FiniteGroup, provenance: dict[int, Simplex]) -> FiniteGroup:
@@ -374,43 +342,44 @@ def transport_action(G: FiniteGroup, provenance: dict[int, Simplex]) -> FiniteGr
     )
 
 
-def regularize(A: GroupAction, max_rounds: int = 2) -> RegularAction:
-    """Subdivide (at most twice) until the action is regular.
+# Two barycentric subdivisions always regularize a finite simplicial action.
+MAX_ROUNDS = 2
 
-    Two barycentric subdivisions always regularize a finite simplicial
-    action, so exhausting max_rounds indicates a bug and fails loudly.  A
-    transported action needs no `validate_action`: the round that passes
-    proves its action simplicial.
+
+def regularize(K: SimplicialComplex, G: FiniteGroup) -> RegularAction:
+    """Subdivide (at most MAX_ROUNDS times) until the validated action is regular.
+
+    Exhausting the rounds indicates a bug and fails loudly.  A transported
+    action needs no `validate_action`: the round that passes proves its
+    action simplicial.
     """
-    current = A
-    for rounds in range(max_rounds + 1):
-        cert = check_regularity(current)
-        if cert.ok:
-            return RegularAction(current, rounds, cert)
-        if rounds == max_rounds:
+    for rounds in range(MAX_ROUNDS + 1):
+        result = check_regularity(K, G)
+        if not isinstance(result, str):
+            return RegularAction(K, G, rounds, result)
+        if rounds == MAX_ROUNDS:
             break
-        sd, prov = barycentric_subdivision(current.complex)
-        current = GroupAction(sd, transport_action(current.group, prov))
-    raise AssertionError(f"action not regular after {max_rounds} subdivisions: {cert.failure}")
+        K, provenance = barycentric_subdivision(K)
+        G = transport_action(G, provenance)
+    raise AssertionError(f"action not regular after {MAX_ROUNDS} subdivisions: {result}")
 
 
-def fixed_subcomplex(R: RegularAction, H: Subgroup) -> tuple[SimplicialComplex, dict[int, int]]:
-    """Full subcomplex on the vertices fixed by every element of H.
+def fixed_subcomplex(R: RegularAction, H: Subgroup) -> SimplicialComplex:
+    """Full subcomplex on the vertices fixed by every element of H (possibly empty).
 
-    Under regularity this triangulates the geometric H-fixed set.  Returns
-    the subcomplex (possibly empty) and the old->new vertex map.  Each fixed
-    set is built once per RegularAction.
+    Under regularity this triangulates the geometric H-fixed set.  Each
+    fixed set is built once per RegularAction.
     """
     if H.is_trivial:  # the whole complex, uncopied: each vertex lies in a simplex
-        return R.complex, {v: v for v in range(R.complex.vertex_count)}
-    cached = R._fixed.get(H.elements)
-    if cached is None:
-        fixed = {v for v in range(R.complex.vertex_count) if all(h[v] == v for h in H.elements)}
-        cached = R._fixed[H.elements] = full_subcomplex(R.complex, fixed)
-    return cached[0], dict(cached[1])
+        return R.complex
+    fixed = R._fixed.get(H.elements)
+    if fixed is None:
+        vertices = {v for v in range(R.complex.vertex_count) if all(h[v] == v for h in H.elements)}
+        fixed = R._fixed[H.elements] = full_subcomplex(R.complex, vertices)
+    return fixed
 
 
-def orbit_complex(R: RegularAction) -> tuple[SimplicialComplex, list[int]]:
+def orbit_complex(R: RegularAction) -> SimplicialComplex:
     """Simplicial quotient: vertices are vertex orbits, simplices orbit images.
 
     The images are the ones the passing regularity check grouped by, so the
@@ -418,15 +387,14 @@ def orbit_complex(R: RegularAction) -> tuple[SimplicialComplex, list[int]]:
     is the image of a face, (A) keeps images the size of their simplex, and
     every orbit is the image of one of its vertices.
     """
-    orbit = vertex_orbits(R.action)
-    return SimplicialComplex(max(orbit) + 1, R.certificate.images), orbit
+    return SimplicialComplex(max(vertex_orbits(R.group)) + 1, R.images)
 
 
-def isotropy(A: GroupAction, v: int) -> Subgroup:
+def isotropy(G: FiniteGroup, v: int) -> Subgroup:
     """Stabilizer subgroup of a vertex."""
-    if v < 0 or v >= A.complex.vertex_count:
+    if v < 0 or v >= G.degree:
         raise ActionError(f"vertex {v} out of range")
-    return Subgroup(A.group, frozenset(i for i, g in enumerate(A.group.elements) if g[v] == v))
+    return Subgroup(G, frozenset(i for i, g in enumerate(G.elements) if g[v] == v))
 
 
 def has_fixed_vertex(R: RegularAction) -> bool:
@@ -440,18 +408,16 @@ class GConnectivity:
     empty_classes: tuple[int, ...]  # class positions with empty fixed set
 
 
-def is_G_connected(R: RegularAction, classes: list[Subgroup] | None = None) -> GConnectivity:
-    """Path-connectivity of every fixed set, one subgroup per conjugacy class.
+def is_G_connected(R: RegularAction, classes: list[Subgroup]) -> GConnectivity:
+    """Path-connectivity of the fixed sets of `classes`, one subgroup per conjugacy class.
 
     Conjugate subgroups have simplicially isomorphic fixed sets, so classes
     suffice.  An empty fixed set counts as connected (the free-action
     convention); its class is reported so callers can flag the caveat.
     """
-    if classes is None:
-        classes = subgroups(R.group, "up_to_conjugacy")
     empty: list[int] = []
     for pos, H in enumerate(classes):
-        fixed, _ = fixed_subcomplex(R, H)
+        fixed = fixed_subcomplex(R, H)
         if fixed.is_empty:
             empty.append(pos)
             continue

@@ -17,6 +17,7 @@ appended later, and solves against them.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import isqrt
 
 
 class FieldError(ValueError):
@@ -27,7 +28,7 @@ class PrimeField:
     """Arithmetic mod a prime p, elements represented as ints in 0..p-1."""
 
     def __init__(self, p: int):
-        if p < 2 or any(p % d == 0 for d in range(2, int(p**0.5) + 1)):
+        if p < 2 or any(p % d == 0 for d in range(2, isqrt(p) + 1)):
             raise FieldError(f"{p} is not prime")
         self.p = p
         self.name = f"F{p}"
@@ -104,13 +105,18 @@ _CACHE: dict[str, Field] = {}
 
 
 def parse_field(spec: str) -> Field:
-    """Field from a short name: "Q" or "F<p>" (e.g. "F2", "F3")."""
+    """Field from a short name: "Q" or "F<p>" (e.g. "F2", "F3") with p below 2^32."""
     key = spec.strip()
     if key not in _CACHE:
         if key in ("Q", "QQ", "q"):
             _CACHE[key] = RationalField()
-        elif key.upper().startswith("F") and key[1:].isdigit():
-            _CACHE[key] = PrimeField(int(key[1:]))
+        elif key[:1] in ("F", "f") and key[1:].isascii() and key[1:].isdigit():
+            digits = key[1:].lstrip("0") or "0"
+            # p < 2^32 bounds trial division by 2^16 steps; the digits are counted
+            # first, as int() of a huge digit string is slow or refused
+            if len(digits) > 10 or int(digits) >= 2**32:
+                raise FieldError("the characteristic of a field F<p> must be below 2^32")
+            _CACHE[key] = PrimeField(int(digits))
         else:
             raise FieldError(f"unknown field {spec!r} (expected Q or F<prime>)")
     return _CACHE[key]

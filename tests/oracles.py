@@ -245,7 +245,7 @@ def oracle_subgroups(elements, degree: int):
     return as_perms(every), as_perms(classes)
 
 
-def oracle_regularity(action) -> tuple[bool, bool, bool]:
+def oracle_regularity(K, G) -> tuple[bool, bool, bool]:
     """Conditions (A), (B) and "setwise-fixed implies pointwise-fixed", by direct search.
 
     (A) compares orbit sets per simplex.  The weak condition tries every
@@ -255,7 +255,7 @@ def oracle_regularity(action) -> tuple[bool, bool, bool]:
     the later checks run only once the earlier ones hold and read True
     otherwise.  Returns (A, B, weak).
     """
-    K, elements = action.complex, action.group.elements
+    elements = G.elements
     orbit = [frozenset(g[v] for g in elements) for v in range(K.vertex_count)]
     simplices = sorted(K.simplices)
     if any(len({orbit[v] for v in s}) != len(s) for s in simplices):

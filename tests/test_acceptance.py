@@ -117,9 +117,11 @@ def test_criterion_4_fixed_set_geometry():
     for n, want in ((2, (1, 1)), (3, (1, 0, 1))):
         K = boundary_sphere(n)
         swap = [1, 0] + list(range(2, n + 2))
-        R = regularize(validate_action(K, group_closure(n + 2, [swap])))
+        G = group_closure(n + 2, [swap])
+        validate_action(K, G)
+        R = regularize(K, G)
         full = subgroups(R.group, "up_to_conjugacy")[-1]
-        fixed, _ = fixed_subcomplex(R, full)
+        fixed = fixed_subcomplex(R, full)
         for field in FIELDS:
             assert betti_numbers(fixed, field) == want
     print("PASS criterion 4: reflection fixed sets have the Betti numbers of the equator sphere")

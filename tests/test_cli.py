@@ -2,7 +2,9 @@ from __future__ import annotations
 
 import io
 import json
+import signal
 import time
+from contextlib import contextmanager
 
 import pytest
 
@@ -289,12 +291,49 @@ def test_betti_and_cupfind_reject_malformed_config(tmp_path, verb):
         ([], {"max_ring_simplices": "4000"}),
         ([], {"fields": "F2"}),
         ([], {"fields": [2]}),
+        ([], {"fields": ["F\u00b2"]}),  # a digit to str.isdigit, not to int()
     ],
 )
 def test_bad_engine_settings_exit_invalid(tmp_path, capsys, argv_tail, config):
     path = write_example(tmp_path, "torus7", mutate=lambda d: d.update(config=config))
     assert run(["analyze", path, *argv_tail])[0] == EXIT_INVALID
     assert "error: " in capsys.readouterr().err
+
+
+@contextmanager
+def deadline(seconds):
+    """Raise TimeoutError in the block once `seconds` of wall time have passed."""
+    def expire(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        "F" + "9" * 400,  # p**0.5 overflowed a float
+        "F" + "1" * 5000,  # past Python's int-string limit
+        "F1000000000000000000000000000057",  # trial division ran for minutes
+    ],
+    ids=["float-overflow", "int-string-limit", "long-trial-division"],
+)
+def test_huge_field_characteristic_exits_invalid_at_once(tmp_path, capsys, spec):
+    # in-process, so an uncaught exception fails the test instead of printing a
+    # traceback, and the timer stops a slow check instead of leaving it running
+    betti = ["betti", write_example(tmp_path, "torus7"), "--field", spec]
+    in_config = write_example(tmp_path, "torus7", mutate=lambda d: d.update(config={"fields": [spec]}))
+    for argv in (betti, ["analyze", in_config]):
+        with deadline(1.0):
+            code, out = run(argv)
+        assert (code, out) == (EXIT_INVALID, "")
+        assert "characteristic of a field F<p> must be below 2^32" in capsys.readouterr().err
 
 
 def test_bad_group_cap_env_exits_invalid(tmp_path, monkeypatch):

@@ -109,26 +109,27 @@ def test_subdivision_preserves_euler_characteristic():
 
 
 def test_full_subcomplex_square_opposite_corners():
-    sub, index_map = full_subcomplex(cycle_complex(4), {0, 2})
+    sub = full_subcomplex(cycle_complex(4), {0, 2})
     assert sub.f_vector() == (2,)
     assert sub.connected_components() == 2
-    assert index_map == {0: 0, 2: 1}
+    assert sub.simplices == {(0,), (1,)}  # 0 -> 0, 2 -> 1
 
 
 def test_full_subcomplex_identity_and_edge():
     K = boundary_sphere(2)
-    whole, imap = full_subcomplex(K, set(range(4)))
-    assert whole.simplices == K.simplices
-    assert imap == {v: v for v in range(4)}
-    edge, _ = full_subcomplex(K, {0, 1})
+    whole = full_subcomplex(K, set(range(4)))
+    assert whole.simplices == K.simplices  # every vertex keeps its id
+    edge = full_subcomplex(K, {0, 1})
     assert edge.f_vector() == (2, 1)
+    # 1 -> 0 and 3 -> 1: kept vertices keep their order, so the edge stays sorted
+    assert full_subcomplex(K, {1, 3}).simplices == {(0,), (1,), (0, 1)}
 
 
 def test_full_subcomplex_empty_selection():
-    sub, index_map = full_subcomplex(boundary_sphere(2), set())
+    sub = full_subcomplex(boundary_sphere(2), set())
     assert sub.is_empty
     assert sub.connected_components() == 0
-    assert index_map == {}
+    assert sub.vertex_count == 0
 
 
 def test_euler_and_components_builtins():

@@ -19,7 +19,6 @@ from eqtc.complex_core import (
 from eqtc.group_action import (
     ActionError,
     CapExceeded,
-    GroupAction,
     GroupError,
     apply_perm,
     check_regularity,
@@ -47,7 +46,14 @@ Q = parse_field("Q")
 
 
 def regular(K, gens, cap=10_000):
-    return regularize(validate_action(K, group_closure(K.vertex_count, gens, cap)))
+    G = group_closure(K.vertex_count, gens, cap)
+    validate_action(K, G)
+    return regularize(K, G)
+
+
+def passes(result) -> bool:
+    """Whether a check_regularity result is a pass (the orbit images), not a failure message."""
+    return not isinstance(result, str)
 
 
 def test_group_closure_cyclic():
@@ -77,8 +83,9 @@ def test_group_closure_cap():
 
 
 def test_validate_square_rotation():
-    A = validate_action(cycle_complex(4), group_closure(4, [[1, 2, 3, 0]]))
-    assert A.group.order == 4
+    G = group_closure(4, [[1, 2, 3, 0]])
+    assert validate_action(cycle_complex(4), G) is None
+    assert G.order == 4
 
 
 def test_validate_square_bad_swap():
@@ -177,8 +184,9 @@ def test_cayley_table_agrees_with_permutations(name):
 def test_cayley_table_is_built_only_by_subgroups():
     K = boundary_sphere(2)
     G = group_closure(4, SMALL_GROUPS["S4"][1])
-    R = regularize(validate_action(K, G))
-    isotropy(R.action, 0)
+    validate_action(K, G)
+    R = regularize(K, G)
+    isotropy(R.group, 0)
     assert "mul" not in vars(G) and "mul" not in vars(R.group)
     subgroups(R.group)
     assert "mul" in vars(R.group)
@@ -204,7 +212,12 @@ def test_subgroup_conjugates_is_the_conjugacy_class():
 def test_regularize_trivial_group_is_immediate():
     R = regular(solid_simplex(3), [])
     assert R.subdivision_rounds == 0
-    assert R.certificate.ok
+    assert check_regularity(R.complex, R.group) == R.images
+
+
+def test_regularize_trivial_group_keeps_the_simplices_uncopied():
+    K = boundary_sphere(3)
+    assert regularize(K, group_closure(K.vertex_count, [])).images is K.simplices
 
 
 def test_regularize_hexagon_antipodal_is_immediate():
@@ -216,18 +229,21 @@ def test_regularize_sphere_reflection():
     K = boundary_sphere(2)
     R = regular(K, [[1, 0, 2, 3]])
     assert 1 <= R.subdivision_rounds <= 2
-    assert R.certificate.ok
+    assert check_regularity(R.complex, R.group) == R.images
     assert R.complex.dim == K.dim == 2
 
 
 def _rounds(K, gens):
-    """The action and its transports to the first and second barycentric subdivisions."""
-    A = validate_action(K, group_closure(K.vertex_count, gens))
-    out = [A]
+    """The action and its transports to the first and second barycentric subdivisions,
+    each as a (complex, group) pair."""
+    G = group_closure(K.vertex_count, gens)
+    validate_action(K, G)
+    out = [(K, G)]
     for _ in range(2):
-        sd, prov = barycentric_subdivision(A.complex)
-        A = validate_action(sd, transport_action(A.group, prov))
-        out.append(A)
+        K, prov = barycentric_subdivision(K)
+        G = transport_action(G, prov)
+        validate_action(K, G)
+        out.append((K, G))
     return out
 
 
@@ -258,11 +274,14 @@ def _regularity_inputs():
 def test_check_regularity_agrees_with_transporter_search_oracle():
     results = {}
     for name, (K, gens) in _regularity_inputs().items():
-        for rnd, A in enumerate(_rounds(K, gens)):
-            a, b, weak = oracle_regularity(A)
-            cert = check_regularity(A)
-            assert (cert.orbit_condition, cert.transporter_condition) == (a, b), (name, rnd)
-            assert cert.ok == (a and b and weak), (name, rnd)
+        for rnd, (L, G) in enumerate(_rounds(K, gens)):
+            a, b, weak = oracle_regularity(L, G)
+            result = check_regularity(L, G)
+            # (A) fails exactly with this message; (B) is checked only once (A) holds
+            orbit_condition = passes(result) or not result.endswith("has two vertices in one orbit")
+            transporter_condition = passes(result) or not orbit_condition
+            assert (orbit_condition, transporter_condition) == (a, b), (name, rnd)
+            assert passes(result) == (a and b and weak), (name, rnd)
             # (A) implies the weak condition, which is why the package skips it
             assert weak or not a, (name, rnd)
             results[name, rnd] = (a, b)
@@ -272,11 +291,9 @@ def test_check_regularity_agrees_with_transporter_search_oracle():
     assert any(a and b for a, b in results.values())
 
 
-def _is_simplicial(A) -> bool:
+def _is_simplicial(K, G) -> bool:
     return all(
-        tuple(sorted(g[v] for v in s)) in A.complex.simplices
-        for g in A.group.elements
-        for s in A.complex.simplices
+        tuple(sorted(g[v] for v in s)) in K.simplices for g in G.elements for s in K.simplices
     )
 
 
@@ -284,41 +301,38 @@ def test_check_regularity_rejects_a_non_simplicial_action():
     # the swap maps the edge (0, 3) to (1, 2), which is not a simplex, while
     # the two edges share one orbit image, so counting alone reads "regular"
     K = from_maximal_simplices(4, [[0, 3], [1, 3], [2]])
-    A = GroupAction(K, group_closure(4, [[1, 0, 3, 2]]))
-    cert = check_regularity(A)
-    assert not cert.ok
-    assert cert.failure == "image (1, 2) of (0, 3) is not a simplex"
+    G = group_closure(4, [[1, 0, 3, 2]])
+    assert check_regularity(K, G) == "image (1, 2) of (0, 3) is not a simplex"
     with pytest.raises(ActionError):
-        validate_action(K, A.group)
+        validate_action(K, G)
 
 
 def test_check_regularity_reports_a_non_simplex_image_without_raising():
     # the G-orbit of (0, 2) holds (1, 3), which is not a simplex, and no other
     # simplex shares its orbit image: a search for an unreached simplex finds none
     K = from_maximal_simplices(4, [[0, 2], [1], [3]])
-    cert = check_regularity(GroupAction(K, group_closure(4, [[1, 0, 3, 2]])))
-    assert not cert.ok
-    assert cert.failure == "image (1, 3) of (0, 2) is not a simplex"
+    result = check_regularity(K, group_closure(4, [[1, 0, 3, 2]]))
+    assert result == "image (1, 3) of (0, 2) is not a simplex"
 
 
 @st.composite
 def unvalidated_actions(draw):
-    """A random complex on at most six vertices and one or two random permutations."""
+    """A random complex on at most six vertices and the group of one or two random permutations."""
     n = draw(st.integers(1, 6), label="vertices")
     tops = draw(st.lists(st.lists(st.integers(0, n - 1), min_size=1, max_size=3, unique=True),
                          min_size=1, max_size=6), label="maximal simplices")
     tops += [[v] for v in range(n)]
     gens = draw(st.lists(st.permutations(range(n)), min_size=1, max_size=2), label="generators")
-    return GroupAction(from_maximal_simplices(n, tops), group_closure(n, gens))
+    return from_maximal_simplices(n, tops), group_closure(n, gens)
 
 
 @settings(derandomize=True, deadline=None, max_examples=300)
 @given(unvalidated_actions())
-def test_check_regularity_passes_only_simplicial_regular_actions(A):
+def test_check_regularity_passes_only_simplicial_regular_actions(action):
     # a pass proves the action simplicial, which is why regularize does not
     # validate the actions it transports
-    cert = check_regularity(A)
-    assert cert.ok == (_is_simplicial(A) and all(oracle_regularity(A)))
+    K, G = action
+    assert passes(check_regularity(K, G)) == (_is_simplicial(K, G) and all(oracle_regularity(K, G)))
 
 
 def _corpus():
@@ -340,12 +354,11 @@ def _check_constructions(K, gens) -> None:
         assert oracle_is_complex(sd)
     assert sd.simplices == R.complex.simplices
     for H in subgroups(R.group, "up_to_conjugacy"):
-        fixed, _ = fixed_subcomplex(R, H)
-        assert oracle_is_complex(fixed)
-    quotient, orbit = orbit_complex(R)
+        assert oracle_is_complex(fixed_subcomplex(R, H))
+    quotient = orbit_complex(R)
     assert oracle_is_complex(quotient)
     assert (quotient.vertex_count, quotient.simplices) == oracle_orbit_complex(R)
-    assert max(orbit) + 1 == quotient.vertex_count
+    assert max(vertex_orbits(R.group)) + 1 == quotient.vertex_count
 
 
 def test_constructions_are_complexes_on_builtins_and_corpus():
@@ -387,21 +400,21 @@ def test_constructions_are_complexes_on_random_actions(action):
 
 
 def test_weak_condition_fails_before_subdivision():
-    A = validate_action(boundary_sphere(2), group_closure(4, [[1, 0, 2, 3]]))
-    cert = check_regularity(A)
-    assert not cert.ok
+    K, G = boundary_sphere(2), group_closure(4, [[1, 0, 2, 3]])
+    validate_action(K, G)
+    assert not passes(check_regularity(K, G))
 
 
 def test_fixed_subcomplex_of_sphere_reflection_is_equator():
     # reflection of the n-sphere fixes an (n-1)-sphere
     R2 = regular(boundary_sphere(2), [[1, 0, 2, 3]])
     H = subgroups(R2.group, "up_to_conjugacy")[-1]
-    fixed, _ = fixed_subcomplex(R2, H)
+    fixed = fixed_subcomplex(R2, H)
     assert betti_numbers(fixed, F2) == (1, 1)
 
     R3 = regular(boundary_sphere(3), [[1, 0, 2, 3, 4]])
     H3 = subgroups(R3.group, "up_to_conjugacy")[-1]
-    fixed3, _ = fixed_subcomplex(R3, H3)
+    fixed3 = fixed_subcomplex(R3, H3)
     assert betti_numbers(fixed3, F2) == (1, 0, 1)
     assert betti_numbers(fixed3, Q) == (1, 0, 1)
 
@@ -410,38 +423,35 @@ def test_fixed_subcomplex_trivial_subgroup_is_whole_complex():
     R = regular(boundary_sphere(2), [[1, 0, 2, 3]])
     H = subgroups(R.group, "up_to_conjugacy")[0]
     assert H.is_trivial
-    fixed, index_map = fixed_subcomplex(R, H)
-    assert fixed is R.complex  # not a copy
+    fixed = fixed_subcomplex(R, H)
+    assert fixed is R.complex  # not a copy, so every vertex keeps its id
     assert fixed.simplices == R.complex.simplices
-    assert index_map == {v: v for v in range(R.complex.vertex_count)}
 
 
 def test_fixed_subcomplex_of_free_rotation_is_empty():
     R = regular(cycle_complex(4), [[1, 2, 3, 0]])
     H = [h for h in subgroups(R.group, "up_to_conjugacy") if h.is_full][0]
-    fixed, _ = fixed_subcomplex(R, H)
-    assert fixed.is_empty
+    assert fixed_subcomplex(R, H).is_empty
 
 
 def test_orbit_complex_hexagon_antipodal_is_triangle():
     R = regular(cycle_complex(6), [[3, 4, 5, 0, 1, 2]])
-    quotient, orbit = orbit_complex(R)
+    quotient = orbit_complex(R)
     assert quotient.f_vector() == (3, 3)
     assert betti_numbers(quotient, Q) == (1, 1)
-    assert sorted(set(orbit)) == [0, 1, 2]
+    assert sorted(set(vertex_orbits(R.group))) == [0, 1, 2]
 
 
 def test_orbit_complex_hexagon_full_rotation_is_circle():
     # quotient of the circle by a finite rotation group is again a circle
     R = regular(cycle_complex(6), [[1, 2, 3, 4, 5, 0]])
     assert R.subdivision_rounds == 2
-    quotient, _ = orbit_complex(R)
-    assert betti_numbers(quotient, Q) == (1, 1)
+    assert betti_numbers(orbit_complex(R), Q) == (1, 1)
 
 
 def test_orbit_complex_square_rotation_is_circle():
     R = regular(cycle_complex(4), [[1, 2, 3, 0]])
-    quotient, orbit = orbit_complex(R)
+    quotient = orbit_complex(R)
     assert betti_numbers(quotient, Q) == (1, 1)
     # free action: orbit count times group order equals vertex count
     assert quotient.vertex_count * R.group.order == R.complex.vertex_count
@@ -449,9 +459,9 @@ def test_orbit_complex_square_rotation_is_circle():
 
 def test_orbit_complex_trivial_group_is_copy():
     R = regular(boundary_sphere(2), [])
-    quotient, orbit = orbit_complex(R)
+    quotient = orbit_complex(R)
     assert quotient.f_vector() == R.complex.f_vector()
-    assert orbit == list(range(R.complex.vertex_count))
+    assert vertex_orbits(R.group) == list(range(R.complex.vertex_count))
 
 
 def test_g_connected_square_reflection_fails_with_witness():
@@ -467,7 +477,7 @@ def test_g_connected_square_reflection_fails_with_witness():
 
 def test_g_connected_sphere_reflection_holds():
     R = regular(boundary_sphere(2), [[1, 0, 2, 3]])
-    res = is_G_connected(R)
+    res = is_G_connected(R, subgroups(R.group, "up_to_conjugacy"))
     assert res.value
     assert res.witness is None
     assert res.empty_classes == ()
@@ -475,36 +485,39 @@ def test_g_connected_sphere_reflection_holds():
 
 def test_g_connected_trivial_group():
     R = regular(boundary_sphere(2), [])
-    assert is_G_connected(R).value
+    assert is_G_connected(R, subgroups(R.group, "up_to_conjugacy")).value
 
 
 def test_g_connected_free_rotation_has_empty_fixed_sets():
     R = regular(cycle_complex(6), [[1, 2, 3, 4, 5, 0]])
-    res = is_G_connected(R)
+    res = is_G_connected(R, subgroups(R.group, "up_to_conjugacy"))
     assert res.value
     assert len(res.empty_classes) > 0
 
 
 def test_isotropy_free_rotation_is_trivial():
-    A = validate_action(cycle_complex(4), group_closure(4, [[1, 2, 3, 0]]))
+    G = group_closure(4, [[1, 2, 3, 0]])
+    validate_action(cycle_complex(4), G)
     for v in range(4):
-        assert isotropy(A, v).is_trivial
+        assert isotropy(G, v).is_trivial
 
 
 def test_isotropy_reflection_fixed_vertex():
-    A = validate_action(boundary_sphere(2), group_closure(4, [[1, 0, 2, 3]]))
-    assert isotropy(A, 2).order == 2
-    assert isotropy(A, 0).is_trivial
+    G = group_closure(4, [[1, 0, 2, 3]])
+    validate_action(boundary_sphere(2), G)
+    assert isotropy(G, 2).order == 2
+    assert isotropy(G, 0).is_trivial
 
 
 def test_isotropy_trivial_group_is_whole_group():
-    A = validate_action(cycle_complex(4), group_closure(4, []))
-    assert isotropy(A, 0).is_full
+    G = group_closure(4, [])
+    validate_action(cycle_complex(4), G)
+    assert isotropy(G, 0).is_full
 
 
 def test_minimal_isotropy_subgroups_reflection():
     R = regular(boundary_sphere(2), [[1, 0, 2, 3]])
-    stabilizers = {isotropy(R.action, v).elements for v in range(R.complex.vertex_count)}
+    stabilizers = {isotropy(R.group, v).elements for v in range(R.complex.vertex_count)}
     assert sorted(len(h) for h in stabilizers) == [1, 2]
 
 
@@ -549,8 +562,9 @@ def test_action_axioms_random():
 
 def test_vertex_orbits_partition():
     for gens in ([[1, 2, 3, 0]], [[1, 0, 3, 2]], []):
-        A = validate_action(cycle_complex(4), group_closure(4, gens))
-        orbit = vertex_orbits(A)
+        G = group_closure(4, gens)
+        validate_action(cycle_complex(4), G)
+        orbit = vertex_orbits(G)
         sizes: dict[int, int] = {}
         for o in orbit:
             sizes[o] = sizes.get(o, 0) + 1
