@@ -26,20 +26,34 @@ off it: the complex (fixed sets X^H), the group (isotropy groups), and the
 passing round's orbit images, the simplices of X/G, which `orbit_complex`
 reads instead of rescanning.
 
-Groups are closed from generators by one BFS, `_close`.  `subgroups` runs it
-on element indices through the group's Cayley table, which only `subgroups`
-builds, after its cap on |G|, and bounds its work by SUBGROUP_WORK_BUDGET.
+Groups are closed from generators by one BFS, `_close`.  The group layer
+does no per-element work over every vertex, and no per-subgroup work over
+the whole lattice, beyond one pass for the stabilizers:
+
+- `FiniteGroup.mul`, the Cayley table, reads each product off the images of
+  a base (Sims), a few points that tell the elements apart.  Only
+  `subgroups` builds it, after its cap on |G|.
+- `subgroups` runs `_close` on element indices through that table, extends
+  one member of each conjugacy class, and bounds its work, closures and
+  conjugations, by SUBGROUP_WORK_BUDGET.
+- `transport_action` induces only the generators and closes their images.
+- `FiniteGroup.stabilizers` are computed once, in one pass over the
+  elements: `isotropy` reads them, and `fixed_subcomplex` keeps the
+  vertices whose stabilizer contains the subgroup.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import compress
+from operator import eq
 
 from eqtc.complex_core import (
     SimplicialComplex,
     Simplex,
     barycentric_subdivision,
+    empty_complex,
     full_subcomplex,
 )
 
@@ -67,13 +81,6 @@ def compose(p: Perm, q: Perm) -> Perm:
     return tuple(map(p.__getitem__, q))
 
 
-def inverse(p: Perm) -> Perm:
-    out = [0] * len(p)
-    for i, v in enumerate(p):
-        out[v] = i
-    return tuple(out)
-
-
 def apply_perm(p: Perm, s: Simplex) -> Simplex:
     return tuple(sorted(p[v] for v in s))
 
@@ -94,31 +101,67 @@ class FiniteGroup:
         return len(self.elements)
 
     @property
-    def identity(self) -> Perm:
-        return identity_perm(self.degree)
-
-    @property
     def is_trivial(self) -> bool:
         return self.order == 1
 
     @cached_property
-    def index(self) -> dict[Perm, int]:
-        """Permutation -> its position in `elements`."""
-        return {p: i for i, p in enumerate(self.elements)}
+    def base(self) -> tuple[int, ...]:
+        """Points whose images tell every element apart, chosen greedily.
+
+        A point is kept when it splits some elements that the points kept
+        so far do not tell apart.  A barycentric subdivision numbers the old
+        vertices first and acts on them as before, so a transported group
+        keeps its input's base.
+        """
+        base: list[int] = []
+        keys: list[tuple[int, ...]] = [()] * self.order
+        told_apart = 1
+        for b in range(self.degree):
+            if told_apart == self.order:
+                break
+            extended = [k + (p[b],) for k, p in zip(keys, self.elements)]
+            n = len(set(extended))
+            if n > told_apart:
+                base.append(b)
+                keys, told_apart = extended, n
+        return tuple(base)
+
+    @cached_property
+    def stabilizers(self) -> tuple[frozenset[int], ...]:
+        """Point -> the indices of the elements that fix it, in one pass over the elements."""
+        points = range(self.degree)
+        fixing: list[list[int]] = [[] for _ in points]
+        for i, g in enumerate(self.elements):
+            for v in compress(points, map(eq, g, points)):
+                fixing[v].append(i)
+        return tuple(map(frozenset, fixing))
+
+    @cached_property
+    def by_base_images(self) -> dict[tuple[int, ...], int]:
+        """The images of the base points -> the position of their element in `elements`."""
+        base = self.base
+        return {tuple(p[b] for b in base): i for i, p in enumerate(self.elements)}
 
     @cached_property
     def inv(self) -> tuple[int, ...]:
-        """inv[i] is the index of the inverse of elements[i]."""
-        return tuple(self.index[inverse(p)] for p in self.elements)
+        """inv[i] is the index of the inverse of elements[i], which sends b to p.index(b)."""
+        index, base = self.by_base_images, self.base
+        return tuple(index[tuple(map(p.index, base))] for p in self.elements)
 
     @cached_property
     def mul(self) -> tuple[tuple[int, ...], ...]:
         """Cayley table: mul[i][j] is the index of elements[i] after elements[j].
 
-        |G|^2 compositions: only `subgroups` builds it, after its cap on |G|.
+        Each product p.q is looked up by its base images p(q(b)), |base|
+        lookups instead of a composition over every point.  |G|^2 products:
+        only `subgroups` builds it, after its cap on |G|.
         """
-        index, elements = self.index, self.elements
-        return tuple(tuple(index[compose(p, q)] for q in elements) for p in elements)
+        index, base = self.by_base_images, self.base
+        base_images = [tuple(q[b] for b in base) for q in self.elements]
+        return tuple(
+            tuple(index[tuple(map(p.__getitem__, qb))] for qb in base_images)
+            for p in self.elements
+        )
 
 
 def _close(gens: tuple, identity, mult, cap: int | None = None) -> frozenset:
@@ -174,10 +217,6 @@ class Subgroup:
     def is_full(self) -> bool:
         return self.order == self.group.order
 
-    @cached_property
-    def elements(self) -> frozenset[Perm]:
-        return frozenset(self.group.elements[i] for i in self.members)
-
     def key(self) -> tuple[Perm, ...]:
         return tuple(self.group.elements[i] for i in sorted(self.members))
 
@@ -193,56 +232,85 @@ class Subgroup:
         return frozenset(self.conjugate(g).members for g in range(self.group.order))
 
 
-# Products the closures of one `subgroups` call may take: S_5 (156 subgroups)
-# takes 2.1 million, and (Z/2)^8 (about 417k subgroups) stops here, not hangs.
+# Products one `subgroups` call may take, in its closures and in conjugating
+# each class it finds (none in an abelian group): S_5 (156 subgroups in 19
+# classes) takes 303,593, and (Z/2)^8 (about 417k subgroups) stops here, not
+# hangs.
 SUBGROUP_WORK_BUDGET = 25_000_000
+
+
+def _in_class(G: FiniteGroup, members: frozenset[int], conjugates: frozenset) -> Subgroup:
+    """A subgroup of a class whose conjugates are known, so they are not computed again."""
+    h = Subgroup(G, members)
+    vars(h)["conjugates"] = conjugates  # the value `Subgroup.conjugates` would cache
+    return h
 
 
 def subgroups(G: FiniteGroup, mode: str = "all", cap: int = 256) -> list[Subgroup]:
     """All subgroups, or one representative per conjugacy class, by (order, key).
 
-    Cyclic extension: starting from the trivial group, each subgroup found
-    is joined with every cyclic subgroup it lacks, closing its generators
-    plus the cyclic one's.  Every subgroup is generated by finitely many
-    cyclic subgroups, so this reaches them all.  Elements are indices into
-    the sorted `G.elements`, so sorting member sets sorts by key.  Guarded
-    by the cap on |G| and by SUBGROUP_WORK_BUDGET.
+    Cyclic extension on class representatives (Holt, Eick & O'Brien,
+    Handbook of Computational Group Theory, ch. 5): starting from the
+    trivial group, one member of each class found is joined with every
+    cyclic subgroup it lacks, closing its generators plus the cyclic one's.
+    A closure conjugate to a class found before is dropped; a new class has
+    its conjugates computed once, unless G is abelian (its generators
+    commute), where every class is a single subgroup.  This reaches every class: each subgroup
+    J is <K, c> for a proper subgroup K and an element c, and if the member
+    of K's class that was extended is gKg^-1, then gJg^-1 = <gKg^-1, gcg^-1>
+    is one of its extensions.  A class is represented by its least
+    conjugate, and "all" lists every conjugate of every class.  Elements
+    are indices into the sorted `G.elements`, so sorting member sets sorts
+    by key.  Guarded by the cap on |G| and by SUBGROUP_WORK_BUDGET.
     """
     if mode not in ("all", "up_to_conjugacy"):
         raise GroupError(f"unknown subgroup mode {mode!r}")
     if G.order > cap:
         raise CapExceeded(f"subgroup enumeration needs |G| <= {cap}, got {G.order}")
-    table, ident, spent = G.mul, G.index[G.identity], 0
+    table, spent = G.mul, 0
+    index = G.by_base_images
+    generators = [index[tuple(p[b] for b in G.base)] for p in G.generators]
+    abelian = all(table[a][b] == table[b][a] for a in generators for b in generators)
 
-    def close(gens: tuple[int, ...]) -> frozenset[int]:
+    def charge(products: int) -> None:
         nonlocal spent
-        group = _close(gens, ident, lambda a, b: table[a][b])
-        spent += len(group) * len(gens)  # the products _close took
+        spent += products
         if spent > SUBGROUP_WORK_BUDGET:
             raise CapExceeded(f"subgroup enumeration exceeded {SUBGROUP_WORK_BUDGET} products")
+
+    def close(gens: tuple[int, ...]) -> frozenset[int]:
+        group = _close(gens, 0, lambda a, b: table[a][b])  # the identity sorts first
+        charge(len(group) * len(gens))  # the products _close took
         return group
 
+    classes: list[frozenset[frozenset[int]]] = []  # each class found, as its conjugates
+    seen: set[frozenset[int]] = set()  # every conjugate of the classes found
+    work: list[tuple[tuple[int, ...], frozenset[int]]] = []  # (generators, member) to extend
+
+    def add_class(gens: tuple[int, ...], members: frozenset[int]) -> None:
+        if abelian:  # every subgroup is normal, so its class is itself
+            conjugates = frozenset({members})
+        else:
+            charge(2 * G.order * len(members))  # g h g^-1 for each g in G and h in the member
+            conjugates = Subgroup(G, members).conjugates
+        seen.update(conjugates)
+        classes.append(conjugates)
+        work.append((gens, members))
+
     cyclic = {close((g,)): g for g in range(G.order)}  # one generator each
-    gens: dict[frozenset[int], tuple[int, ...]] = {frozenset({ident}): ()}
-    work = list(gens)
+    add_class((), frozenset({0}))
     while work:
-        H = work.pop()
+        gens, H = work.pop()
         for g in cyclic.values():
             if g not in H:
-                J = close(gens[H] + (g,))
-                if J not in gens:
-                    gens[J] = gens[H] + (g,)
-                    work.append(J)
-    subs = sorted((Subgroup(G, s) for s in gens), key=lambda h: (h.order, sorted(h.members)))
+                J = close(gens + (g,))
+                if J not in seen:
+                    add_class(gens + (g,), J)
     if mode == "all":
-        return subs
-    classes: list[Subgroup] = []
-    seen: set[frozenset[int]] = set()
-    for h in subs:
-        if h.members not in seen:
-            seen |= h.conjugates
-            classes.append(h)
-    return classes
+        subs = [_in_class(G, members, conj) for conj in classes for members in conj]
+    else:
+        subs = [_in_class(G, min(conj, key=sorted), conj) for conj in classes]
+    return sorted(subs, key=lambda h: (h.order, sorted(h.members)))
 
 
 def validate_action(K: SimplicialComplex, G: FiniteGroup) -> None:
@@ -323,23 +391,22 @@ class RegularAction:
     group: FiniteGroup
     subdivision_rounds: int
     images: frozenset[Simplex]
-    # fixed_subcomplex results by subgroup element set, each computed once
+    # fixed_subcomplex results by subgroup member set, each computed once
     _fixed: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
 
 def transport_action(G: FiniteGroup, provenance: dict[int, Simplex]) -> FiniteGroup:
-    """Induced permutations on subdivision vertices (which are old simplices)."""
+    """Induced permutations on subdivision vertices (which are old simplices).
+
+    Only the generators are induced.  Inducing is a homomorphism, so their
+    closure is the image of G; its elements are sorted like any group's.
+    """
     vid = {s: i for i, s in provenance.items()}
     n = len(provenance)
-
-    def induced(p: Perm) -> Perm:
-        return tuple(vid[apply_perm(p, provenance[i])] for i in range(n))
-
-    return FiniteGroup(
-        n,
-        tuple(sorted(induced(p) for p in G.elements)),
-        tuple(induced(p) for p in G.generators),
+    gens = tuple(
+        tuple(vid[apply_perm(p, provenance[i])] for i in range(n)) for p in G.generators
     )
+    return FiniteGroup(n, tuple(sorted(_close(gens, identity_perm(n), compose))), gens)
 
 
 # Two barycentric subdivisions always regularize a finite simplicial action.
@@ -367,15 +434,18 @@ def regularize(K: SimplicialComplex, G: FiniteGroup) -> RegularAction:
 def fixed_subcomplex(R: RegularAction, H: Subgroup) -> SimplicialComplex:
     """Full subcomplex on the vertices fixed by every element of H (possibly empty).
 
-    Under regularity this triangulates the geometric H-fixed set.  Each
-    fixed set is built once per RegularAction.
+    H is a subgroup of `R.group`, and a vertex is fixed when its stabilizer
+    contains H.  Under regularity this triangulates the geometric H-fixed
+    set.  Each fixed set is built once per RegularAction.
     """
     if H.is_trivial:  # the whole complex, uncopied: each vertex lies in a simplex
         return R.complex
-    fixed = R._fixed.get(H.elements)
+    members = H.members
+    fixed = R._fixed.get(members)
     if fixed is None:
-        vertices = {v for v in range(R.complex.vertex_count) if all(h[v] == v for h in H.elements)}
-        fixed = R._fixed[H.elements] = full_subcomplex(R.complex, vertices)
+        vertices = {v for v, stab in enumerate(R.group.stabilizers) if members <= stab}
+        fixed = full_subcomplex(R.complex, vertices) if vertices else empty_complex()
+        R._fixed[members] = fixed
     return fixed
 
 
@@ -394,7 +464,7 @@ def isotropy(G: FiniteGroup, v: int) -> Subgroup:
     """Stabilizer subgroup of a vertex."""
     if v < 0 or v >= G.degree:
         raise ActionError(f"vertex {v} out of range")
-    return Subgroup(G, frozenset(i for i, g in enumerate(G.elements) if g[v] == v))
+    return Subgroup(G, G.stabilizers[v])
 
 
 def has_fixed_vertex(R: RegularAction) -> bool:

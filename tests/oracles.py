@@ -5,7 +5,8 @@ package: dense Gauss-Jordan on lists of rows for ranks, kernels, pivot
 columns and cohomology representatives, the cup product on dense cochains,
 tensor multiplication by its formula, flat all-tuples enumeration for
 longest nonzero products (zero-divisors and basis classes), closure of every small generating set for the
-subgroup lattice, a per-simplex transporter search for regularity, the
+subgroup lattice, every group element induced simplex by simplex on a
+subdivision, a per-simplex transporter search for regularity, the
 checks a complex once ran on itself, and the quotient by a full rescan.  The
 package's matrices are lists of sparse columns and its cochains sparse
 vectors; to_rows, to_columns, to_dense and to_sparse convert at the test
@@ -17,6 +18,7 @@ from __future__ import annotations
 from itertools import combinations
 from itertools import product as iproduct
 
+from eqtc.group_action import FiniteGroup
 from eqtc.linalg import parse_field
 
 
@@ -205,8 +207,9 @@ def oracle_cuplength(ring, depth_cap: int) -> int:
 def oracle_subgroups(elements, degree: int):
     """Every subgroup and one per conjugacy class, from every small generating set.
 
-    Each generator that is not already in the group it joins at least doubles
-    it, so no subgroup of G needs more than floor(log2 |G|) generators, and
+    Each generator that is not already in the group it joins multiplies its
+    order by an integer of at least 2, so no subgroup of G needs more
+    generators than |G| has prime factors counted with multiplicity, and
     closing every subset of at most that many elements finds them all.
     Returns (all subgroups, class representatives), each a list of sorted
     element tuples in (order, elements) order; a class is represented by its
@@ -217,8 +220,14 @@ def oracle_subgroups(elements, degree: int):
     # table[a][b] is the index of the product "a after b"
     table = [[index[tuple(a[b[v]] for v in range(degree))] for b in elems] for a in elems]
     ident = index[tuple(range(degree))]
+    prime_factors, n, p = 0, len(elems), 2
+    while n > 1:
+        while n % p == 0:
+            n //= p
+            prime_factors += 1
+        p += 1
     found = set()
-    for size in range(len(elems).bit_length()):
+    for size in range(prime_factors + 1):
         for gens in combinations(range(len(elems)), size):
             group, stack = {ident}, [ident]
             while stack:
@@ -243,6 +252,22 @@ def oracle_subgroups(elements, degree: int):
         return [tuple(sorted(elems[i] for i in s)) for s in subs]
 
     return as_perms(every), as_perms(classes)
+
+
+def oracle_transport(G, provenance: dict) -> FiniteGroup:
+    """The action on a subdivision, every element induced simplex by simplex.
+
+    New vertex i is the old simplex provenance[i], and g sends it to the
+    vertex of the simplex g(provenance[i]).
+    """
+    vertex = {s: i for i, s in provenance.items()}
+
+    def induced(g):
+        return tuple(vertex[tuple(sorted(g[v] for v in provenance[i]))]
+                     for i in range(len(provenance)))
+
+    return FiniteGroup(len(provenance), tuple(sorted(induced(g) for g in G.elements)),
+                       tuple(induced(g) for g in G.generators))
 
 
 def oracle_regularity(K, G) -> tuple[bool, bool, bool]:

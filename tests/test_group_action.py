@@ -9,11 +9,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import eqtc.group_action as group_action
 from eqtc.complex_core import (
     barycentric_subdivision,
     boundary_sphere,
     cycle_complex,
     from_maximal_simplices,
+    full_subcomplex,
     solid_simplex,
 )
 from eqtc.group_action import (
@@ -26,7 +28,6 @@ from eqtc.group_action import (
     fixed_subcomplex,
     group_closure,
     has_fixed_vertex,
-    inverse,
     is_G_connected,
     isotropy,
     orbit_complex,
@@ -39,7 +40,13 @@ from eqtc.group_action import (
 from eqtc.homology import betti_numbers, parse_field
 from eqtc.problems import builtin_examples
 
-from oracles import oracle_is_complex, oracle_orbit_complex, oracle_regularity, oracle_subgroups
+from oracles import (
+    oracle_is_complex,
+    oracle_orbit_complex,
+    oracle_regularity,
+    oracle_subgroups,
+    oracle_transport,
+)
 
 F2 = parse_field("F2")
 Q = parse_field("Q")
@@ -152,6 +159,9 @@ SMALL_GROUPS = {
     "Q8": (8, _quaternion_regular_representation(), 6, 6),
     "Z2^3": (6, [[1, 0, 2, 3, 4, 5], [0, 1, 3, 2, 4, 5], [0, 1, 2, 3, 5, 4]], 16, 16),
     "Z4xZ4": (8, [[1, 2, 3, 0, 4, 5, 6, 7], [0, 1, 2, 3, 5, 6, 7, 4]], 15, 15),
+    "D6": (6, [[1, 2, 3, 4, 5, 0], [0, 5, 4, 3, 2, 1]], 16, 10),
+    "S3xS3": (6, [[1, 0, 2, 3, 4, 5], [1, 2, 0, 3, 4, 5], [0, 1, 2, 4, 3, 5],
+                  [0, 1, 2, 4, 5, 3]], 60, 22),
 }
 
 
@@ -160,25 +170,63 @@ def test_subgroups_match_brute_force_oracle(name):
     degree, gens, n_all, n_classes = SMALL_GROUPS[name]
     G = group_closure(degree, gens)
     every, classes = oracle_subgroups(G.elements, degree)
-    assert [h.key() for h in subgroups(G, "all")] == every
-    assert [h.key() for h in subgroups(G, "up_to_conjugacy")] == classes
+    subs = subgroups(G, "all")
+    reps = subgroups(G, "up_to_conjugacy")
+    assert [h.key() for h in subs] == every
+    assert [h.key() for h in reps] == classes
     assert (len(every), len(classes)) == (n_all, n_classes)
+    # "all" lists each class's conjugates, each once
+    assert {h.members for h in subs} == set().union(*(h.conjugates for h in reps))
+    assert len(subs) == sum(len(h.conjugates) for h in reps)
+
+
+def inverse(p):
+    """The permutation sending p[i] back to i."""
+    return tuple(sorted(range(len(p)), key=p.__getitem__))
+
+
+def perms(h):
+    """The permutations of a subgroup."""
+    return {h.group.elements[i] for i in h.members}
+
+
+def _assert_cayley_table(G) -> None:
+    """mul and inv, read off base images, agree with composing whole permutations."""
+    els = G.elements
+    for i, p in enumerate(els):
+        assert els[G.inv[i]] == inverse(p)
+        assert [els[k] for k in G.mul[i]] == [compose(p, q) for q in els]
 
 
 @pytest.mark.parametrize("name", sorted(SMALL_GROUPS))
 def test_cayley_table_agrees_with_permutations(name):
     degree, gens, _, _ = SMALL_GROUPS[name]
     G = group_closure(degree, gens)
-    els = G.elements
-    for i, p in enumerate(els):
-        assert els[G.inv[i]] == inverse(p)
-        assert [els[k] for k in G.mul[i]] == [compose(p, q) for q in els]
+    _assert_cayley_table(G)
     subs = subgroups(G, "all")
     assert [(h.order, h.key()) for h in subs] == sorted((h.order, h.key()) for h in subs)
     for h in subs:
-        for i, g in enumerate(els):
+        for i, g in enumerate(G.elements):
             gi = inverse(g)
-            assert h.conjugate(i).elements == {compose(compose(g, x), gi) for x in h.elements}
+            assert perms(h.conjugate(i)) == {compose(compose(g, x), gi) for x in perms(h)}
+
+
+def test_cayley_table_agrees_on_transported_groups():
+    # (complex, generators, subdivision rounds, base length)
+    t2 = _corpus().build("T2-4-Z4xZ4", 0)
+    cases = {
+        "S2-S4": (boundary_sphere(2), SMALL_GROUPS["S4"][1], 1, 3),
+        "S2-A4": (boundary_sphere(2), SMALL_GROUPS["A4"][1], 2, 2),
+        "T2-4-Z4xZ4": (from_maximal_simplices(t2["vertex_count"], t2["maximal_simplices"]),
+                       t2["group_generators"], 2, 1),
+    }
+    for name, (K, gens, rounds, base_length) in cases.items():
+        R = regular(K, gens)
+        assert (R.subdivision_rounds, len(R.group.base)) == (rounds, base_length), name
+        _assert_cayley_table(R.group)
+    S4 = group_closure(4, SMALL_GROUPS["S4"][1])
+    assert S4.base == (0, 1, 2)
+    _assert_cayley_table(S4)
 
 
 def test_cayley_table_is_built_only_by_subgroups():
@@ -196,6 +244,44 @@ def test_subgroups_of_s5_fit_the_work_budget():
     G = group_closure(5, [[1, 0, 2, 3, 4], [1, 2, 3, 4, 0]])
     assert len(subgroups(G, "all")) == 156
     assert len(subgroups(G, "up_to_conjugacy")) == 19
+
+
+def test_subgroup_work_budget_charges_conjugation(monkeypatch):
+    G = group_closure(4, SMALL_GROUPS["S4"][1])
+    closure_products = []
+    close = group_action._close
+
+    def counting_close(gens, identity, mult, cap=None):
+        group = close(gens, identity, mult, cap)
+        closure_products.append(len(group) * len(gens))
+        return group
+
+    monkeypatch.setattr(group_action, "_close", counting_close)
+    classes = subgroups(G, "up_to_conjugacy")
+    closures = sum(closure_products)
+    conjugations = sum(2 * G.order * h.order for h in classes)  # g h g^-1 per class member
+    monkeypatch.setattr(group_action, "SUBGROUP_WORK_BUDGET", closures + conjugations)
+    assert len(subgroups(G, "all")) == 30
+    # enough for the closures alone, so the conjugations go over it
+    monkeypatch.setattr(group_action, "SUBGROUP_WORK_BUDGET", closures)
+    with pytest.raises(CapExceeded, match="subgroup enumeration exceeded"):
+        subgroups(G, "all")
+
+
+def test_abelian_subgroups_are_not_conjugated(monkeypatch):
+    # every subgroup of an abelian group is its own class
+    calls = []
+    conjugate = group_action.Subgroup.conjugate
+    monkeypatch.setattr(group_action.Subgroup, "conjugate",
+                        lambda h, g: calls.append(g) or conjugate(h, g))
+    for name in ("Z2^3", "Z4xZ4"):
+        degree, gens, n_all, n_classes = SMALL_GROUPS[name]
+        G = group_closure(degree, gens)
+        assert len(subgroups(G, "all")) == n_all
+        assert len(subgroups(G, "up_to_conjugacy")) == n_classes
+    assert calls == []
+    subgroups(group_closure(4, SMALL_GROUPS["D4"][1]))
+    assert calls
 
 
 def test_subgroup_conjugates_is_the_conjugacy_class():
@@ -345,16 +431,28 @@ def _corpus():
 
 
 def _check_constructions(K, gens) -> None:
-    """Every complex regularization builds is a complex, and X/G is the rescan's."""
+    """Every complex regularization builds is a complex, each transported group
+    is the one induced element by element, each isotropy group is the
+    stabilizer found by scanning the elements, each fixed set is the full
+    subcomplex on the vertices every element of H fixes, and X/G is the
+    rescan's."""
     assert oracle_is_complex(K)
     R = regular(K, gens)
-    sd = K
+    sd, G = K, group_closure(K.vertex_count, gens)
     for _ in range(R.subdivision_rounds):
-        sd, _ = barycentric_subdivision(sd)
+        sd, provenance = barycentric_subdivision(sd)
         assert oracle_is_complex(sd)
+        G, induced = transport_action(G, provenance), oracle_transport(G, provenance)
+        assert (G, G.order) == (induced, induced.order)
     assert sd.simplices == R.complex.simplices
+    assert G == R.group
+    for v in range(sd.vertex_count):
+        assert isotropy(G, v).members == {i for i, g in enumerate(G.elements) if g[v] == v}
     for H in subgroups(R.group, "up_to_conjugacy"):
-        assert oracle_is_complex(fixed_subcomplex(R, H))
+        fixed = fixed_subcomplex(R, H)
+        assert oracle_is_complex(fixed)
+        vertices = {v for v in range(sd.vertex_count) if all(h[v] == v for h in perms(H))}
+        assert fixed == full_subcomplex(sd, vertices)
     quotient = orbit_complex(R)
     assert oracle_is_complex(quotient)
     assert (quotient.vertex_count, quotient.simplices) == oracle_orbit_complex(R)
@@ -517,7 +615,7 @@ def test_isotropy_trivial_group_is_whole_group():
 
 def test_minimal_isotropy_subgroups_reflection():
     R = regular(boundary_sphere(2), [[1, 0, 2, 3]])
-    stabilizers = {isotropy(R.group, v).elements for v in range(R.complex.vertex_count)}
+    stabilizers = {isotropy(R.group, v).members for v in range(R.complex.vertex_count)}
     assert sorted(len(h) for h in stabilizers) == [1, 2]
 
 
@@ -532,16 +630,16 @@ def test_fixed_subcomplex_antitone_in_subgroup():
     subs = subgroups(R.group, "all")
     for H in subs:
         for K in subs:
-            if H.elements <= K.elements:
+            if H.members <= K.members:
                 fix_h = {
                     v
                     for v in range(R.complex.vertex_count)
-                    if all(h[v] == v for h in H.elements)
+                    if all(h[v] == v for h in perms(H))
                 }
                 fix_k = {
                     v
                     for v in range(R.complex.vertex_count)
-                    if all(k[v] == v for k in K.elements)
+                    if all(k[v] == v for k in perms(K))
                 }
                 assert fix_k <= fix_h
 
@@ -555,7 +653,8 @@ def test_action_axioms_random():
         h = rng.choice(G.elements)
         s = rng.choice(sorted(K.simplices))
         assert apply_perm(compose(g, h), s) == apply_perm(g, apply_perm(h, s))
-    ident = G.identity
+    ident = tuple(range(4))
+    assert ident in G.elements
     for s in K.simplices:
         assert apply_perm(ident, s) == s
 
