@@ -20,12 +20,8 @@ from eqtc.bounds import (
 from eqtc.complex_core import (
     SimplicialComplex,
     barycentric_subdivision,
-    boundary_sphere,
-    cycle_complex,
     from_maximal_simplices,
     full_subcomplex,
-    solid_simplex,
-    torus_seven_vertex,
 )
 from eqtc.group_action import (
     FiniteGroup,
@@ -40,7 +36,7 @@ from eqtc.group_action import (
     subgroups,
     validate_action,
 )
-from eqtc.homology import CochainBasis, betti_numbers, boundary_matrices, cohomology_basis
+from eqtc.homology import CochainBasis, betti_numbers, cohomology_basis
 from eqtc.linalg import parse_field
 from eqtc.problems import Problem, builtin_examples, load_problem, parse_problem
 from eqtc.ring import (
@@ -51,7 +47,6 @@ from eqtc.ring import (
     nilpotency_lower_bound,
     reduced_cuplength,
     ring_structure,
-    zero_divisor_set,
 )
 
 __all__ = [
@@ -64,12 +59,8 @@ __all__ = [
     "seed_facts",
     "SimplicialComplex",
     "barycentric_subdivision",
-    "boundary_sphere",
-    "cycle_complex",
     "from_maximal_simplices",
     "full_subcomplex",
-    "solid_simplex",
-    "torus_seven_vertex",
     "FiniteGroup",
     "RegularAction",
     "Subgroup",
@@ -83,7 +74,6 @@ __all__ = [
     "validate_action",
     "CochainBasis",
     "betti_numbers",
-    "boundary_matrices",
     "cohomology_basis",
     "parse_field",
     "Problem",
@@ -97,5 +87,4 @@ __all__ = [
     "nilpotency_lower_bound",
     "reduced_cuplength",
     "ring_structure",
-    "zero_divisor_set",
 ]

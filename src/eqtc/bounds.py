@@ -19,10 +19,9 @@ from __future__ import annotations
 
 import json
 from collections.abc import Callable
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, fields
 from functools import partial
 from math import ceil, inf, isinf
-from random import Random
 
 from eqtc.complex_core import SimplicialComplex, from_maximal_simplices
 from eqtc.group_action import (
@@ -216,7 +215,6 @@ class ProblemContext:
     name: str  # "" for the root, else "fiber" / "base"
     problem: Problem
     is_associated: bool = False
-    complex: SimplicialComplex | None = None
     regular: RegularAction | None = None
     equivariant: bool = False
     classes: list[SubgroupClassInfo] = field(default_factory=list)
@@ -312,23 +310,9 @@ class FactBase:
             self.inconsistencies.append((ctx, q, lo.bound_id, hi.bound_id))
         return True
 
-    def bound_by_id(self, bound_id: int) -> Bound:
-        return self.bounds[bound_id - 1]
-
     def interval(self, ctx: str, q: Quantity) -> tuple[Value, Value]:
         record = self.best[(ctx, q)]
         return record["lower"].value, record["upper"].value
-
-    def clone(self) -> "FactBase":
-        """Copy with the same contexts but an independent bound log."""
-        out = FactBase(self.config)
-        out.contexts = self.contexts
-        out.associated = self.associated
-        out.bounds = list(self.bounds)
-        out.quantities = list(self.quantities)
-        out.best = {k: {s: replace(v) for s, v in sides.items()} for k, sides in self.best.items()}
-        out.inconsistencies = list(self.inconsistencies)
-        return out
 
 
 # ---------------------------------------------------------------------------
@@ -396,7 +380,6 @@ def _analyze_space(info: SpaceInfo, config: EngineConfig, known: dict) -> None:
 def _build_action_context(name: str, problem: Problem, config: EngineConfig) -> ProblemContext:
     ctx = ProblemContext(name=name, problem=problem)
     K = from_maximal_simplices(problem.vertex_count, [list(s) for s in problem.maximal_simplices])
-    ctx.complex = K
     G = group_closure(K.vertex_count, [list(g) for g in problem.group_generators],
                       cap=config.group_order_cap)
     validate_action(K, G)
@@ -856,19 +839,16 @@ _RULES = {row.rule: partial(_emit, row) for row in _TABLE}
 _RULES.update(R9=_rule_R9, R18=_rule_R18)
 
 
-def saturate(fb: FactBase, rule_order: list[str] | None = None) -> FactBase:
-    """Apply the rule set to a fixed point.
+def saturate(fb: FactBase) -> FactBase:
+    """Apply the rules, in RULE_ORDER, to a fixed point.
 
     Values live in a finite lattice, every rule is monotone, and only strict
     improvements are recorded, so this terminates; the fixed point does not
-    depend on rule_order.
+    depend on the rule order.
     """
-    order = rule_order or RULE_ORDER
-    if sorted(order) != sorted(RULE_ORDER):
-        raise AssertionError("rule_order must be a permutation")
     for _ in range(MAX_PASSES):
         improved = False
-        for rule_id in order:
+        for rule_id in RULE_ORDER:
             rule = _RULES[rule_id]
             for ctx in list(fb.contexts.values()):
                 for cand in rule(fb, ctx):
@@ -1136,9 +1116,3 @@ def report(fb: FactBase, fmt: str = "text") -> str:
     if fmt in ("json", "structured"):
         return json.dumps(structured_report(fb), indent=2, sort_keys=True) + "\n"
     raise ValueError(f"unknown report format {fmt!r}")
-
-
-def shuffled_rule_order(seed: int) -> list[str]:
-    order = list(RULE_ORDER)
-    Random(seed).shuffle(order)
-    return order

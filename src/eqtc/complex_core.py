@@ -77,9 +77,6 @@ class SimplicialComplex:
     def f_vector(self) -> tuple[int, ...]:
         return tuple(len(level) for level in self.by_dim)
 
-    def euler_characteristic(self) -> int:
-        return sum((-1) ** d * n for d, n in enumerate(self.f_vector()))
-
     @cached_property
     def component_labels(self) -> list[int]:
         """Vertex -> component id (0-based, ordered by smallest member vertex)."""
@@ -132,7 +129,8 @@ def from_maximal_simplices(vertex_count: int, maximal: list[list[int]]) -> Simpl
         if s[0] < 0 or s[-1] >= vertex_count:
             raise ComplexError(f"vertex id out of range in {s}")
         canon.append(s)
-    if {v for s in canon for v in s} != set(range(vertex_count)):
+    # every vertex is in range, so all are used when there are vertex_count of them
+    if len({v for s in canon for v in s}) != vertex_count:
         raise ComplexError("some vertex id appears in no simplex")
     closure = {face for s in canon for k in range(1, len(s) + 1) for face in combinations(s, k)}
     return SimplicialComplex(vertex_count, frozenset(closure))
@@ -141,68 +139,6 @@ def from_maximal_simplices(vertex_count: int, maximal: list[list[int]]) -> Simpl
 def empty_complex() -> SimplicialComplex:
     """The complex with no simplices and no vertices: there is nothing to check."""
     return SimplicialComplex(0, frozenset())
-
-
-def solid_simplex(n: int) -> SimplicialComplex:
-    """The full n-simplex on n+1 vertices."""
-    if n < 0:
-        raise ComplexError("n must be >= 0")
-    return from_maximal_simplices(n + 1, [list(range(n + 1))])
-
-
-def boundary_sphere(n: int) -> SimplicialComplex:
-    """Boundary of the (n+1)-simplex: the minimal triangulation of the n-sphere."""
-    if n < 0:
-        raise ComplexError("n must be >= 0")
-    verts = list(range(n + 2))
-    maximal = [list(c) for c in combinations(verts, n + 1)]
-    return from_maximal_simplices(n + 2, maximal)
-
-
-def cycle_complex(m: int) -> SimplicialComplex:
-    """The m-gon: m vertices with edges {i, i+1 mod m}."""
-    if m < 3:
-        raise ComplexError("cycle needs at least 3 vertices")
-    return from_maximal_simplices(m, [[i, (i + 1) % m] for i in range(m)])
-
-
-def torus_seven_vertex() -> SimplicialComplex:
-    """The minimal 7-vertex triangulation of the torus (Csaszar torus).
-
-    Triangles are the Z/7 orbits of {0,1,3} and {0,2,3}; every vertex pair
-    is an edge, giving f-vector (7, 21, 14).
-    """
-    triangles = [[i % 7, (i + 1) % 7, (i + 3) % 7] for i in range(7)]
-    triangles += [[i % 7, (i + 2) % 7, (i + 3) % 7] for i in range(7)]
-    return from_maximal_simplices(7, triangles)
-
-
-def projective_plane_six_vertex() -> SimplicialComplex:
-    """The minimal 6-vertex real projective plane (antipodal icosahedron quotient)."""
-    triangles = [
-        [0, 1, 2], [0, 1, 5], [0, 2, 4], [0, 3, 4], [0, 3, 5],
-        [1, 2, 3], [1, 3, 4], [1, 4, 5], [2, 3, 5], [2, 4, 5],
-    ]
-    return from_maximal_simplices(6, triangles)
-
-
-def klein_bottle_grid() -> SimplicialComplex:
-    """A 9-vertex Klein bottle: diagonally triangulated 3x3 grid, one gluing reflected."""
-    n = 3
-
-    def vid(x: int, y: int) -> int:
-        if y == n:
-            x, y = (n - x) % n, 0
-        return (x % n) * n + (y % n)
-
-    triangles = set()
-    for x in range(n):
-        for y in range(n):
-            a, b = vid(x, y), vid(x + 1, y)
-            c, d = vid(x, y + 1), vid(x + 1, y + 1)
-            triangles.add(tuple(sorted({a, b, d})))
-            triangles.add(tuple(sorted({a, c, d})))
-    return from_maximal_simplices(n * n, [list(t) for t in sorted(triangles)])
 
 
 def barycentric_subdivision(
@@ -245,6 +181,22 @@ def barycentric_subdivision(
     # ids increase with dimension, so chains are already sorted tuples
     sd = SimplicialComplex(len(originals), frozenset(chains))
     return sd, provenance
+
+
+def subdivision_f_vector(f: tuple[int, ...]) -> tuple[int, ...]:
+    """The f-vector of the barycentric subdivision of a complex with f-vector f.
+
+    A k-simplex of sd K is a chain of k+1 faces ending at a j-simplex of K,
+    that is an ordered partition of its j+1 vertices into k+1 blocks: there
+    are (k+1)! S(j+1, k+1) of them, S the Stirling numbers of the second kind.
+    """
+    out = [0] * len(f)
+    onto = [1]  # onto[m]: the surjections of a (j+1)-set onto an m-set, from j = -1
+    for j, count in enumerate(f):
+        onto = [0] + [m * (onto[m - 1] + (onto[m] if m <= j else 0)) for m in range(1, j + 2)]
+        for k in range(j + 1):
+            out[k] += count * onto[k + 1]
+    return tuple(out)
 
 
 def full_subcomplex(K: SimplicialComplex, vertex_set: set[int]) -> SimplicialComplex:

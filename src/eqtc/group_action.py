@@ -21,7 +21,8 @@ once, by `validate_action`.  A round of `regularize` that passes
 `check_regularity` also proves its action simplicial (see there), so the
 actions transported to the subdivisions are not re-validated.  Two
 barycentric subdivisions always suffice; the construction fails loudly if
-that ever breaks.  The result, `RegularAction`, holds what the bounds read
+that ever breaks, and stops with CapExceeded before a subdivision too large
+to build.  The result, `RegularAction`, holds what the bounds read
 off it: the complex (fixed sets X^H), the group (isotropy groups), and the
 passing round's orbit images, the simplices of X/G, which `orbit_complex`
 reads instead of rescanning.
@@ -55,6 +56,7 @@ from eqtc.complex_core import (
     barycentric_subdivision,
     empty_complex,
     full_subcomplex,
+    subdivision_f_vector,
 )
 
 Perm = tuple[int, ...]
@@ -216,9 +218,6 @@ class Subgroup:
     @property
     def is_full(self) -> bool:
         return self.order == self.group.order
-
-    def key(self) -> tuple[Perm, ...]:
-        return tuple(self.group.elements[i] for i in sorted(self.members))
 
     def conjugate(self, g: int) -> "Subgroup":
         """g H g^-1 for the element with index g."""
@@ -412,13 +411,20 @@ def transport_action(G: FiniteGroup, provenance: dict[int, Simplex]) -> FiniteGr
 # Two barycentric subdivisions always regularize a finite simplicial action.
 MAX_ROUNDS = 2
 
+# Simplices one subdivision in `regularize` may build, predicted before it is
+# built.  S4-Z3's second round (546,482, about 115 MB) fits; a 3-cycle on the
+# boundary of the 6-simplex (33,156,984) stops here instead of running out of
+# memory.
+REGULARIZATION_SIMPLEX_BUDGET = 2_000_000
+
 
 def regularize(K: SimplicialComplex, G: FiniteGroup) -> RegularAction:
     """Subdivide (at most MAX_ROUNDS times) until the validated action is regular.
 
-    Exhausting the rounds indicates a bug and fails loudly.  A transported
-    action needs no `validate_action`: the round that passes proves its
-    action simplicial.
+    Raises CapExceeded before a subdivision whose predicted size is over
+    REGULARIZATION_SIMPLEX_BUDGET.  Exhausting the rounds indicates a bug
+    and fails loudly.  A transported action needs no `validate_action`: the
+    round that passes proves its action simplicial.
     """
     for rounds in range(MAX_ROUNDS + 1):
         result = check_regularity(K, G)
@@ -426,6 +432,12 @@ def regularize(K: SimplicialComplex, G: FiniteGroup) -> RegularAction:
             return RegularAction(K, G, rounds, result)
         if rounds == MAX_ROUNDS:
             break
+        size = sum(subdivision_f_vector(K.f_vector()))
+        if size > REGULARIZATION_SIMPLEX_BUDGET:
+            raise CapExceeded(
+                f"regularization round {rounds + 1} would build {size} simplices, "
+                f"over the budget of {REGULARIZATION_SIMPLEX_BUDGET}"
+            )
         K, provenance = barycentric_subdivision(K)
         G = transport_action(G, provenance)
     raise AssertionError(f"action not regular after {MAX_ROUNDS} subdivisions: {result}")

@@ -1,12 +1,12 @@
-"""Boundary and coboundary matrices, Betti numbers, and cohomology bases.
+"""Coboundary matrices, Betti numbers, and cohomology bases.
 
-Signs come from the global vertex order of each complex, so the boundary
-and coboundary operators (and later the cup product) are consistent across
-the whole package.  Matrices are lists of sparse columns and cochains are
-sparse vectors, as in eqtc.linalg: a d-cochain maps the position of a
-sorted d-simplex to a nonzero scalar.  The coboundary delta_d has one
-column per sorted d-simplex, holding (-1)^i at each coface that drops the
-simplex as its i-th face.  CochainBasis builds each delta_d once, and all
+Signs come from the global vertex order of each complex, so the coboundary
+operators (and later the cup product) are consistent across the whole
+package.  Matrices are lists of sparse columns and cochains are sparse
+vectors, as in eqtc.linalg: a d-cochain maps the position of a sorted
+d-simplex to a nonzero scalar.  The coboundary delta_d has one column per
+sorted d-simplex, holding (-1)^i at each coface that drops the simplex as
+its i-th face.  CochainBasis builds each delta_d once, and all
 elimination and every sparse sum go through eqtc.linalg.
 """
 
@@ -17,7 +17,6 @@ from eqtc.linalg import (
     Field,
     FieldError,
     LinearSolver,
-    add_multiple,
     column_space_basis,
     nullspace,
     parse_field,
@@ -25,31 +24,12 @@ from eqtc.linalg import (
 )
 
 __all__ = [
-    "boundary_matrix",
-    "boundary_matrices",
     "coboundary_matrix",
     "betti_numbers",
     "CochainBasis",
     "cohomology_basis",
     "parse_field",
 ]
-
-
-def boundary_matrix(K: SimplicialComplex, field: Field, d: int) -> list[dict]:
-    """Boundary map from d-chains to (d-1)-chains (d >= 1).
-
-    One column per sorted d-simplex; the face that drops the i-th vertex
-    gets (-1)^i in the row of its position among the (d-1)-simplices.
-    """
-    cols = K.simplices_of_dim(d)
-    index = K.index_of[d - 1] if cols else {}
-    signs = (field.one, field.neg(field.one))
-    return [{index[f]: signs[i % 2] for i, f in enumerate(faces(s))} for s in cols]
-
-
-def boundary_matrices(K: SimplicialComplex, field: Field) -> list[list[dict]]:
-    """All boundary matrices, index d-1 giving the map from d-chains (d >= 1)."""
-    return [boundary_matrix(K, field, d) for d in range(1, K.dim + 1)]
 
 
 def coboundary_matrix(K: SimplicialComplex, field: Field, d: int) -> list[dict]:
@@ -131,13 +111,6 @@ class CochainBasis:
 
     def betti_vector(self) -> tuple[int, ...]:
         return tuple(self.betti(d) for d in range(self.complex.dim + 1))
-
-    def is_cocycle(self, d: int, v: dict) -> bool:
-        delta = coboundary_matrix(self.complex, self.field, d)
-        image: dict = {}
-        for j, a in v.items():
-            add_multiple(image, a, delta[j], self.field)
-        return not image
 
     def project(self, d: int, cocycle: dict) -> dict:
         """Coordinates {basis index: coefficient} of a cocycle in the chosen basis."""

@@ -64,10 +64,15 @@ def _require(cond: bool, path: str, message: str) -> None:
         raise ProblemFormatError(f"{path}: {message}")
 
 
+def _is_int(v: object) -> bool:
+    """A JSON integer: bool is a subclass of int, but true is not 1 here."""
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
 def _parse_value(raw: object, path: str) -> object:
     if raw == "infinity":
         return inf
-    _require(isinstance(raw, int) and raw >= 1, path, "value must be an integer >= 1 or \"infinity\"")
+    _require(_is_int(raw) and raw >= 1, path, "value must be an integer >= 1 or \"infinity\"")
     return raw
 
 
@@ -92,7 +97,8 @@ def _parse_fact(raw: dict, path: str) -> AssertedFact:
 def parse_problem(data: dict, path: str = "$") -> Problem:
     _require(isinstance(data, dict), path, "problem must be a JSON object")
     version = data.get("schema_version", SCHEMA_VERSION if path != "$" else None)
-    _require(version == SCHEMA_VERSION, f"{path}.schema_version", f"must be {SCHEMA_VERSION}")
+    _require(_is_int(version) and version == SCHEMA_VERSION, f"{path}.schema_version",
+             f"must be {SCHEMA_VERSION}")
     name = data.get("name", "")
     _require(isinstance(name, str), f"{path}.name", "must be a string")
 
@@ -136,7 +142,7 @@ def parse_problem(data: dict, path: str = "$") -> Problem:
         )
 
     vc = data.get("vertex_count")
-    _require(isinstance(vc, int) and vc >= 1, f"{path}.vertex_count", "must be a positive integer")
+    _require(_is_int(vc) and vc >= 1, f"{path}.vertex_count", "must be a positive integer")
     maximal = data.get("maximal_simplices")
     _require(
         isinstance(maximal, list) and maximal,
@@ -146,16 +152,18 @@ def parse_problem(data: dict, path: str = "$") -> Problem:
     simplices = []
     for i, s in enumerate(maximal):
         _require(
-            isinstance(s, list) and s and all(isinstance(v, int) for v in s),
+            isinstance(s, list) and s and all(map(_is_int, s)),
             f"{path}.maximal_simplices[{i}]",
             "must be a nonempty list of integers",
         )
         simplices.append(tuple(s))
 
+    raw_generators = data.get("group_generators", [])
+    _require(isinstance(raw_generators, list), f"{path}.group_generators", "must be a list")
     generators = []
-    for i, g in enumerate(data.get("group_generators", [])):
+    for i, g in enumerate(raw_generators):
         _require(
-            isinstance(g, list) and all(isinstance(v, int) for v in g),
+            isinstance(g, list) and all(map(_is_int, g)),
             f"{path}.group_generators[{i}]",
             "must be a list of integers (the image array)",
         )
@@ -171,9 +179,10 @@ def parse_problem(data: dict, path: str = "$") -> Problem:
     for i, a in enumerate(annotations):
         _require(a in ANNOTATIONS, f"{path}.annotations[{i}]", f"must be one of {ANNOTATIONS}")
 
+    raw_facts = data.get("asserted_facts", [])
+    _require(isinstance(raw_facts, list), f"{path}.asserted_facts", "must be a list")
     facts = tuple(
-        _parse_fact(raw, f"{path}.asserted_facts[{i}]")
-        for i, raw in enumerate(data.get("asserted_facts", []))
+        _parse_fact(raw, f"{path}.asserted_facts[{i}]") for i, raw in enumerate(raw_facts)
     )
 
     return Problem(

@@ -75,9 +75,6 @@ class CohomologyRing:
     def top_degree(self) -> int:
         return max(self.degrees)
 
-    def indices_of_degree(self, d: int) -> list[int]:
-        return [i for i, deg in enumerate(self.degrees) if deg == d]
-
     def multiply_basis(self, i: int, j: int) -> Element:
         return self.constants.get((i, j), {})
 
@@ -222,53 +219,44 @@ def _zbar(T: TensorRing, g: int) -> TensorElement:
     return elem
 
 
-def zero_divisor_set(T: TensorRing, mode: str = "elementary") -> ZeroDivisorSet:
-    """Zero-divisors of the tensor ring.
+def elementary_zero_divisors(T: TensorRing) -> list[ZeroDivisor]:
+    """xbar = x(x)1 - 1(x)x for each positive-degree basis class x."""
+    ring = T.ring
+    return [ZeroDivisor(f"zbar({ring.labels[g]})", ring.degrees[g], _freeze(_zbar(T, g)))
+            for g in range(ring.size) if ring.degrees[g] > 0]
 
-    "elementary" lists xbar = x(x)1 - 1(x)x for each positive-degree basis
-    class x; "full_kernel" computes a kernel basis of the multiplication
-    map in every degree.  Every element is checked to map to zero.
+
+def kernel_zero_divisors(T: TensorRing) -> list[ZeroDivisor]:
+    """A kernel basis of the multiplication map in every degree.
+
+    Degree 0 matters for disconnected spaces (component idempotents).
     """
     ring = T.ring
-    field = T.field
     elements: list[ZeroDivisor] = []
-    if mode == "elementary":
-        for g in range(ring.size):
-            d = ring.degrees[g]
-            if d > 0:
-                elements.append(ZeroDivisor(f"zbar({ring.labels[g]})", d, _freeze(_zbar(T, g))))
-    elif mode == "full_kernel":
-        # degree 0 matters for disconnected spaces (component idempotents)
-        for d in range(0, T.top_degree + 1):
-            pairs = T.pairs_of_degree(d)
-            if not pairs:
-                continue
-            kernel = nullspace([ring.multiply_basis(*pair) for pair in pairs], field)
+    for d in range(T.top_degree + 1):
+        pairs = T.pairs_of_degree(d)
+        if pairs:
+            kernel = nullspace([ring.multiply_basis(*pair) for pair in pairs], T.field)
             for k, vec in enumerate(kernel):
                 elem = {pairs[c]: v for c, v in vec.items()}
                 elements.append(ZeroDivisor(f"zker{d}_{k}", d, _freeze(elem)))
-    else:
-        raise ValueError(f"unknown zero-divisor mode {mode!r}")
-
-    for z in elements:
-        if T.cup(z.element()):
-            raise AssertionError(f"{z.label} does not map to zero")
-    return ZeroDivisorSet(elements)
+    return elements
 
 
 def combined_zero_divisors(T: TensorRing) -> ZeroDivisorSet:
-    """Elementary and full-kernel zero-divisors together, deduplicated.
+    """Elementary and kernel zero-divisors together, deduplicated.
 
     The nil search only improves with more candidate factors, so the engine
-    feeds it the union of both modes.
+    feeds it both.  Every element is checked to map to zero.
     """
     seen: set = set()
     combined: list[ZeroDivisor] = []
-    for mode in ("elementary", "full_kernel"):
-        for z in zero_divisor_set(T, mode).elements:
-            if z.coeffs not in seen:
-                seen.add(z.coeffs)
-                combined.append(z)
+    for z in elementary_zero_divisors(T) + kernel_zero_divisors(T):
+        if T.cup(z.element()):
+            raise AssertionError(f"{z.label} does not map to zero")
+        if z.coeffs not in seen:
+            seen.add(z.coeffs)
+            combined.append(z)
     return ZeroDivisorSet(combined)
 
 

@@ -10,16 +10,22 @@ subdivision, a per-simplex transporter search for regularity, the
 checks a complex once ran on itself, and the quotient by a full rescan.  The
 package's matrices are lists of sparse columns and its cochains sparse
 vectors; to_rows, to_columns, to_dense and to_sparse convert at the test
-boundary.
+boundary.  The sparse boundary matrices, the cocycle test and the fact-base
+helpers at the end are test helpers the program itself does not need.
 """
 
 from __future__ import annotations
 
+from dataclasses import replace
 from itertools import combinations
 from itertools import product as iproduct
+from random import Random
 
+from eqtc.bounds import RULE_ORDER, FactBase
+from eqtc.complex_core import faces
 from eqtc.group_action import FiniteGroup
-from eqtc.linalg import parse_field
+from eqtc.homology import coboundary_matrix
+from eqtc.linalg import add_multiple, parse_field
 
 
 def to_rows(columns: list[dict], n_rows: int, field) -> list[list]:
@@ -63,6 +69,32 @@ def dense_coboundary_matrix(K, field, d: int) -> list[list]:
             row[col_of[tau[:i] + tau[i + 1 :]]] = field.of_int((-1) ** i)
         rows.append(row)
     return rows
+
+
+def boundary_matrix(K, field, d: int) -> list[dict]:
+    """Boundary map from d-chains to (d-1)-chains (d >= 1), as sparse columns.
+
+    One column per sorted d-simplex; the face that drops the i-th vertex
+    gets (-1)^i in the row of its position among the (d-1)-simplices.
+    """
+    cols = K.simplices_of_dim(d)
+    index = K.index_of[d - 1] if cols else {}
+    signs = (field.one, field.neg(field.one))
+    return [{index[f]: signs[i % 2] for i, f in enumerate(faces(s))} for s in cols]
+
+
+def boundary_matrices(K, field) -> list[list[dict]]:
+    """All boundary matrices, index d-1 giving the map from d-chains (d >= 1)."""
+    return [boundary_matrix(K, field, d) for d in range(1, K.dim + 1)]
+
+
+def is_cocycle(K, field, d: int, v: dict) -> bool:
+    """Whether the sparse d-cochain v has zero coboundary."""
+    delta = coboundary_matrix(K, field, d)
+    image: dict = {}
+    for j, a in v.items():
+        add_multiple(image, a, delta[j], field)
+    return not image
 
 
 def oracle_rref(rows: list[list], field) -> tuple[list[list], list[int]]:
@@ -330,6 +362,34 @@ def oracle_orbit_complex(R) -> tuple[int, frozenset]:
     images = set()
     for s in R.complex.simplices:
         image = tuple(sorted({orbit[v] for v in s}))
-        assert len(image) == len(s), f"regular action collapses {s}"
+        if len(image) != len(s):
+            raise AssertionError(f"regular action collapses {s}")
         images.add(image)
     return count, frozenset(images)
+
+
+# ---------------------------------------------------------------------------
+# fact-base helpers for the engine tests
+
+
+def bound_by_id(fb: FactBase, bound_id: int):
+    return fb.bounds[bound_id - 1]
+
+
+def clone_fact_base(fb: FactBase) -> FactBase:
+    """Copy with the same contexts but an independent bound log."""
+    out = FactBase(fb.config)
+    out.contexts = fb.contexts
+    out.associated = fb.associated
+    out.bounds = list(fb.bounds)
+    out.quantities = list(fb.quantities)
+    out.best = {k: {s: replace(v) for s, v in sides.items()} for k, sides in fb.best.items()}
+    out.inconsistencies = list(fb.inconsistencies)
+    return out
+
+
+def shuffled_rule_order(seed: int) -> list[str]:
+    """The engine's rule order, shuffled; `saturate` reads `bounds.RULE_ORDER`."""
+    order = list(RULE_ORDER)
+    Random(seed).shuffle(order)
+    return order

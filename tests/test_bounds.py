@@ -10,17 +10,20 @@ from math import inf, isinf
 
 import pytest
 
+import eqtc.bounds as bounds
 from eqtc.bounds import (
+    RULE_ORDER,
     Quantity,
     analyze_problem,
     report,
     seed_facts,
     saturate,
-    shuffled_rule_order,
     structured_report,
     text_report,
 )
 from eqtc.problems import AssertedFact, Problem, ProblemFormatError, builtin_examples
+
+from oracles import bound_by_id, clone_fact_base, shuffled_rule_order
 
 EXAMPLES = builtin_examples()
 
@@ -71,7 +74,7 @@ def test_reflection_circle_is_infinite_with_witness():
     fb = analyze_problem(EXAMPLES["sphere-reflection-n1"])
     assert interval(fb, "TC_G", "X", "G") == (inf, inf)
     bid = fb.best[("", Quantity("TC_G", "X", "G"))]["lower"].bound_id
-    bound = fb.bound_by_id(bid)
+    bound = bound_by_id(fb, bid)
     assert bound.rule == "R9"
     assert bound.certificate["components"] == 2
     assert not fb.inconsistencies
@@ -97,7 +100,7 @@ def test_reflection_lower_bound_source_n3():
     # for the odd sphere the binding lower bound comes from the fixed 2-sphere
     fb = analyze_problem(EXAMPLES["sphere-reflection-n3"])
     bid = fb.best[("", Quantity("TC_G", "X", "G"))]["lower"].bound_id
-    bound = fb.bound_by_id(bid)
+    bound = bound_by_id(fb, bid)
     assert bound.rule == "R7"
     assert bound.certificate["subgroup"] == "G"
     lo, hi = interval(fb, "TC", "fix:H1")
@@ -109,7 +112,7 @@ def test_free_antipodal_hexagon_cat_g_closed_by_quotient():
     assert interval(fb, "cat", "orbit") == (2, 2)
     assert interval(fb, "cat_G", "X", "G") == (2, 2)
     upper = fb.best[("", Quantity("cat_G", "X", "G"))]["upper"]
-    assert fb.bound_by_id(upper.bound_id).rule == "R6"
+    assert bound_by_id(fb, upper.bound_id).rule == "R6"
     lo, hi = interval(fb, "TC_G", "X", "G")
     assert lo == 2 and isinf(hi)
 
@@ -120,7 +123,7 @@ def test_torus_closes_cat_and_bounds_tc():
     lo, hi = interval(fb, "TC", "X")
     assert lo == 3 and hi == 5
     bid = fb.best[("", Quantity("TC", "X", None))]["lower"].bound_id
-    assert fb.bound_by_id(bid).certificate["length"] == 2
+    assert bound_by_id(fb, bid).certificate["length"] == 2
 
 
 def test_klein_bound_via_associated_space():
@@ -128,7 +131,7 @@ def test_klein_bound_via_associated_space():
     lo, hi = interval(fb, "TC", "assoc")
     assert hi == 6
     bid = fb.best[("", Quantity("TC", "assoc", None))]["upper"].bound_id
-    bound = fb.bound_by_id(bid)
+    bound = bound_by_id(fb, bid)
     assert bound.rule == "R18"
     assert bound.certificate == {"fiber_upper": 3, "base_upper": 2}
     assert interval(fb, "TC_G", "X", "G", ctx="fiber") == (3, 3)
@@ -156,8 +159,8 @@ def test_inconsistent_assertion_is_reported_with_both_provenances():
     assert fb.inconsistencies
     ctx, q, lo_id, hi_id = fb.inconsistencies[0]
     assert (q.kind, q.space) == ("cat", "X")
-    assert fb.bound_by_id(lo_id).rule == "R2"
-    assert fb.bound_by_id(hi_id).rule == "ASSERT"
+    assert bound_by_id(fb, lo_id).rule == "R2"
+    assert bound_by_id(fb, hi_id).rule == "ASSERT"
     text = text_report(fb)
     assert "INCONSISTENT" in text
 
@@ -205,14 +208,14 @@ def test_rule_catalogue_equality_r17():
     fb = analyze_problem(p)
     assert interval(fb, "TC_G", "X", "G") == (2, 2)
     upper = fb.best[("", Quantity("TC_G", "X", "G"))]["upper"]
-    assert fb.bound_by_id(upper.bound_id).rule == "R17"
+    assert bound_by_id(fb, upper.bound_id).rule == "R17"
 
 
 def test_r12_upper_from_asserted_cat_g():
     fb = analyze_problem(EXAMPLES["sphere-reflection-n2"])
     upper = fb.best[("", Quantity("TC_G", "X", "G"))]["upper"]
-    assert fb.bound_by_id(upper.bound_id).rule == "R12"
-    assert fb.bound_by_id(upper.bound_id).value == 3
+    assert bound_by_id(fb, upper.bound_id).rule == "R12"
+    assert bound_by_id(fb, upper.bound_id).value == 3
 
 
 def test_engine_checks_survive_python_O():
@@ -225,10 +228,13 @@ def test_engine_checks_survive_python_O():
     )
     ring_check = (
         "import eqtc.ring as r\n"
-        "from eqtc.complex_core import torus_seven_vertex\n"
+        "from eqtc.complex_core import from_maximal_simplices\n"
         "from eqtc.homology import parse_field\n"
         "r.verify_zero_divisor_certificate = lambda T, factors: False\n"
-        "T = r.kunneth_tensor_ring(r.ring_structure(torus_seven_vertex(), parse_field('F2')))\n"
+        "tris = [[i, (i + 1) % 7, (i + 3) % 7] for i in range(7)]\n"
+        "tris += [[i, (i + 2) % 7, (i + 3) % 7] for i in range(7)]\n"
+        "torus = from_maximal_simplices(7, tris)\n"
+        "T = r.kunneth_tensor_ring(r.ring_structure(torus, parse_field('F2')))\n"
         "r.nilpotency_lower_bound(T, r.combined_zero_divisors(T), 2)\n"
     )
     src = str(Path(__file__).resolve().parents[1] / "src")
@@ -244,12 +250,15 @@ def test_engine_checks_survive_python_O():
         assert message in proc.stderr
 
 
-def test_saturation_confluent_under_rule_orders():
+def test_saturation_confluent_under_rule_orders(monkeypatch):
     for name in ("sphere-reflection-n2", "ngon-antipodal", "klein-bound", "torus7"):
         base = seed_facts(EXAMPLES[name])
         reference = None
         for s in range(6):
-            fb = saturate(base.clone(), shuffled_rule_order(s))
+            order = shuffled_rule_order(s)
+            assert sorted(order) == sorted(RULE_ORDER)
+            monkeypatch.setattr(bounds, "RULE_ORDER", order)
+            fb = saturate(clone_fact_base(base))
             snapshot = {(c, q): fb.interval(c, q) for c, q in fb.quantities}
             if reference is None:
                 reference = snapshot
@@ -296,13 +305,13 @@ def test_replaying_premises_reproduces_values():
     for b in fb.bounds:
         if b.rule == "R12" and b.side == "upper":
             (pid,) = b.premises
-            assert b.value == 2 * fb.bound_by_id(pid).value - 1
+            assert b.value == 2 * bound_by_id(fb, pid).value - 1
         if b.rule == "R5":
             (pid,) = b.premises
-            assert b.value == 2 * fb.bound_by_id(pid).value - 1
+            assert b.value == 2 * bound_by_id(fb, pid).value - 1
         if b.rule == "R18":
             fa, ba = b.premises
-            assert b.value == fb.bound_by_id(fa).value * fb.bound_by_id(ba).value
+            assert b.value == bound_by_id(fb, fa).value * bound_by_id(fb, ba).value
 
 
 def test_structured_report_schema():
@@ -459,7 +468,7 @@ def test_r12_reverse_propagation_bounds_cat_g_from_below():
     lo, hi = interval(fb, "cat_G", "X", "G")
     assert lo == 2 and isinf(hi)  # TC_G >= 3 forces cat_G >= ceil(4/2) = 2
     bid = fb.best[("", Quantity("cat_G", "X", "G"))]["lower"].bound_id
-    assert fb.bound_by_id(bid).rule == "R12"
+    assert bound_by_id(fb, bid).rule == "R12"
 
 
 def test_klein_four_reflections_on_circle_are_infinite():

@@ -2,9 +2,16 @@ from __future__ import annotations
 
 import io
 import json
+import os
+import re
+import resource
 import signal
+import subprocess
+import sys
 import time
 from contextlib import contextmanager
+from itertools import combinations
+from pathlib import Path
 
 import pytest
 
@@ -336,6 +343,50 @@ def test_huge_field_characteristic_exits_invalid_at_once(tmp_path, capsys, spec)
         assert "characteristic of a field F<p> must be below 2^32" in capsys.readouterr().err
 
 
+def test_oversized_regularization_exits_cap_at_once(tmp_path, capsys):
+    # the boundary of the 6-simplex with a 3-cycle is inside every configured
+    # cap, but its second subdivision would have 33,156,984 simplices; in-process
+    # under a timer, so a regression fails here instead of filling the memory
+    data = {"schema_version": 1, "name": "S5-Z3", "vertex_count": 7,
+            "maximal_simplices": [list(c) for c in combinations(range(7), 6)],
+            "group_generators": [[1, 2, 0, 3, 4, 5, 6]]}
+    path = tmp_path / "s5-z3.json"
+    path.write_text(json.dumps(data), encoding="utf-8")
+    for verb in ("analyze", "fixed"):
+        with deadline(1.0):
+            code, out = run([verb, str(path)])
+        assert (code, out) == (EXIT_CAP, "")
+        assert "round 2 would build 33156984 simplices" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "change, message",
+    [
+        ({"group_generators": 5}, "$.group_generators: must be a list"),
+        ({"asserted_facts": 5}, "$.asserted_facts: must be a list"),
+        ({"asserted_facts": [{"kind": "TC", "value": True, "justification": "j"}]},
+         "$.asserted_facts[0].value: value must be an integer"),
+        ({"vertex_count": 1_000_000_000}, "some vertex id appears in no simplex"),
+    ],
+    ids=["generators-not-a-list", "facts-not-a-list", "bool-value", "huge-vertex-count"],
+)
+def test_hostile_problem_files_exit_invalid(tmp_path, change, message):
+    # a subprocess under a 1 GB address-space limit: a file that makes the
+    # program allocate by its claimed size fails with MemoryError, not the host
+    def limit_memory():
+        resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+    path = write_example(tmp_path, "torus7", mutate=lambda d: d.update(change))
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    proc = subprocess.run(
+        [sys.executable, "-m", "eqtc", "analyze", path], env={**os.environ, "PYTHONPATH": src},
+        capture_output=True, text=True, timeout=60, preexec_fn=limit_memory,
+    )
+    assert (proc.returncode, proc.stdout) == (EXIT_INVALID, "")
+    assert "Traceback" not in proc.stderr
+    assert message in proc.stderr
+
+
 def test_bad_group_cap_env_exits_invalid(tmp_path, monkeypatch):
     monkeypatch.setenv("EQTC_GROUP_ORDER_CAP", "many")
     assert run(["analyze", write_example(tmp_path, "torus7")])[0] == EXIT_INVALID
@@ -358,6 +409,14 @@ def test_schema_rejections():
                        "asserted_facts": [{"kind": "huh", "value": 2,
                                            "justification": "j"}]})
     assert "asserted_facts[0].kind" in str(err.value)
+    # JSON true is not the integer 1, wherever an integer is read
+    for path, change in (("schema_version", {"schema_version": True}),
+                         ("vertex_count", {"vertex_count": True}),
+                         ("maximal_simplices[0]", {"maximal_simplices": [[False]]}),
+                         ("group_generators[0]", {"group_generators": [[False]]})):
+        with pytest.raises(ProblemFormatError, match=re.escape(f"$.{path}:")):
+            parse_problem({"schema_version": 1, "name": "x", "vertex_count": 1,
+                           "maximal_simplices": [[0]], **change})
 
 
 def test_schema_infinity_value():

@@ -8,14 +8,21 @@ from eqtc.complex_core import (
     ComplexError,
     SimplicialComplex,
     barycentric_subdivision,
-    boundary_sphere,
-    cycle_complex,
     empty_complex,
     from_maximal_simplices,
     full_subcomplex,
-    solid_simplex,
+    subdivision_f_vector,
 )
+from eqtc.problems import builtin_examples
 
+from complexes import (
+    boundary_sphere,
+    cycle_complex,
+    euler_characteristic,
+    klein_bottle_grid,
+    solid_simplex,
+    torus_seven_vertex,
+)
 from oracles import oracle_is_complex
 
 
@@ -35,7 +42,7 @@ def test_two_isolated_points():
     K = from_maximal_simplices(2, [[0], [1]])
     assert K.dim == 0
     assert K.connected_components() == 2
-    assert K.euler_characteristic() == 2
+    assert euler_characteristic(K) == 2
 
 
 def test_from_maximal_rejects_bad_input():
@@ -52,6 +59,9 @@ def test_from_maximal_rejects_bad_input():
         from_maximal_simplices(2, [[0, 1], []])
     with pytest.raises(ComplexError, match="out of range"):
         from_maximal_simplices(2, [[-1, 0]])
+    # a vertex count far above the input is caught by counting, not by listing it
+    with pytest.raises(ComplexError, match="some vertex id appears in no simplex"):
+        from_maximal_simplices(10**18, [[0, 1]])
 
 
 def test_boundary_spheres():
@@ -66,7 +76,7 @@ def test_cycle_complexes():
     assert cycle_complex(3).simplices == boundary_sphere(1).simplices
     sq = cycle_complex(4)
     assert sq.f_vector() == (4, 4)
-    assert sq.euler_characteristic() == 0
+    assert euler_characteristic(sq) == 0
     hexagon = cycle_complex(6)
     assert hexagon.f_vector() == (6, 6)
     with pytest.raises(ComplexError):
@@ -98,14 +108,42 @@ def test_subdivision_of_edge_is_path():
 def test_subdivision_counts_for_tetrahedron_boundary():
     sd, _ = barycentric_subdivision(boundary_sphere(2))
     assert sd.f_vector() == (14, 36, 24)
-    assert sd.euler_characteristic() == 2
+    assert euler_characteristic(sd) == 2
 
 
 def test_subdivision_preserves_euler_characteristic():
     for K in [cycle_complex(5), boundary_sphere(2), solid_simplex(3), boundary_sphere(3)]:
         sd, _ = barycentric_subdivision(K)
-        assert sd.euler_characteristic() == K.euler_characteristic()
+        assert euler_characteristic(sd) == euler_characteristic(K)
         assert sd.dim == K.dim
+
+
+def test_predicted_subdivision_f_vector_is_exact():
+    fixtures = [cycle_complex(5), boundary_sphere(0), boundary_sphere(3), solid_simplex(4),
+                torus_seven_vertex(), klein_bottle_grid(),
+                from_maximal_simplices(4, [[0, 1, 2], [2, 3], [3]])]
+    for K in fixtures:
+        sd, _ = barycentric_subdivision(K)
+        assert subdivision_f_vector(K.f_vector()) == sd.f_vector()
+        sd2, _ = barycentric_subdivision(sd)
+        assert subdivision_f_vector(sd.f_vector()) == sd2.f_vector()
+    # the sizes the regularization budget is set from
+    s4, s5 = boundary_sphere(4).f_vector(), boundary_sphere(5).f_vector()
+    assert sum(subdivision_f_vector(subdivision_f_vector(s4))) == 546_482
+    assert sum(subdivision_f_vector(subdivision_f_vector(s5))) == 33_156_984
+
+
+def test_fixtures_equal_the_builtin_triangulations():
+    # problems.py builds its own copies, so the two cannot drift apart
+    examples = builtin_examples()
+
+    def built(name):
+        p = examples[name]
+        return from_maximal_simplices(p.vertex_count, [list(s) for s in p.maximal_simplices])
+
+    assert built("torus7") == torus_seven_vertex()
+    for n in (1, 2, 3):
+        assert built(f"sphere-reflection-n{n}") == boundary_sphere(n)
 
 
 def test_full_subcomplex_square_opposite_corners():
@@ -133,9 +171,9 @@ def test_full_subcomplex_empty_selection():
 
 
 def test_euler_and_components_builtins():
-    assert cycle_complex(4).euler_characteristic() == 0
+    assert euler_characteristic(cycle_complex(4)) == 0
     assert cycle_complex(4).connected_components() == 1
-    assert boundary_sphere(2).euler_characteristic() == 2
+    assert euler_characteristic(boundary_sphere(2)) == 2
     assert boundary_sphere(2).dim == 2
     assert empty_complex().connected_components() == 0
 

@@ -12,11 +12,8 @@ from hypothesis import strategies as st
 import eqtc.group_action as group_action
 from eqtc.complex_core import (
     barycentric_subdivision,
-    boundary_sphere,
-    cycle_complex,
     from_maximal_simplices,
     full_subcomplex,
-    solid_simplex,
 )
 from eqtc.group_action import (
     ActionError,
@@ -40,6 +37,7 @@ from eqtc.group_action import (
 from eqtc.homology import betti_numbers, parse_field
 from eqtc.problems import builtin_examples
 
+from complexes import boundary_sphere, cycle_complex, solid_simplex
 from oracles import (
     oracle_is_complex,
     oracle_orbit_complex,
@@ -172,8 +170,8 @@ def test_subgroups_match_brute_force_oracle(name):
     every, classes = oracle_subgroups(G.elements, degree)
     subs = subgroups(G, "all")
     reps = subgroups(G, "up_to_conjugacy")
-    assert [h.key() for h in subs] == every
-    assert [h.key() for h in reps] == classes
+    assert [key(h) for h in subs] == every
+    assert [key(h) for h in reps] == classes
     assert (len(every), len(classes)) == (n_all, n_classes)
     # "all" lists each class's conjugates, each once
     assert {h.members for h in subs} == set().union(*(h.conjugates for h in reps))
@@ -190,6 +188,11 @@ def perms(h):
     return {h.group.elements[i] for i in h.members}
 
 
+def key(h):
+    """The permutations of a subgroup, sorted."""
+    return tuple(sorted(perms(h)))
+
+
 def _assert_cayley_table(G) -> None:
     """mul and inv, read off base images, agree with composing whole permutations."""
     els = G.elements
@@ -204,7 +207,7 @@ def test_cayley_table_agrees_with_permutations(name):
     G = group_closure(degree, gens)
     _assert_cayley_table(G)
     subs = subgroups(G, "all")
-    assert [(h.order, h.key()) for h in subs] == sorted((h.order, h.key()) for h in subs)
+    assert [(h.order, key(h)) for h in subs] == sorted((h.order, key(h)) for h in subs)
     for h in subs:
         for i, g in enumerate(G.elements):
             gi = inverse(g)
@@ -317,6 +320,22 @@ def test_regularize_sphere_reflection():
     assert 1 <= R.subdivision_rounds <= 2
     assert check_regularity(R.complex, R.group) == R.images
     assert R.complex.dim == K.dim == 2
+
+
+def test_regularize_stops_before_a_subdivision_over_the_budget(monkeypatch):
+    # a 3-cycle on the tetrahedron boundary needs two rounds, of 74 and 434 simplices
+    K = boundary_sphere(2)
+    monkeypatch.setattr(group_action, "REGULARIZATION_SIMPLEX_BUDGET", 434)
+    assert len(regular(K, [[1, 2, 0, 3]]).complex.simplices) == 434
+    monkeypatch.setattr(group_action, "REGULARIZATION_SIMPLEX_BUDGET", 433)
+    with pytest.raises(CapExceeded, match="round 2 would build 434 simplices"):
+        regular(K, [[1, 2, 0, 3]])
+    monkeypatch.setattr(group_action, "REGULARIZATION_SIMPLEX_BUDGET", 73)
+    with pytest.raises(CapExceeded, match="round 1 would build 74 simplices"):
+        regular(K, [[1, 2, 0, 3]])
+    # a regular action subdivides nothing, so no budget applies
+    monkeypatch.setattr(group_action, "REGULARIZATION_SIMPLEX_BUDGET", 0)
+    assert regular(cycle_complex(6), [[3, 4, 5, 0, 1, 2]]).subdivision_rounds == 0
 
 
 def _rounds(K, gens):

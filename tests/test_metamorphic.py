@@ -22,6 +22,8 @@ from eqtc.ring import (
     ring_structure,
 )
 
+from complexes import euler_characteristic
+
 EXAMPLES = builtin_examples()
 RELABELED = (
     "sphere-reflection-n1",
@@ -114,7 +116,7 @@ def test_betti_numbers_over_f_p_bound_those_over_q(K):
 def test_alternating_betti_sum_is_the_euler_characteristic(K):
     for field in (F2, F3, Q):
         betti = betti_numbers(K, field)
-        assert sum((-1) ** d * b for d, b in enumerate(betti)) == K.euler_characteristic()
+        assert sum((-1) ** d * b for d, b in enumerate(betti)) == euler_characteristic(K)
 
 
 @settings(derandomize=True, deadline=None, max_examples=50)

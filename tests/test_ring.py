@@ -7,6 +7,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from complexes import (
+    boundary_sphere,
+    cycle_complex,
+    projective_plane_six_vertex,
+    solid_simplex,
+    torus_seven_vertex,
+)
 from oracles import (
     dense_coboundary_matrix,
     mat_vec,
@@ -18,28 +25,23 @@ from oracles import (
     to_sparse,
 )
 
-from eqtc.complex_core import (
-    boundary_sphere,
-    cycle_complex,
-    from_maximal_simplices,
-    projective_plane_six_vertex,
-    solid_simplex,
-    torus_seven_vertex,
-)
+from eqtc.complex_core import from_maximal_simplices
 from eqtc.homology import cohomology_basis, parse_field
 from eqtc.problems import builtin_examples
 from eqtc.ring import (
     CohomologyRing,
     TensorRing,
+    ZeroDivisorSet,
     _longest_product,
     combined_zero_divisors,
     cup_product_cochain,
+    elementary_zero_divisors,
+    kernel_zero_divisors,
     kunneth_tensor_ring,
     nilpotency_lower_bound,
     reduced_cuplength,
     ring_structure,
     verify_zero_divisor_certificate,
-    zero_divisor_set,
 )
 
 F2 = parse_field("F2")
@@ -220,7 +222,7 @@ def test_kunneth_degree_dimensions():
         for field in FIELDS:
             ring = ring_structure(K, field)
             T = kunneth_tensor_ring(ring)
-            betti = [len(ring.indices_of_degree(d)) for d in range(ring.top_degree + 1)]
+            betti = [ring.degrees.count(d) for d in range(ring.top_degree + 1)]
             for n in range(2 * ring.top_degree + 1):
                 expect = sum(
                     betti[p] * betti[n - p]
@@ -233,7 +235,7 @@ def test_kunneth_degree_dimensions():
 def test_elementary_zero_divisors_sphere():
     ring = ring_structure(boundary_sphere(2), Q)
     T = kunneth_tensor_ring(ring)
-    Z = zero_divisor_set(T, "elementary")
+    Z = ZeroDivisorSet(elementary_zero_divisors(T))
     assert len(Z.elements) == 1
     z = Z.elements[0]
     assert z.element() == {(1, 0): Q.one, (0, 1): Q.of_int(-1)}
@@ -243,9 +245,27 @@ def test_elementary_zero_divisors_sphere():
 def test_full_kernel_torus_degree_one_dimension():
     ring = ring_structure(torus_seven_vertex(), F2)
     T = kunneth_tensor_ring(ring)
-    Z = zero_divisor_set(T, "full_kernel")
+    Z = ZeroDivisorSet(kernel_zero_divisors(T))
     deg1 = [z for z in Z.elements if z.degree == 1]
     assert len(deg1) == 2  # kernel of the 4 -> 2 multiplication matrix in degree 1
+
+
+def test_combined_zero_divisors_elementary_first_each_once():
+    for K in BUILTINS:
+        for field in FIELDS:
+            T = kunneth_tensor_ring(ring_structure(K, field))
+            both = elementary_zero_divisors(T) + kernel_zero_divisors(T)
+            assert all(T.cup(z.element()) == {} for z in both)
+            first = [next(z for z in both if z.coeffs == c)
+                     for c in dict.fromkeys(z.coeffs for z in both)]
+            assert combined_zero_divisors(T).elements == first
+
+
+def test_combined_zero_divisors_check_each_element_maps_to_zero(monkeypatch):
+    T = kunneth_tensor_ring(ring_structure(torus_seven_vertex(), F2))
+    monkeypatch.setattr(TensorRing, "cup", lambda self, x: {0: F2.one})
+    with pytest.raises(AssertionError, match=r"zbar\(a1_0\) does not map to zero"):
+        combined_zero_divisors(T)
 
 
 def test_circle_zero_divisor_square_vanishes():
@@ -254,7 +274,7 @@ def test_circle_zero_divisor_square_vanishes():
     for field in FIELDS:
         ring = ring_structure(cycle_complex(4), field)
         T = kunneth_tensor_ring(ring)
-        Z = zero_divisor_set(T, "elementary")
+        Z = ZeroDivisorSet(elementary_zero_divisors(T))
         z = Z.elements[0].element()
         assert T.multiply(z, z) == {}
         cert, _ = nilpotency_lower_bound(T, Z, depth_cap=2)
@@ -266,7 +286,7 @@ def test_even_sphere_zero_divisor_square():
     for field, alive in [(Q, True), (F3, True), (F2, False)]:
         ring = ring_structure(boundary_sphere(2), field)
         T = kunneth_tensor_ring(ring)
-        Z = zero_divisor_set(T, "elementary")
+        Z = ZeroDivisorSet(elementary_zero_divisors(T))
         z = Z.elements[0].element()
         sq = T.multiply(z, z)
         if alive:
@@ -284,8 +304,8 @@ def test_odd_sphere_zero_divisor_length_one():
     for field in FIELDS:
         ring = ring_structure(boundary_sphere(3), field)
         T = kunneth_tensor_ring(ring)
-        for mode in ("elementary", "full_kernel"):
-            Z = zero_divisor_set(T, mode)
+        for build in (elementary_zero_divisors, kernel_zero_divisors):
+            Z = ZeroDivisorSet(build(T))
             cert, _ = nilpotency_lower_bound(T, Z, depth_cap=6)
             assert cert.length == 1
 
@@ -293,7 +313,7 @@ def test_odd_sphere_zero_divisor_length_one():
 def test_torus_zero_divisor_length_two():
     ring = ring_structure(torus_seven_vertex(), F2)
     T = kunneth_tensor_ring(ring)
-    Z = zero_divisor_set(T, "elementary")
+    Z = ZeroDivisorSet(elementary_zero_divisors(T))
     zbar1, zbar2 = (z.element() for z in Z.elements[:2])
     assert T.multiply(zbar1, zbar2) != {}
     cert, factors = nilpotency_lower_bound(T, Z, depth_cap=4)
@@ -309,8 +329,8 @@ def test_nil_search_agrees_with_oracle_on_small_complexes():
             ring = ring_structure(K, field)
             T = kunneth_tensor_ring(ring)
             cap = max(1, 2 * K.dim)
-            for mode in ("elementary", "full_kernel"):
-                Z = zero_divisor_set(T, mode)
+            for build in (elementary_zero_divisors, kernel_zero_divisors):
+                Z = ZeroDivisorSet(build(T))
                 cert, _ = nilpotency_lower_bound(T, Z, depth_cap=cap)
                 assert cert.length == oracle_longest_product(T, Z.elements, cap)
 
@@ -318,7 +338,7 @@ def test_nil_search_agrees_with_oracle_on_small_complexes():
 def test_nil_search_monotone_in_depth_cap():
     ring = ring_structure(torus_seven_vertex(), Q)
     T = kunneth_tensor_ring(ring)
-    Z = zero_divisor_set(T, "full_kernel")
+    Z = ZeroDivisorSet(kernel_zero_divisors(T))
     lengths = [nilpotency_lower_bound(T, Z, depth_cap=c)[0].length for c in (1, 2, 3, 4)]
     assert lengths == sorted(lengths)
 
@@ -326,7 +346,7 @@ def test_nil_search_monotone_in_depth_cap():
 def test_depth_cap_validation():
     ring = ring_structure(cycle_complex(3), Q)
     T = kunneth_tensor_ring(ring)
-    Z = zero_divisor_set(T, "elementary")
+    Z = ZeroDivisorSet(elementary_zero_divisors(T))
     with pytest.raises(ValueError):
         nilpotency_lower_bound(T, Z, depth_cap=0)
 
@@ -380,7 +400,7 @@ def test_two_point_space_zero_divisors_are_idempotent():
     K = from_maximal_simplices(2, [[0], [1]])
     ring = ring_structure(K, Q)
     T = kunneth_tensor_ring(ring)
-    Z = zero_divisor_set(T, "full_kernel")
+    Z = ZeroDivisorSet(kernel_zero_divisors(T))
     cert, _ = nilpotency_lower_bound(T, Z, depth_cap=5)
     assert cert.length == 5
 
@@ -417,7 +437,7 @@ def test_nil_search_length_from_generators_matches_the_exhaustive_search(K, fiel
     # the length read off the algebra generators' zbar caps the search over
     # Z, which then stops at the chain that the search to exhaustion returns
     T = kunneth_tensor_ring(ring_structure(K, field))
-    for Z in (combined_zero_divisors(T), zero_divisor_set(T, "elementary")):
+    for Z in (combined_zero_divisors(T), ZeroDivisorSet(elementary_zero_divisors(T))):
         zs = sorted(Z.elements, key=lambda z: (z.degree, z.label))
         full = _longest_product([(z.degree, z.element()) for z in zs], T.multiply,
                                 T.top_degree, cap)
