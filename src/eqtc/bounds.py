@@ -72,8 +72,8 @@ class EngineConfig:
             if key not in known:
                 raise ProblemFormatError(f"config.{key}: unknown configuration key")
             if key == "fields":
-                if not isinstance(raw, list) or not all(isinstance(f, str) for f in raw):
-                    raise ProblemFormatError("config.fields: must be a list of field names")
+                if not (isinstance(raw, list) and raw and all(isinstance(f, str) for f in raw)):
+                    raise ProblemFormatError("config.fields: must list one or more field names")
                 raw = tuple(raw)
             merged[key] = raw
         merged.update({k: v for k, v in overrides.items() if v is not None})
@@ -116,7 +116,6 @@ class Bound:
     side: str  # lower | upper
     value: Value
     rule: str
-    statement: str
     premises: tuple[int, ...] = ()
     certificate: dict | None = None
     hypotheses: tuple[str, ...] = ()
@@ -186,13 +185,11 @@ class SpaceInfo:
     key: str
     display: str
     complex: SimplicialComplex | None  # None for formal spaces
-    formal: bool = False
     empty: bool = False
     dim: int | None = None
     connected: bool | None = None
     simplex_count: int | None = None
     betti: dict[str, tuple[int, ...]] = field(default_factory=dict)
-    rings: dict[str, object] = field(default_factory=dict)  # field name -> CohomologyRing
     # field name -> (R1 zero-divisor, R2 cup-length ProductCertificate), None if disconnected
     certificates: dict[str, tuple | None] = field(default_factory=dict)
     analyzed: bool = False
@@ -204,9 +201,6 @@ class SubgroupClassInfo:
     key: str
     display: str
     subgroup: Subgroup
-    order: int
-    is_trivial: bool
-    is_full: bool
     fixed_space: str | None  # space key; "X" for the trivial class
 
 
@@ -214,12 +208,10 @@ class SubgroupClassInfo:
 class ProblemContext:
     name: str  # "" for the root, else "fiber" / "base"
     problem: Problem
-    is_associated: bool = False
     regular: RegularAction | None = None
     equivariant: bool = False
     classes: list[SubgroupClassInfo] = field(default_factory=list)
     spaces: dict[str, SpaceInfo] = field(default_factory=dict)
-    annotations: tuple[str, ...] = ()
     g_connected: bool | None = None
     g_connected_witness: tuple[str, int] | None = None  # (class display, components)
     empty_fixed_classes: tuple[str, ...] = ()
@@ -244,20 +236,11 @@ class FactBase:
         self.config = config
         self.contexts: dict[str, ProblemContext] = {}
         self.bounds: list[Bound] = []
-        self.quantities: list[tuple[str, Quantity]] = []
         self.best: dict[tuple[str, Quantity], dict[str, BestSide]] = {}
         self.inconsistencies: list[tuple[str, Quantity, int, int]] = []
-        self.associated: tuple[str, str, str] | None = None  # fiber ctx, base ctx, just.
 
     def register(self, ctx: str, q: Quantity) -> None:
-        key = (ctx, q)
-        if key in self.best:
-            return
-        self.quantities.append(key)
-        self.best[key] = {
-            "lower": BestSide(1, None),
-            "upper": BestSide(inf, None),
-        }
+        self.best.setdefault((ctx, q), {"lower": BestSide(1, None), "upper": BestSide(inf, None)})
 
     def is_registered(self, ctx: str, q: Quantity) -> bool:
         return (ctx, q) in self.best
@@ -297,7 +280,6 @@ class FactBase:
             side=side,
             value=value,
             rule=rule,
-            statement=RULE_STATEMENTS[rule],
             premises=premises,
             certificate=certificate,
             hypotheses=hypotheses,
@@ -336,23 +318,27 @@ def quantity_display(ctx: ProblemContext, q: Quantity) -> str:
 # context construction and seeding
 
 
-def _ring_and_certificates(K: SimplicialComplex, name: str, config: EngineConfig) -> tuple:
-    """The ring of K over one field and, for a connected K, its R1 and R2 certificates."""
+def _betti_and_certificates(K: SimplicialComplex, name: str, config: EngineConfig) -> tuple:
+    """K's Betti numbers over one field and, for a connected K, its R1 and R2 certificates.
+
+    The ring is dropped once they are read off it.
+    """
     ring = ring_structure(K, parse_field(name))
+    betti = ring.basis.betti_vector()
     if not K.is_connected():
         # for disconnected spaces the infinity seed always dominates R1,
         # and component idempotents would make the product search useless
-        return ring, None
+        return betti, None
     tensor = kunneth_tensor_ring(ring)
     cert, _ = nilpotency_lower_bound(tensor, combined_zero_divisors(tensor), config.depth_cap)
-    return ring, (cert, reduced_cuplength(ring, config.depth_cap))
+    return betti, (cert, reduced_cuplength(ring, config.depth_cap))
 
 
 def _analyze_space(info: SpaceInfo, config: EngineConfig, known: dict) -> None:
     """Dimension, connectivity and, under the size limit, one ring per field.
 
-    known maps a complex's simplices to its rings and certificates by field
-    name, so complexes that coincide (such as the fixed sets of several
+    known maps a complex's simplices to its Betti numbers and certificates by
+    field name, so complexes that coincide (such as the fixed sets of several
     classes) share one ring computation and one product search per field.
     """
     K = info.complex
@@ -369,11 +355,9 @@ def _analyze_space(info: SpaceInfo, config: EngineConfig, known: dict) -> None:
         return
     computed = known.setdefault(K.simplices, {})
     for name in config.fields:
-        # Betti numbers come with the basis for free
         if name not in computed:
-            computed[name] = _ring_and_certificates(K, name, config)
-        info.rings[name], info.certificates[name] = computed[name]
-        info.betti[name] = info.rings[name].basis.betti_vector()
+            computed[name] = _betti_and_certificates(K, name, config)
+        info.betti[name], info.certificates[name] = computed[name]
     info.analyzed = True
 
 
@@ -388,13 +372,12 @@ def _build_action_context(name: str, problem: Problem, config: EngineConfig) -> 
         raise AssertionError("subdivision must preserve dimension")
     ctx.regular = R
     ctx.equivariant = not G.is_trivial
-    ctx.annotations = tuple(problem.annotations)
 
-    known: dict = {}  # simplices -> field name -> (ring, certificates), for this context
+    known: dict = {}  # simplices -> field name -> (betti, certificates), for this context
     ctx.spaces["X"] = SpaceInfo("X", "X", K)
     _analyze_space(ctx.spaces["X"], config, known)
     ctx.spaces["XxX"] = SpaceInfo(
-        "XxX", "X x X", None, formal=True, dim=2 * K.dim, connected=ctx.spaces["X"].connected
+        "XxX", "X x X", None, dim=2 * K.dim, connected=ctx.spaces["X"].connected
     )
 
     if ctx.equivariant:
@@ -402,28 +385,26 @@ def _build_action_context(name: str, problem: Problem, config: EngineConfig) -> 
         # sets are subcomplexes of the regularized complex
         mode = "up_to_conjugacy" if config.subgroup_mode == "conjugacy" else "all"
         class_list = subgroups(R.group, mode, cap=config.subgroup_cap)
-        for pos, H in enumerate(class_list):
+        fixed_sets = [fixed_subcomplex(R, H) for H in class_list]  # R.complex for the trivial class
+        for pos, (H, fixed) in enumerate(zip(class_list, fixed_sets)):
             key = f"H{pos}"
             display = "G" if H.is_full else key
             fixed_key: str | None
             if H.is_trivial:
                 fixed_key = "X"
             else:
-                fixed = fixed_subcomplex(R, H)
                 fixed_key = f"fix:{key}"
                 info = SpaceInfo(fixed_key, f"X^{display}", fixed, empty=fixed.is_empty)
                 if not fixed.is_empty:
                     _analyze_space(info, config, known)
                 ctx.spaces[fixed_key] = info
-            ctx.classes.append(
-                SubgroupClassInfo(key, display, H, H.order, H.is_trivial, H.is_full, fixed_key)
-            )
+            ctx.classes.append(SubgroupClassInfo(key, display, H, fixed_key))
 
         orbit_info = SpaceInfo("orbit", "X/G", orbit_complex(R))
         _analyze_space(orbit_info, config, known)
         ctx.spaces["orbit"] = orbit_info
 
-        conn = is_G_connected(R, [c.subgroup for c in ctx.classes])
+        conn = is_G_connected(fixed_sets)
         ctx.g_connected = conn.value
         if conn.witness is not None:
             pos, n_parts = conn.witness
@@ -439,7 +420,7 @@ def _build_action_context(name: str, problem: Problem, config: EngineConfig) -> 
         stabilizers = {isotropy(R.group, v).members for v in range(R.complex.vertex_count)}
         ctx.isotropy_classes = tuple(sorted({class_of[s] for s in stabilizers}))
 
-        if "free_action" in ctx.annotations and ctx.fixed_vertex:
+        if "free_action" in problem.annotations and ctx.fixed_vertex:
             ctx.notes.append(
                 "annotation free_action contradicts a computed fixed vertex; "
                 "the annotation was still honoured (user-certified)"
@@ -448,18 +429,18 @@ def _build_action_context(name: str, problem: Problem, config: EngineConfig) -> 
 
 
 def _register_quantities(fb: FactBase, ctx: ProblemContext) -> None:
-    if ctx.is_associated:
+    if ctx.problem.is_associated_space:
         fb.register(ctx.name, Quantity("TC", "assoc"))
         return
     quantities = [CAT_X, TC_X, CAT_XX]
     if ctx.equivariant:
         quantities += [CAT_G, TC_G, CAT_G_XX, CAT_GXG_XX, CAT_ORBIT, Quantity("TC", "orbit")]
         for cls in ctx.classes:
-            if cls.is_trivial:
+            if cls.subgroup.is_trivial:
                 continue
             if not ctx.spaces[cls.fixed_space].empty:
                 quantities += [Quantity("cat", cls.fixed_space), Quantity("TC", cls.fixed_space)]
-            if not cls.is_full:
+            if not cls.subgroup.is_full:
                 quantities += [Quantity("cat_G", "X", cls.key), Quantity("TC_G", "X", cls.key)]
     for q in quantities:
         fb.register(ctx.name, q)
@@ -475,7 +456,7 @@ def _certificate_dict(cert: ProductCertificate) -> dict:
 
 def _seed_space_bounds(fb: FactBase, ctx: ProblemContext) -> None:
     for key, info in sorted(ctx.spaces.items()):
-        if info.formal or info.empty or info.complex is None:
+        if info.empty or info.complex is None:
             continue
         q_cat = Quantity("cat", key, None)
         q_tc = Quantity("TC", key, None)
@@ -559,18 +540,17 @@ def seed_facts(problem: Problem, config: EngineConfig | None = None) -> FactBase
     if problem.is_associated_space:
         if problem.fiber.is_associated_space or problem.base.is_associated_space:
             raise ProblemFormatError("nested associated-space declarations are not supported")
-        root = ProblemContext(name="", problem=problem, is_associated=True)
-        root.spaces["assoc"] = SpaceInfo("assoc", "X_G", None, formal=True)
+        root = ProblemContext(name="", problem=problem)
+        root.spaces["assoc"] = SpaceInfo("assoc", "X_G", None)
         fb.contexts[""] = root
         fb.contexts["fiber"] = _build_action_context("fiber", problem.fiber, config)
         fb.contexts["base"] = _build_action_context("base", problem.base, config)
-        fb.associated = ("fiber", "base", problem.bundle_justification)
     else:
         fb.contexts[""] = _build_action_context("", problem, config)
     for ctx in fb.contexts.values():
         _register_quantities(fb, ctx)
     for ctx in fb.contexts.values():
-        if not ctx.is_associated:
+        if not ctx.problem.is_associated_space:
             _seed_space_bounds(fb, ctx)
             _seed_assertions(fb, ctx)
     return fb
@@ -681,21 +661,21 @@ def _link_candidates(
 
 def _emit(row: Row, fb: FactBase, ctx: ProblemContext) -> list[Candidate]:
     """All candidates of one table row; computed before any is recorded."""
-    if not row.guard(ctx) or not all(n in ctx.annotations for n in row.annotations):
+    if not row.guard(ctx) or not all(n in ctx.problem.annotations for n in row.annotations):
         return []
     hyp = _annotation_hypotheses(row.annotations) + row.hypotheses
     caveats = _empty_fixed_caveats(ctx) if G_CONNECTED in hyp else ()
     links = row.links(ctx) if callable(row.links) else row.links
     out = []
     for link in links:
-        if all(n in ctx.annotations for n in link.annotations):
+        if all(n in ctx.problem.annotations for n in link.annotations):
             link_hyp = hyp + _annotation_hypotheses(link.annotations) + link.hypotheses
             out += _link_candidates(fb, ctx.name, link, link_hyp, caveats)
     return out
 
 
 def _connected(ctx: ProblemContext) -> bool:
-    return not ctx.is_associated and ctx.spaces["X"].connected is True
+    return not ctx.problem.is_associated_space and ctx.spaces["X"].connected is True
 
 
 def _equivariant(ctx: ProblemContext) -> bool:
@@ -726,7 +706,7 @@ def _subgroup_links(ctx: ProblemContext) -> list[Link]:
     return [
         Link("le", Quantity("TC_G", "X", c.key), TC_G, (f"subgroup {c.display} <= G",))
         for c in ctx.classes
-        if not (c.is_trivial or c.is_full)
+        if not (c.subgroup.is_trivial or c.subgroup.is_full)
     ]
 
 
@@ -735,7 +715,8 @@ def _isotropy_links(ctx: ProblemContext) -> list[Link]:
     for key in ctx.isotropy_classes:
         c = next(c for c in ctx.classes if c.key == key)
         # cat_H(X), folding the trivial class to cat(X) and the full one to cat_G(X)
-        cat_h = CAT_X if c.is_trivial else CAT_G if c.is_full else Quantity("cat_G", "X", key)
+        H = c.subgroup
+        cat_h = CAT_X if H.is_trivial else CAT_G if H.is_full else Quantity("cat_G", "X", key)
         out.append(Link("le", cat_h, TC_G, (f"isotropy subgroup {c.display} occurs at a vertex",)))
     return out
 
@@ -813,13 +794,13 @@ def _rule_R9(fb: FactBase, ctx: ProblemContext) -> list[Candidate]:
     ]
 
 
-def _rule_R18(fb: FactBase, _ctx: ProblemContext) -> list[Candidate]:
-    if fb.associated is None:
+def _rule_R18(fb: FactBase, ctx: ProblemContext) -> list[Candidate]:
+    """The bundle bound, on the root context of an associated space only."""
+    if not ctx.problem.is_associated_space:
         return []
-    fiber_name, base_name, justification = fb.associated
-    fiber_q = TC_G if fb.contexts[fiber_name].equivariant else TC_X
-    hi_f = fb.upper(fiber_name, fiber_q)
-    hi_b = fb.upper(base_name, TC_X)
+    fiber_q = TC_G if fb.contexts["fiber"].equivariant else TC_X
+    hi_f = fb.upper("fiber", fiber_q)
+    hi_b = fb.upper("base", TC_X)
     if isinf(hi_f.value) or isinf(hi_b.value):
         return []
     return [
@@ -830,7 +811,7 @@ def _rule_R18(fb: FactBase, _ctx: ProblemContext) -> list[Candidate]:
             hi_f.value * hi_b.value,
             _ids(hi_f, hi_b),
             {"fiber_upper": hi_f.value, "base_upper": hi_b.value},
-            ("numerable principal bundle (user-certified): " + justification,),
+            ("numerable principal bundle (user-certified): " + ctx.problem.bundle_justification,),
         )
     ]
 
@@ -857,8 +838,6 @@ def saturate(fb: FactBase) -> FactBase:
                         cand.premises, cand.certificate, cand.hypotheses, cand.caveats,
                     ):
                         improved = True
-                if rule_id == "R18":
-                    break  # cross-context rule, run once per pass
         if not improved:
             return fb
     raise AssertionError("saturation did not reach a fixed point within the pass limit")
@@ -885,7 +864,7 @@ def _sorted_quantities(fb: FactBase) -> list[tuple[str, Quantity]]:
             q.group or "",
         )
 
-    return sorted(fb.quantities, key=sort_key)
+    return sorted(fb.best, key=sort_key)
 
 
 def _interval_text(lo: str, hi: str) -> str:
@@ -927,7 +906,7 @@ def structured_report(fb: FactBase) -> dict:
                 "side": b.side,
                 "value": fmt_value(b.value),
                 "rule": b.rule,
-                "statement": b.statement,
+                "statement": RULE_STATEMENTS[b.rule],
                 "premises": list(b.premises),
                 "certificate": b.certificate,
                 "hypotheses": list(b.hypotheses),
@@ -942,7 +921,7 @@ def structured_report(fb: FactBase) -> dict:
                 {
                     "key": key,
                     "display": info.display,
-                    "formal": info.formal,
+                    "formal": info.complex is None,
                     "empty": info.empty,
                     "dim": info.dim,
                     "connected": info.connected,
@@ -956,19 +935,19 @@ def structured_report(fb: FactBase) -> dict:
             "context": ctx.label(),
             "problem": ctx.problem.name,
             "equivariant": ctx.equivariant,
-            "annotations": list(ctx.annotations),
+            "annotations": list(ctx.problem.annotations),
             "spaces": spaces,
             "notes": list(ctx.notes),
         }
-        if ctx.is_associated:
-            entry["bundle_justification"] = fb.associated[2]
+        if ctx.problem.is_associated_space:
+            entry["bundle_justification"] = ctx.problem.bundle_justification
         if ctx.regular is not None:
             entry["subdivision_rounds"] = ctx.regular.subdivision_rounds
             entry["regularized_f_vector"] = list(ctx.regular.complex.f_vector())
         if ctx.equivariant:
             entry["group_order"] = ctx.regular.group.order
             entry["subgroup_classes"] = [
-                {"key": c.key, "display": c.display, "order": c.order}
+                {"key": c.key, "display": c.display, "order": c.subgroup.order}
                 for c in ctx.classes
             ]
             entry["g_connected"] = ctx.g_connected

@@ -45,7 +45,7 @@ the whole lattice, beyond one pass for the stabilizers:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from itertools import compress
 from operator import eq
@@ -390,8 +390,6 @@ class RegularAction:
     group: FiniteGroup
     subdivision_rounds: int
     images: frozenset[Simplex]
-    # fixed_subcomplex results by subgroup member set, each computed once
-    _fixed: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
 
 def transport_action(G: FiniteGroup, provenance: dict[int, Simplex]) -> FiniteGroup:
@@ -448,17 +446,12 @@ def fixed_subcomplex(R: RegularAction, H: Subgroup) -> SimplicialComplex:
 
     H is a subgroup of `R.group`, and a vertex is fixed when its stabilizer
     contains H.  Under regularity this triangulates the geometric H-fixed
-    set.  Each fixed set is built once per RegularAction.
+    set.  Nothing is cached: the engine builds each class's fixed set once.
     """
     if H.is_trivial:  # the whole complex, uncopied: each vertex lies in a simplex
         return R.complex
-    members = H.members
-    fixed = R._fixed.get(members)
-    if fixed is None:
-        vertices = {v for v, stab in enumerate(R.group.stabilizers) if members <= stab}
-        fixed = full_subcomplex(R.complex, vertices) if vertices else empty_complex()
-        R._fixed[members] = fixed
-    return fixed
+    vertices = {v for v, stab in enumerate(R.group.stabilizers) if H.members <= stab}
+    return full_subcomplex(R.complex, vertices) if vertices else empty_complex()
 
 
 def orbit_complex(R: RegularAction) -> SimplicialComplex:
@@ -490,16 +483,17 @@ class GConnectivity:
     empty_classes: tuple[int, ...]  # class positions with empty fixed set
 
 
-def is_G_connected(R: RegularAction, classes: list[Subgroup]) -> GConnectivity:
-    """Path-connectivity of the fixed sets of `classes`, one subgroup per conjugacy class.
+def is_G_connected(fixed_sets: list[SimplicialComplex]) -> GConnectivity:
+    """Path-connectivity of the fixed sets of one subgroup per conjugacy class.
 
-    Conjugate subgroups have simplicially isomorphic fixed sets, so classes
-    suffice.  An empty fixed set counts as connected (the free-action
-    convention); its class is reported so callers can flag the caveat.
+    `fixed_sets` lists `fixed_subcomplex(R, H)` for each class H, in class
+    order.  Conjugate subgroups have simplicially isomorphic fixed sets, so
+    classes suffice.  An empty fixed set counts as connected (the
+    free-action convention); its class is reported so callers can flag the
+    caveat.
     """
     empty: list[int] = []
-    for pos, H in enumerate(classes):
-        fixed = fixed_subcomplex(R, H)
+    for pos, fixed in enumerate(fixed_sets):
         if fixed.is_empty:
             empty.append(pos)
             continue

@@ -380,9 +380,7 @@ def clone_fact_base(fb: FactBase) -> FactBase:
     """Copy with the same contexts but an independent bound log."""
     out = FactBase(fb.config)
     out.contexts = fb.contexts
-    out.associated = fb.associated
     out.bounds = list(fb.bounds)
-    out.quantities = list(fb.quantities)
     out.best = {k: {s: replace(v) for s, v in sides.items()} for k, sides in fb.best.items()}
     out.inconsistencies = list(fb.inconsistencies)
     return out

@@ -241,7 +241,7 @@ def test_criterion_8_property_suite(monkeypatch):
             assert sorted(order) == sorted(RULE_ORDER)
             monkeypatch.setattr(bounds, "RULE_ORDER", order)
             fb = saturate(clone_fact_base(base))
-            snapshot = {(c, q): fb.interval(c, q) for c, q in fb.quantities}
+            snapshot = {(c, q): fb.interval(c, q) for c, q in fb.best}
             if reference is None:
                 reference = snapshot
             assert snapshot == reference, f"{name} diverged under rule order {s}"

@@ -21,6 +21,7 @@ from eqtc.bounds import (
     structured_report,
     text_report,
 )
+from eqtc.homology import cohomology_basis, parse_field
 from eqtc.problems import AssertedFact, Problem, ProblemFormatError, builtin_examples
 
 from oracles import bound_by_id, clone_fact_base, shuffled_rule_order
@@ -50,7 +51,7 @@ def test_trivial_group_solid_simplex_bounds():
     assert interval(fb, "cat", "X") == (1, 4)
     assert interval(fb, "TC", "X") == (1, 7)  # 2*3+1, no contractibility detection
     # trivial-group input: only non-equivariant quantities
-    assert all(q.kind in ("cat", "TC") for _, q in fb.quantities)
+    assert all(q.kind in ("cat", "TC") for _, q in fb.best)
 
 
 def test_sphere_trivial_group_tc_bounds():
@@ -259,7 +260,7 @@ def test_saturation_confluent_under_rule_orders(monkeypatch):
             assert sorted(order) == sorted(RULE_ORDER)
             monkeypatch.setattr(bounds, "RULE_ORDER", order)
             fb = saturate(clone_fact_base(base))
-            snapshot = {(c, q): fb.interval(c, q) for c, q in fb.quantities}
+            snapshot = {(c, q): fb.interval(c, q) for c, q in fb.best}
             if reference is None:
                 reference = snapshot
             assert snapshot == reference
@@ -406,7 +407,10 @@ def test_equal_fixed_sets_share_one_ring_per_field(monkeypatch):
     assert len(set(fixed)) < len(fixed)
     for info in spaces:
         if info.analyzed:
-            assert info.betti == {name: r.basis.betti_vector() for name, r in info.rings.items()}
+            assert info.betti == {
+                name: cohomology_basis(info.complex, parse_field(name)).betti_vector()
+                for name in fields
+            }
 
 
 def test_equal_fixed_sets_share_one_product_search_per_field(monkeypatch):
@@ -442,6 +446,57 @@ def test_equal_fixed_sets_share_one_product_search_per_field(monkeypatch):
         assert set(calls) == {(s, name) for s in connected for name in fields}, p.name
         assert set(calls.values()) == {1}, p.name
     assert len(set(connected)) < len(connected)  # some fixed sets coincide
+
+
+def test_rings_are_freed_once_their_certificates_exist(monkeypatch):
+    # the fact base keeps Betti numbers and certificates, not the rings
+    import gc
+    import weakref
+
+    rings = []
+    ring_structure = bounds.ring_structure
+
+    def tracked(K, field):
+        ring = ring_structure(K, field)
+        rings.append(weakref.ref(ring))
+        return ring
+
+    monkeypatch.setattr(bounds, "ring_structure", tracked)
+    fb = analyze_problem(EXAMPLES["sphere-reflection-n2"])
+    gc.collect()
+    assert any(info.key.startswith("fix:") and info.analyzed
+               for info in fb.contexts[""].spaces.values())
+    assert rings
+    assert all(ref() is None for ref in rings)
+
+
+def test_analyze_builds_each_fixed_set_once(monkeypatch):
+    # one full_subcomplex per nontrivial class that fixes a vertex: the
+    # G-connectivity check reads the fixed sets the engine has built
+    from itertools import combinations
+
+    import eqtc.group_action as group_action
+
+    calls = []
+    full_subcomplex = group_action.full_subcomplex
+
+    def counted(K, vertices):
+        calls.append(frozenset(vertices))
+        return full_subcomplex(K, vertices)
+
+    monkeypatch.setattr(group_action, "full_subcomplex", counted)
+    tetra_s4 = Problem(
+        name="tetra-s4",
+        vertex_count=4,
+        maximal_simplices=tuple(tuple(c) for c in combinations(range(4), 3)),
+        group_generators=((1, 0, 2, 3), (1, 2, 3, 0)),
+    )
+    fb = analyze_problem(tetra_s4)
+    ctx = fb.contexts[""]
+    fixing = [c for c in ctx.classes
+              if not c.subgroup.is_trivial and not ctx.spaces[c.fixed_space].empty]
+    assert len(ctx.classes) == 11 and fixing
+    assert len(calls) == len(fixing)
 
 
 def test_disconnected_space_with_swap_action():

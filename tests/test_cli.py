@@ -299,6 +299,7 @@ def test_betti_and_cupfind_reject_malformed_config(tmp_path, verb):
         ([], {"fields": "F2"}),
         ([], {"fields": [2]}),
         ([], {"fields": ["F\u00b2"]}),  # a digit to str.isdigit, not to int()
+        ([], {"fields": []}),  # no field: no Betti numbers and no R1/R2 bounds
     ],
 )
 def test_bad_engine_settings_exit_invalid(tmp_path, capsys, argv_tail, config):

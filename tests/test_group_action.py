@@ -585,7 +585,7 @@ def test_g_connected_square_reflection_fails_with_witness():
     # reflection of the square model of the circle fixes two edge midpoints
     R = regular(cycle_complex(4), [[1, 0, 3, 2]])
     classes = subgroups(R.group, "up_to_conjugacy")
-    res = is_G_connected(R, classes)
+    res = is_G_connected([fixed_subcomplex(R, H) for H in classes])
     assert not res.value
     pos, n_components = res.witness
     assert classes[pos].is_full
@@ -594,7 +594,8 @@ def test_g_connected_square_reflection_fails_with_witness():
 
 def test_g_connected_sphere_reflection_holds():
     R = regular(boundary_sphere(2), [[1, 0, 2, 3]])
-    res = is_G_connected(R, subgroups(R.group, "up_to_conjugacy"))
+    classes = subgroups(R.group, "up_to_conjugacy")
+    res = is_G_connected([fixed_subcomplex(R, H) for H in classes])
     assert res.value
     assert res.witness is None
     assert res.empty_classes == ()
@@ -602,12 +603,14 @@ def test_g_connected_sphere_reflection_holds():
 
 def test_g_connected_trivial_group():
     R = regular(boundary_sphere(2), [])
-    assert is_G_connected(R, subgroups(R.group, "up_to_conjugacy")).value
+    classes = subgroups(R.group, "up_to_conjugacy")
+    assert is_G_connected([fixed_subcomplex(R, H) for H in classes]).value
 
 
 def test_g_connected_free_rotation_has_empty_fixed_sets():
     R = regular(cycle_complex(6), [[1, 2, 3, 4, 5, 0]])
-    res = is_G_connected(R, subgroups(R.group, "up_to_conjugacy"))
+    classes = subgroups(R.group, "up_to_conjugacy")
+    res = is_G_connected([fixed_subcomplex(R, H) for H in classes])
     assert res.value
     assert len(res.empty_classes) > 0
 

@@ -70,7 +70,7 @@ def invariants(problem: Problem):
         X.betti,
         {name: None if certs is None else tuple(c.length for c in certs)
          for name, certs in X.certificates.items()},
-        sorted(c.order for c in ctx.classes),
+        sorted(c.subgroup.order for c in ctx.classes),
     )
 
 
@@ -174,7 +174,7 @@ def equivariant_invariants(problem: Problem):
 
     by_order: dict[int, list] = {}
     for c in ctx.classes:
-        by_order.setdefault(c.order, []).append(space(c.fixed_space))
+        by_order.setdefault(c.subgroup.order, []).append(space(c.fixed_space))
     return {order: sorted(spaces, key=repr) for order, spaces in by_order.items()}, space("orbit")
 
 
