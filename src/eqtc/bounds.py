@@ -20,7 +20,6 @@ from __future__ import annotations
 import json
 from collections.abc import Callable
 from dataclasses import dataclass, field, fields
-from functools import partial
 from math import ceil, inf, isinf
 
 from eqtc.complex_core import SimplicialComplex, from_maximal_simplices
@@ -157,28 +156,6 @@ RULE_STATEMENTS: dict[str, str] = {
     "to a numerable principal G-bundle E -> B",
     "R19": "TC(X) <= TC_G(X)",
 }
-
-# R9 precedes R7 so the canonical derivation of an infinite TC_G carries the
-# disconnected-fixed-set witness (R7 would reach infinity via the seeded
-# TC of the disconnected fixed space instead)
-RULE_ORDER = [
-    "R3",
-    "R5",
-    "R6",
-    "R9",
-    "R7",
-    "R8",
-    "R10",
-    "R11",
-    "R12",
-    "R14",
-    "R15",
-    "R16",
-    "R17",
-    "R18",
-    "R19",
-]
-
 
 @dataclass
 class SpaceInfo:
@@ -460,8 +437,6 @@ def _seed_space_bounds(fb: FactBase, ctx: ProblemContext) -> None:
             continue
         q_cat = Quantity("cat", key, None)
         q_tc = Quantity("TC", key, None)
-        if not fb.is_registered(ctx.name, q_tc):
-            continue
         if info.connected is False:
             fb.add_bound(
                 ctx.name,
@@ -566,6 +541,15 @@ G_CONNECTED = "G-connected (computed over subgroup classes)"
 FIXED_POINT = "X^G nonempty (fixed vertex found)"
 NORMAL = "finite complexes are completely normal"
 
+# what each hypothesis a row records needs of a context; a row applies only
+# where all of its hypotheses hold
+HOLDS: dict[str, Callable[[ProblemContext], bool]] = {
+    PATH_CONNECTED: lambda ctx: "X" in ctx.spaces and ctx.spaces["X"].connected is True,
+    G_CONNECTED: lambda ctx: ctx.g_connected is True,
+    FIXED_POINT: lambda ctx: bool(ctx.fixed_vertex),
+    NORMAL: lambda ctx: True,
+}
+
 
 @dataclass(frozen=True)
 class Candidate:
@@ -586,7 +570,8 @@ class Link:
     Forms: "le" is a <= b, giving b a's lower bound and a b's upper bound;
     "lower" is a <= b giving only the lower bound; "eq" is "le" for (a, b)
     and then for (b, a); "affine" is b <= 2a - 1, giving only b an upper
-    bound; "affine+inverse" also gives a >= ceil((b + 1) / 2).
+    bound; "affine+inverse" also gives a >= ceil((b + 1) / 2); "infinite"
+    gives b the lower bound infinity with no premise (a is unused).
     """
 
     form: str
@@ -599,16 +584,19 @@ class Link:
 
 @dataclass(frozen=True)
 class Row:
-    """A saturation rule: where guard(ctx) holds and the annotations are
-    present, each link yields candidates under the row's hypotheses.  A row
-    whose hypotheses include G_CONNECTED also carries the empty-fixed-set
-    caveat."""
+    """A saturation rule.  It applies to a context where each of its
+    hypotheses holds (see HOLDS), its annotations are present and the group
+    is nontrivial unless any_group is set; each link then yields candidates
+    under the row's hypotheses.  A row whose hypotheses include G_CONNECTED
+    also carries the empty-fixed-set caveat.  A row with `derive` computes
+    its candidates itself instead of from links."""
 
     rule: str
-    guard: Callable[[ProblemContext], bool]
-    links: tuple[Link, ...] | Callable[[ProblemContext], list[Link]]
+    links: tuple[Link, ...] | Callable[[ProblemContext], list[Link]] = ()
     hypotheses: tuple[str, ...] = ()
     annotations: tuple[str, ...] = ()
+    any_group: bool = False
+    derive: Callable[[FactBase, ProblemContext], list[Candidate]] | None = None
 
 
 def _half_roundup(v: Value) -> Value:
@@ -636,6 +624,8 @@ def _empty_fixed_caveats(ctx: ProblemContext) -> tuple[str, ...]:
 def _link_candidates(
     fb: FactBase, ctx: str, link: Link, hyp: tuple[str, ...], caveats: tuple[str, ...]
 ) -> list[Candidate]:
+    if link.form == "infinite":
+        return [Candidate(ctx, link.b, "lower", inf, (), link.certificate, hyp, caveats)]
     out = []
 
     def emit(q: Quantity, side: str, value: Value, source: BestSide) -> None:
@@ -643,26 +633,31 @@ def _link_candidates(
 
     if link.form in ("affine", "affine+inverse"):
         hi = fb.upper(ctx, link.a)
-        if not isinf(hi.value):
-            emit(link.b, "upper", 2 * hi.value - 1, hi)
-        lo = fb.lower(ctx, link.b)
-        if link.form == "affine+inverse" and lo.value > 1:
+        emit(link.b, "upper", 2 * hi.value - 1, hi)
+        if link.form == "affine+inverse":
+            lo = fb.lower(ctx, link.b)
             emit(link.a, "lower", _half_roundup(lo.value), lo)
         return out
     pairs = ((link.a, link.b), (link.b, link.a)) if link.form == "eq" else ((link.a, link.b),)
     for a, b in pairs:
         lo = fb.lower(ctx, a)
         emit(b, "lower", lo.value, lo)
-        hi = fb.upper(ctx, b)
-        if link.form != "lower" and not isinf(hi.value):
+        if link.form != "lower":
+            hi = fb.upper(ctx, b)
             emit(a, "upper", hi.value, hi)
     return out
 
 
 def _emit(row: Row, fb: FactBase, ctx: ProblemContext) -> list[Candidate]:
     """All candidates of one table row; computed before any is recorded."""
-    if not row.guard(ctx) or not all(n in ctx.problem.annotations for n in row.annotations):
+    if not (
+        (row.any_group or ctx.equivariant)
+        and all(HOLDS[h](ctx) for h in row.hypotheses)
+        and all(n in ctx.problem.annotations for n in row.annotations)
+    ):
         return []
+    if row.derive is not None:
+        return row.derive(fb, ctx)
     hyp = _annotation_hypotheses(row.annotations) + row.hypotheses
     caveats = _empty_fixed_caveats(ctx) if G_CONNECTED in hyp else ()
     links = row.links(ctx) if callable(row.links) else row.links
@@ -674,24 +669,19 @@ def _emit(row: Row, fb: FactBase, ctx: ProblemContext) -> list[Candidate]:
     return out
 
 
-def _connected(ctx: ProblemContext) -> bool:
-    return not ctx.problem.is_associated_space and ctx.spaces["X"].connected is True
-
-
-def _equivariant(ctx: ProblemContext) -> bool:
-    return ctx.equivariant
-
-
-def _equivariant_connected(ctx: ProblemContext) -> bool:
-    return ctx.equivariant and _connected(ctx)
-
-
-def _g_connected(ctx: ProblemContext) -> bool:
-    return ctx.equivariant and ctx.g_connected is True
-
-
-def _g_fixed_point(ctx: ProblemContext) -> bool:
-    return _g_connected(ctx) and bool(ctx.fixed_vertex)
+def _witness_links(ctx: ProblemContext) -> list[Link]:
+    if ctx.g_connected_witness is None:
+        return []
+    display, parts = ctx.g_connected_witness
+    return [
+        Link(
+            "infinite",
+            TC_G,
+            TC_G,
+            (f"fixed set X^{display} has {parts} path components",),
+            {"witness_subgroup": display, "components": parts},
+        )
+    ]
 
 
 def _fixed_set_links(ctx: ProblemContext) -> list[Link]:
@@ -721,79 +711,6 @@ def _isotropy_links(ctx: ProblemContext) -> list[Link]:
     return out
 
 
-_TABLE = (
-    Row(
-        "R3",
-        _connected,
-        (Link("le", CAT_X, TC_X), Link("le", TC_X, CAT_XX)),
-        (PATH_CONNECTED,),
-    ),
-    Row("R5", _connected, (Link("affine", CAT_X, CAT_XX),), (PATH_CONNECTED,)),
-    Row(
-        "R6",
-        _equivariant,
-        (
-            Link("le", CAT_ORBIT, CAT_G),
-            Link("le", CAT_G, CAT_ORBIT, annotations=("free_action", "metrizable")),
-        ),
-    ),
-    Row("R7", _equivariant, _fixed_set_links),
-    Row("R8", _equivariant, _subgroup_links),
-    Row("R10", _g_connected, (Link("le", TC_G, CAT_G_XX),), (G_CONNECTED,)),
-    Row("R11", _g_connected, _isotropy_links, (G_CONNECTED,)),
-    Row(
-        "R12",
-        _g_fixed_point,
-        (Link("le", CAT_G, TC_G), Link("affine+inverse", CAT_G, TC_G)),
-        (G_CONNECTED, FIXED_POINT),
-    ),
-    Row(
-        "R14",
-        _g_fixed_point,
-        (Link("affine", CAT_G, CAT_G_XX),),
-        (G_CONNECTED, FIXED_POINT, NORMAL),
-    ),
-    Row(
-        "R15",
-        _equivariant_connected,
-        (Link("affine", CAT_G, CAT_GXG_XX),),
-        (PATH_CONNECTED, NORMAL),
-    ),
-    Row(
-        "R16",
-        _g_connected,
-        (Link("eq", TC_G, CAT_G),),
-        (G_CONNECTED,),
-        annotations=("topological_group_homomorphism_action",),
-    ),
-    Row(
-        "R17",
-        _equivariant_connected,
-        (Link("eq", TC_G, CAT_X),),
-        (PATH_CONNECTED,),
-        annotations=("left_translation_action", "metrizable"),
-    ),
-    Row("R19", _equivariant, (Link("le", TC_X, TC_G),)),
-)
-
-
-def _rule_R9(fb: FactBase, ctx: ProblemContext) -> list[Candidate]:
-    if not ctx.equivariant or ctx.g_connected is not False:
-        return []
-    display, parts = ctx.g_connected_witness
-    return [
-        Candidate(
-            ctx.name,
-            TC_G,
-            "lower",
-            inf,
-            (),
-            {"witness_subgroup": display, "components": parts},
-            (f"fixed set X^{display} has {parts} path components",),
-        )
-    ]
-
-
 def _rule_R18(fb: FactBase, ctx: ProblemContext) -> list[Candidate]:
     """The bundle bound, on the root context of an associated space only."""
     if not ctx.problem.is_associated_space:
@@ -816,12 +733,56 @@ def _rule_R18(fb: FactBase, ctx: ProblemContext) -> list[Candidate]:
     ]
 
 
-_RULES = {row.rule: partial(_emit, row) for row in _TABLE}
-_RULES.update(R9=_rule_R9, R18=_rule_R18)
+# The saturation rules in their canonical order, which fixes the derivation
+# recorded first.  R9 precedes R7 so the canonical derivation of an infinite
+# TC_G carries the disconnected-fixed-set witness (R7 would reach infinity
+# via the seeded TC of the disconnected fixed space instead).
+RULES: tuple[Row, ...] = (
+    Row(
+        "R3",
+        (Link("le", CAT_X, TC_X), Link("le", TC_X, CAT_XX)),
+        (PATH_CONNECTED,),
+        any_group=True,
+    ),
+    Row("R5", (Link("affine", CAT_X, CAT_XX),), (PATH_CONNECTED,), any_group=True),
+    Row(
+        "R6",
+        (
+            Link("le", CAT_ORBIT, CAT_G),
+            Link("le", CAT_G, CAT_ORBIT, annotations=("free_action", "metrizable")),
+        ),
+    ),
+    Row("R9", _witness_links),
+    Row("R7", _fixed_set_links),
+    Row("R8", _subgroup_links),
+    Row("R10", (Link("le", TC_G, CAT_G_XX),), (G_CONNECTED,)),
+    Row("R11", _isotropy_links, (G_CONNECTED,)),
+    Row(
+        "R12",
+        (Link("le", CAT_G, TC_G), Link("affine+inverse", CAT_G, TC_G)),
+        (G_CONNECTED, FIXED_POINT),
+    ),
+    Row("R14", (Link("affine", CAT_G, CAT_G_XX),), (G_CONNECTED, FIXED_POINT, NORMAL)),
+    Row("R15", (Link("affine", CAT_G, CAT_GXG_XX),), (PATH_CONNECTED, NORMAL)),
+    Row(
+        "R16",
+        (Link("eq", TC_G, CAT_G),),
+        (G_CONNECTED,),
+        annotations=("topological_group_homomorphism_action",),
+    ),
+    Row(
+        "R17",
+        (Link("eq", TC_G, CAT_X),),
+        (PATH_CONNECTED,),
+        annotations=("left_translation_action", "metrizable"),
+    ),
+    Row("R18", any_group=True, derive=_rule_R18),
+    Row("R19", (Link("le", TC_X, TC_G),)),
+)
 
 
 def saturate(fb: FactBase) -> FactBase:
-    """Apply the rules, in RULE_ORDER, to a fixed point.
+    """Apply the rules of RULES, in order, to a fixed point.
 
     Values live in a finite lattice, every rule is monotone, and only strict
     improvements are recorded, so this terminates; the fixed point does not
@@ -829,12 +790,11 @@ def saturate(fb: FactBase) -> FactBase:
     """
     for _ in range(MAX_PASSES):
         improved = False
-        for rule_id in RULE_ORDER:
-            rule = _RULES[rule_id]
+        for row in RULES:
             for ctx in list(fb.contexts.values()):
-                for cand in rule(fb, ctx):
+                for cand in _emit(row, fb, ctx):
                     if fb.add_bound(
-                        cand.ctx, cand.quantity, cand.side, cand.value, rule_id,
+                        cand.ctx, cand.quantity, cand.side, cand.value, row.rule,
                         cand.premises, cand.certificate, cand.hypotheses, cand.caveats,
                     ):
                         improved = True

@@ -238,7 +238,7 @@ def main(argv: list[str] | None = None, out=None) -> int:
         ActionError,
         GroupError,
         FieldError,
-        FileNotFoundError,
+        OSError,
     ) as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_INVALID

@@ -244,8 +244,12 @@ def loads_problem(text: str) -> Problem:
 
 
 def load_problem(path: str) -> Problem:
-    with open(path, "r", encoding="utf-8") as fh:
-        return loads_problem(fh.read())
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            text = fh.read()
+    except UnicodeDecodeError as err:
+        raise ProblemFormatError(f"{path}: not UTF-8 ({err.reason} at byte {err.start})") from None
+    return loads_problem(text)
 
 
 def dumps_problem(p: Problem) -> str:

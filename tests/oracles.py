@@ -21,7 +21,7 @@ from itertools import combinations
 from itertools import product as iproduct
 from random import Random
 
-from eqtc.bounds import RULE_ORDER, FactBase
+from eqtc.bounds import RULES, FactBase, Row
 from eqtc.complex_core import faces
 from eqtc.group_action import FiniteGroup
 from eqtc.homology import coboundary_matrix
@@ -386,8 +386,8 @@ def clone_fact_base(fb: FactBase) -> FactBase:
     return out
 
 
-def shuffled_rule_order(seed: int) -> list[str]:
-    """The engine's rule order, shuffled; `saturate` reads `bounds.RULE_ORDER`."""
-    order = list(RULE_ORDER)
+def shuffled_rule_order(seed: int) -> list[Row]:
+    """The engine's rule table, shuffled; `saturate` reads `bounds.RULES`."""
+    order = list(RULES)
     Random(seed).shuffle(order)
     return order

@@ -14,7 +14,7 @@ from math import isinf
 
 import eqtc.bounds as bounds
 from eqtc.bounds import (
-    RULE_ORDER,
+    RULES,
     Quantity,
     analyze_problem,
     saturate,
@@ -238,8 +238,8 @@ def test_criterion_8_property_suite(monkeypatch):
         reference = None
         for s in range(20):
             order = shuffled_rule_order(s)
-            assert sorted(order) == sorted(RULE_ORDER)
-            monkeypatch.setattr(bounds, "RULE_ORDER", order)
+            assert sorted(r.rule for r in order) == sorted(r.rule for r in RULES)
+            monkeypatch.setattr(bounds, "RULES", order)
             fb = saturate(clone_fact_base(base))
             snapshot = {(c, q): fb.interval(c, q) for c, q in fb.best}
             if reference is None:

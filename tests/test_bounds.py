@@ -12,7 +12,13 @@ import pytest
 
 import eqtc.bounds as bounds
 from eqtc.bounds import (
-    RULE_ORDER,
+    FIXED_POINT,
+    G_CONNECTED,
+    HOLDS,
+    NORMAL,
+    PATH_CONNECTED,
+    RULE_STATEMENTS,
+    RULES,
     Quantity,
     analyze_problem,
     report,
@@ -24,7 +30,7 @@ from eqtc.bounds import (
 from eqtc.homology import cohomology_basis, parse_field
 from eqtc.problems import AssertedFact, Problem, ProblemFormatError, builtin_examples
 
-from oracles import bound_by_id, clone_fact_base, shuffled_rule_order
+from oracles import bound_by_id, clone_fact_base, oracle_subgroups, shuffled_rule_order
 
 EXAMPLES = builtin_examples()
 
@@ -257,8 +263,8 @@ def test_saturation_confluent_under_rule_orders(monkeypatch):
         reference = None
         for s in range(6):
             order = shuffled_rule_order(s)
-            assert sorted(order) == sorted(RULE_ORDER)
-            monkeypatch.setattr(bounds, "RULE_ORDER", order)
+            assert sorted(r.rule for r in order) == sorted(r.rule for r in RULES)
+            monkeypatch.setattr(bounds, "RULES", order)
             fb = saturate(clone_fact_base(base))
             snapshot = {(c, q): fb.interval(c, q) for c, q in fb.best}
             if reference is None:
@@ -544,3 +550,100 @@ def test_ring_size_limit_skips_cohomology_but_stays_sound():
     assert not x.analyzed and x.skip_reason
     lo, hi = interval(fb, "TC", "X")
     assert lo >= 1 and hi >= lo
+
+
+# ---------------------------------------------------------------------------
+# the rule table: one row per saturation rule, applying where its hypotheses hold
+
+SEED_RULES = {"DISC", "ASSERT", "R1", "R2", "R4", "R4b"}
+
+
+def test_rule_table_lists_each_saturation_rule_once():
+    ids = [row.rule for row in RULES]
+    assert sorted(ids) == sorted(set(RULE_STATEMENTS) - SEED_RULES)
+    assert ids.index("R9") < ids.index("R7")
+
+
+def _component_count(vertices, simplices) -> int:
+    root = {v: v for v in vertices}
+
+    def find(v):
+        while root[v] != v:
+            v = root[v]
+        return v
+
+    for s in simplices:
+        for v in s[1:]:
+            root[find(v)] = find(s[0])
+    return len({find(v) for v in root})
+
+
+def _hypotheses_that_hold(ctx) -> set[str]:
+    """The row hypotheses that hold in a context, read off its complex and
+    group without the engine's flags.  The group ones are decided for a
+    nontrivial group only, the one case where a row records them."""
+    held = {NORMAL}
+    if "X" not in ctx.spaces:  # the formal root of an associated space
+        return held
+    X = ctx.spaces["X"].complex
+    if _component_count(range(X.vertex_count), X.simplices) == 1:
+        held.add(PATH_CONNECTED)
+    if not ctx.equivariant:
+        return held
+    R, G = ctx.regular.complex, ctx.regular.group
+    every, _ = oracle_subgroups(G.elements, G.degree)
+    # in a regular action X^H is spanned by the simplices whose vertices H fixes
+    fixed_sets = []
+    for H in every:
+        fixed = {v for v in range(R.vertex_count) if all(h[v] == v for h in H)}
+        fixed_sets.append((fixed, [s for s in R.simplices if fixed.issuperset(s)]))
+    if all(not vs or _component_count(vs, simplices) == 1 for vs, simplices in fixed_sets):
+        held.add(G_CONNECTED)
+    if fixed_sets[-1][0]:  # the last subgroup listed is G
+        held.add(FIXED_POINT)
+    return held
+
+
+@pytest.fixture(scope="module")
+def rule_fact_bases():
+    """Every builtin example, S4 on the tetrahedron boundary (not
+    G-connected: a rotation of order 3 fixes two poles) and two disjoint
+    circles (path-disconnected), bare and swapped by Z/2."""
+    from itertools import combinations
+
+    circles = ((0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5))
+    extra = [
+        Problem(
+            name="tetra-s4",
+            vertex_count=4,
+            maximal_simplices=tuple(combinations(range(4), 3)),
+            group_generators=((1, 0, 2, 3), (1, 2, 3, 0)),
+        ),
+        Problem(name="two-circles", vertex_count=6, maximal_simplices=circles),
+        Problem(
+            name="two-circles-swap",
+            vertex_count=6,
+            maximal_simplices=circles,
+            group_generators=((3, 4, 5, 0, 1, 2),),
+        ),
+    ]
+    return [analyze_problem(p) for p in [*EXAMPLES.values(), *extra]]
+
+
+def test_rule_applies_exactly_where_its_hypotheses_hold(rule_fact_bases):
+    for fb in rule_fact_bases:
+        for ctx in fb.contexts.values():
+            held = _hypotheses_that_hold(ctx)
+            assert {h for h, holds in HOLDS.items() if holds(ctx)} == held, ctx.problem.name
+            for row in RULES:
+                if not held.issuperset(row.hypotheses):
+                    assert bounds._emit(row, fb, ctx) == [], (ctx.problem.name, row.rule)
+
+
+def test_recorded_hypotheses_hold_in_their_context(rule_fact_bases):
+    rule_ids = {row.rule for row in RULES}
+    for fb in rule_fact_bases:
+        for b in fb.bounds:
+            if b.rule in rule_ids:
+                held = _hypotheses_that_hold(fb.contexts[b.context])
+                assert held.issuperset(h for h in b.hypotheses if h in HOLDS), b

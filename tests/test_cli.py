@@ -393,6 +393,25 @@ def test_bad_group_cap_env_exits_invalid(tmp_path, monkeypatch):
     assert run(["analyze", write_example(tmp_path, "torus7")])[0] == EXIT_INVALID
 
 
+def test_unreadable_files_exit_invalid(tmp_path, capsys):
+    # a directory, a file that is not UTF-8 and an output path that is a
+    # directory are bad files, like a missing one
+    latin1 = tmp_path / "latin1.json"
+    latin1.write_bytes('{"name": "caf\xe9"}'.encode("latin-1"))
+    torus = write_example(tmp_path, "torus7")
+    cases = [([verb, str(tmp_path)], "Is a directory")
+             for verb in ("analyze", "betti", "fixed", "cupfind")]
+    cases += [
+        (["analyze", str(tmp_path / "missing.json")], "No such file or directory"),
+        (["analyze", str(latin1)], "latin1.json: not UTF-8 (invalid continuation byte"),
+        (["analyze", torus, "--format", "json", "--output", str(tmp_path)], "Is a directory"),
+    ]
+    for argv, message in cases:
+        assert run(argv)[0] == EXIT_INVALID, argv
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err, argv
+
+
 def test_schema_rejections():
     with pytest.raises(ProblemFormatError):
         parse_problem({"schema_version": 2, "name": "x", "vertex_count": 1,
