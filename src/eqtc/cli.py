@@ -130,10 +130,12 @@ def cmd_analyze(args: argparse.Namespace, out) -> int:
         subgroup_mode=args.subgroups,
     )
     fb = analyze_problem(problem, config)
-    out.write(report(fb, args.format))
+    text = report(fb, args.format)
+    # the output file is opened first, so a bad --output leaves no report on stdout
     if args.output:
         with open(args.output, "w", encoding="utf-8") as fh:
-            fh.write(report(fb, "json"))
+            fh.write(report(fb, "json") if args.format == "text" else text)
+    out.write(text)
     return EXIT_INCONSISTENT if fb.inconsistencies else EXIT_OK
 
 

@@ -14,6 +14,7 @@ by construction (see each one), so `SimplicialComplex` checks nothing.
 
 from __future__ import annotations
 
+from array import array
 from collections import defaultdict
 from dataclasses import dataclass
 from functools import cached_property
@@ -24,11 +25,6 @@ Simplex = tuple[int, ...]
 
 class ComplexError(ValueError):
     """Raised when simplicial-complex input data is malformed."""
-
-
-def faces(simplex: Simplex) -> list[Simplex]:
-    """All codimension-1 faces, in vertex-removal order."""
-    return [simplex[:i] + simplex[i + 1 :] for i in range(len(simplex))]
 
 
 @dataclass(frozen=True)
@@ -73,6 +69,32 @@ class SimplicialComplex:
     def index_of(self) -> list[dict[Simplex, int]]:
         """Per dimension, position of each simplex in the sorted listing."""
         return [{s: i for i, s in enumerate(level)} for level in self.by_dim]
+
+    @cached_property
+    def face_positions(self) -> list[list[array]]:
+        """Per dimension n and i in 0..n, the position among the sorted
+        (n-1)-simplices of the face that drops vertex i of each sorted
+        n-simplex: the coboundary over the integers, for every field."""
+        out: list[list[array]] = [[]]
+        for n in range(1, len(self.by_dim)):
+            index, level = self.index_of[n - 1], self.by_dim[n]
+            out.append([array("l", [index[s[:i] + s[i + 1 :]] for s in level])
+                        for i in range(n + 1)])
+        return out
+
+    @cached_property
+    def _cup_faces(self) -> dict[tuple[int, int], tuple[array, array]]:
+        return {}
+
+    def cup_faces(self, p: int, q: int) -> tuple[array, array]:
+        """Positions of the front p-face (v_0..v_p) and the back q-face
+        (v_p..v_{p+q}) of each sorted (p+q)-simplex, the faces a cup product
+        reads, found once for every field; empty when p+q exceeds dim."""
+        if (p, q) not in self._cup_faces:
+            top = self.simplices_of_dim(p + q)
+            self._cup_faces[p, q] = (array("l", [self.index_of[p][s[: p + 1]] for s in top]),
+                                     array("l", [self.index_of[q][s[p:]] for s in top]))
+        return self._cup_faces[p, q]
 
     def f_vector(self) -> tuple[int, ...]:
         return tuple(len(level) for level in self.by_dim)

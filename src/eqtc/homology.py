@@ -6,13 +6,14 @@ package.  Matrices are lists of sparse columns and cochains are sparse
 vectors, as in eqtc.linalg: a d-cochain maps the position of a sorted
 d-simplex to a nonzero scalar.  The coboundary delta_d has one column per
 sorted d-simplex, holding (-1)^i at each coface that drops the simplex as
-its i-th face.  CochainBasis builds each delta_d once, and all
-elimination and every sparse sum go through eqtc.linalg.
+its i-th face.  The complex finds those faces once for every field, so
+betti_numbers and each field's CochainBasis fill delta_d without hashing
+a face, and all elimination and every sparse sum go through eqtc.linalg.
 """
 
 from __future__ import annotations
 
-from eqtc.complex_core import SimplicialComplex, faces
+from eqtc.complex_core import SimplicialComplex
 from eqtc.linalg import (
     Field,
     FieldError,
@@ -36,16 +37,17 @@ def coboundary_matrix(K: SimplicialComplex, field: Field, d: int) -> list[dict]:
     """Coboundary from d-cochains to (d+1)-cochains, the transposed boundary.
 
     (delta a)(tau) = sum_i (-1)^i a(tau with its i-th vertex dropped), so
-    column j holds those signs in the rows of the cofaces of simplex j.
-    In the top degree every column is empty.
+    column j holds those signs in the rows of the cofaces of simplex j,
+    filled from K.face_positions; over Q the signs are ints, which equal
+    the Fractions.  In the top degree every column is empty.
     """
     cols: list[dict] = [{} for _ in K.simplices_of_dim(d)]
-    cofaces = K.simplices_of_dim(d + 1)
-    index = K.index_of[d] if cofaces else {}
-    signs = (field.one, field.neg(field.one))
-    for r, s in enumerate(cofaces):
-        for i, f in enumerate(faces(s)):
-            cols[index[f]][r] = signs[i % 2]
+    rows = range(len(K.simplices_of_dim(d + 1)))
+    minus = field.char - 1 if field.char else -1
+    for i, positions in enumerate(K.face_positions[d + 1] if cols and rows else ()):
+        sign = minus if i % 2 else 1
+        for r, j in zip(rows, positions):
+            cols[j][r] = sign
     return cols
 
 
@@ -62,7 +64,7 @@ def betti_numbers(K: SimplicialComplex, field: Field) -> tuple[int, ...]:
 class CochainBasis:
     """Representative cocycles per degree plus coordinate projection.
 
-    One pass over the degrees builds each coboundary matrix delta_d once and
+    One pass over the degrees reads each coboundary matrix delta_d once and
     keeps only the representatives of degree d and its independent columns
     (the coboundary basis of degree d+1).  Degree 0 is represented by the
     component indicators.  In degree d >= 1 one solver reduces the

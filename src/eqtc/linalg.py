@@ -12,6 +12,10 @@ operations.  rank counts its pivots, column_space_basis lists them,
 nullspace returns the masks of the columns that reduce to zero, and
 LinearSolver keeps the table and the masks, continues the pass on columns
 appended later, and solves against them.
+
+Every field's coboundary comes from the complex's one set of faces, so
+its entries are +-1, ints over Q too (see _compact), and a pivot whose
+lowest entry is +-1 is its own inverse: it is inverted without a division.
 """
 
 from __future__ import annotations
@@ -140,8 +144,8 @@ def add_multiple(y: dict, a, x: dict, field: Field) -> None:
 
 
 def _compact(a):
-    # integral rationals as ints: coboundary entries are +-1, and int
-    # arithmetic is many times faster than Fraction's (ints pass unchanged)
+    # integral rationals as ints: coboundaries are +-1 ints in every field,
+    # and int arithmetic is many times faster than Fraction's
     return a.numerator if a.denominator == 1 else a
 
 
@@ -164,7 +168,7 @@ def _reduce(v: dict, mask: dict | None, table: dict, field: Field):
         if pivot is None:
             return low
         column, column_mask, inv = pivot
-        a = -v[low] * inv % p if p else _compact(field.neg(field.mul(v[low], inv)))
+        a = -v[low] * inv % p if p else _compact(-v[low] * inv)
         add_multiple(v, a, column, field)
         if mask is not None:
             add_multiple(mask, a, column_mask, field)
@@ -187,16 +191,19 @@ def _reduce_columns(mat: list[dict], field: Field, masks: bool = False,
     that pass.  The input columns are not changed.
     """
     table = {} if table is None else table
+    p = field.char
+    units = (1, p - 1) if p else (1, -1)  # the entries that are their own inverse
     pivots: list[int] = []
     kernel: list[dict] = []
     for j, column in enumerate(mat, start):
-        v = dict(column) if field.char else {r: _compact(a) for r, a in column.items()}
+        v = dict(column) if p else {r: _compact(a) for r, a in column.items()}
         mask = {j: 1} if masks else None
         low = _reduce(v, mask, table, field)
         if low is None:
             kernel.append(mask)
         else:
-            table[low] = (v, mask, _compact(field.inv(v[low])))
+            lead = _compact(v[low])  # most coboundary pivots are +-1: no division
+            table[low] = (v, mask, lead if lead in units else _compact(field.inv(lead)))
             pivots.append(j)
     return pivots, table, kernel
 

@@ -10,8 +10,15 @@ builtin examples.
 from __future__ import annotations
 
 from itertools import combinations
+from random import Random
 
-from eqtc.complex_core import ComplexError, SimplicialComplex, from_maximal_simplices
+from eqtc.complex_core import (
+    ComplexError,
+    SimplicialComplex,
+    barycentric_subdivision,
+    from_maximal_simplices,
+)
+from eqtc.problems import builtin_examples
 
 
 def euler_characteristic(K: SimplicialComplex) -> int:
@@ -76,3 +83,21 @@ def klein_bottle_grid() -> SimplicialComplex:
             triangles.add(tuple(sorted({a, b, d})))
             triangles.add(tuple(sorted({a, c, d})))
     return from_maximal_simplices(n * n, [list(t) for t in sorted(triangles)])
+
+
+def random_complex(rng, count=4) -> SimplicialComplex:
+    """count random maximal simplices on at most 7 vertices, relabeled onto 0..n-1."""
+    n = rng.randint(3, 7)
+    maximal = [rng.sample(range(n), rng.randint(1, min(4, n))) for _ in range(count)]
+    used = sorted({v for s in maximal for v in s})
+    relabel = {v: i for i, v in enumerate(used)}
+    return from_maximal_simplices(len(used), [[relabel[v] for v in s] for s in maximal])
+
+
+def varied_complexes(seed: int) -> list[SimplicialComplex]:
+    """The builtins, their first subdivisions and 40 random complexes drawn from seed."""
+    builtins = [from_maximal_simplices(p.vertex_count, [list(s) for s in p.maximal_simplices])
+                for _, p in sorted(builtin_examples().items()) if not p.is_associated_space]
+    rng = Random(seed)
+    return (builtins + [barycentric_subdivision(K)[0] for K in builtins]
+            + [random_complex(rng, 8) for _ in range(40)])

@@ -22,7 +22,6 @@ from itertools import product as iproduct
 from random import Random
 
 from eqtc.bounds import RULES, FactBase, Row
-from eqtc.complex_core import faces
 from eqtc.group_action import FiniteGroup
 from eqtc.homology import coboundary_matrix
 from eqtc.linalg import add_multiple, parse_field
@@ -80,7 +79,7 @@ def boundary_matrix(K, field, d: int) -> list[dict]:
     cols = K.simplices_of_dim(d)
     index = K.index_of[d - 1] if cols else {}
     signs = (field.one, field.neg(field.one))
-    return [{index[f]: signs[i % 2] for i, f in enumerate(faces(s))} for s in cols]
+    return [{index[s[:i] + s[i + 1 :]]: signs[i % 2] for i in range(len(s))} for s in cols]
 
 
 def boundary_matrices(K, field) -> list[list[dict]]:

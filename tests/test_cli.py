@@ -101,6 +101,22 @@ def test_analyze_json_format_and_output_file(tmp_path):
     assert json.loads(out_file.read_text()) == doc
 
 
+def test_analyze_bad_output_path_writes_no_report(tmp_path, capsys):
+    # the output file is opened before the report goes to stdout, so a
+    # directory as --output leaves only the error, in either format
+    path = write_example(tmp_path, "torus7")
+    for fmt in ("text", "json"):
+        code, out = run(["analyze", path, "--format", fmt, "--output", str(tmp_path)])
+        assert code == EXIT_INVALID, fmt
+        assert out == "", fmt
+        assert capsys.readouterr().err.startswith("error: "), fmt
+    # with text on stdout the file still gets the JSON report
+    out_file = tmp_path / "report.json"
+    code, out = run(["analyze", path, "--output", str(out_file)])
+    assert code == EXIT_OK and out == run(["analyze", path])[1]
+    assert out_file.read_text() == run(["analyze", path, "--format", "json"])[1]
+
+
 def test_analyze_deterministic_bytes(tmp_path):
     path = write_example(tmp_path, "sphere-reflection-n2")
     _, first = run(["analyze", path, "--format", "json"])

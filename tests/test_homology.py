@@ -31,8 +31,10 @@ from complexes import (
     euler_characteristic,
     klein_bottle_grid,
     projective_plane_six_vertex,
+    random_complex,
     solid_simplex,
     torus_seven_vertex,
+    varied_complexes,
 )
 from oracles import (
     boundary_matrices,
@@ -52,6 +54,7 @@ from oracles import (
 
 F2 = parse_field("F2")
 F3 = parse_field("F3")
+F5 = parse_field("F5")
 Q = parse_field("Q")
 FIELDS = [F2, F3, Q]
 
@@ -97,15 +100,6 @@ def test_boundary_squared_is_zero_on_sphere(field):
         for j in range(len(upper[0])):
             col = [upper[i][j] for i in range(len(upper))]
             assert all(field.is_zero(x) for x in mat_vec(lower, col, field))
-
-
-def random_complex(rng, count=4):
-    """count random maximal simplices on at most 7 vertices, relabeled onto 0..n-1."""
-    n = rng.randint(3, 7)
-    maximal = [rng.sample(range(n), rng.randint(1, min(4, n))) for _ in range(count)]
-    used = sorted({v for s in maximal for v in s})
-    relabel = {v: i for i, v in enumerate(used)}
-    return from_maximal_simplices(len(used), [[relabel[v] for v in s] for s in maximal])
 
 
 def test_boundary_squared_on_random_complexes():
@@ -271,15 +265,55 @@ def test_coboundary_basis_is_a_basis_of_the_coboundaries():
 
 
 def test_coboundary_matrix_is_transposed_boundary_matrix():
+    # the complex finds its faces once; each field fills delta_d from them,
+    # with +-1 ints over Q and their residues over F_p
     two_pieces = from_maximal_simplices(5, [[0, 1, 2], [3, 4]])
-    for K in [torus_seven_vertex(), klein_bottle_grid(), boundary_sphere(3), two_pieces]:
-        for field in FIELDS:
+    complexes = [torus_seven_vertex(), klein_bottle_grid(), boundary_sphere(3), two_pieces]
+    for K in complexes + varied_complexes(19):
+        for field in (F2, F3, F5, Q):
             f = K.f_vector() + (0,)
+            units = {1, -1} if field is Q else {1, field.char - 1}
             for d in range(K.dim + 1):
                 B = to_rows(boundary_matrix(K, field, d + 1), f[d], field)
-                delta = to_rows(coboundary_matrix(K, field, d), f[d + 1], field)
+                cols = coboundary_matrix(K, field, d)
+                delta = to_rows(cols, f[d + 1], field)
                 assert delta == [list(col) for col in zip(*B)], d
                 assert delta == dense_coboundary_matrix(K, field, d), d
+                assert all(a in units and type(a) is int for c in cols for a in c.values())
+            assert coboundary_matrix(K, field, -1) == coboundary_matrix(K, field, K.dim + 1) == []
+
+
+def test_unit_pivots_over_q_match_dense_gauss_jordan():
+    # entries in -2..2, so lowest entries +-1 (their own inverse, no
+    # division) and +-2 (inverted through Fraction) both become pivots; the
+    # columns come as ints, as the coboundary gives them, and as Fractions
+    rng = random.Random(23)
+    leads = set()
+    for _ in range(80):
+        rows, cols = rng.randint(1, 7), rng.randint(1, 7)
+        ints = [[rng.randint(-2, 2) for _ in range(cols)] for _ in range(rows)]
+        mat = [[Fraction(a) for a in row] for row in ints]
+        _, pivots = oracle_rref(mat, Q)
+        kernel = oracle_nullspace(mat, Q, cols)
+        for sparse in (to_columns(ints, Q), to_columns(mat, Q)):
+            assert rank(sparse, Q) == len(pivots)
+            assert column_space_basis(sparse, Q) == pivots
+            got = nullspace(sparse, Q)
+            assert all(type(a) is Fraction for v in got for a in v.values())
+            assert repr([to_dense(v, cols, Q) for v in got]) == repr(kernel)
+            leads |= {v[low] for low, (v, _, _) in _reduce_columns(sparse, Q)[1].items()}
+            # the unique solution on the independent columns, read off the
+            # RREF of the augmented matrix
+            x = [Fraction(rng.randint(-3, 3), rng.choice((1, 2))) for _ in pivots]
+            sub = [[row[c] for c in pivots] for row in mat]
+            rhs = mat_vec(sub, x, Q)
+            work, aug_pivots = oracle_rref([row + [b] for row, b in zip(sub, rhs)], Q)
+            assert aug_pivots == list(range(len(pivots)))
+            solved = LinearSolver([sparse[c] for c in pivots], Q).solve(to_sparse(rhs, Q))
+            assert all(type(a) is Fraction for a in solved.values())
+            assert repr(to_dense(solved, len(pivots), Q)) == repr(
+                [work[i][-1] for i in range(len(pivots))])
+    assert {1, -1, 2, -2} <= leads
 
 
 def test_elimination_routines_agree_on_random_matrices():

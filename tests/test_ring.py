@@ -13,6 +13,7 @@ from complexes import (
     projective_plane_six_vertex,
     solid_simplex,
     torus_seven_vertex,
+    varied_complexes,
 )
 from oracles import (
     dense_coboundary_matrix,
@@ -46,6 +47,7 @@ from eqtc.ring import (
 
 F2 = parse_field("F2")
 F3 = parse_field("F3")
+F5 = parse_field("F5")
 Q = parse_field("Q")
 FIELDS = [F2, F3, Q]
 
@@ -60,9 +62,11 @@ BUILTINS = [
 ]
 
 
-def random_cochain(K, field, d, rng):
+def random_cochain(K, field, d, rng, density=1.0):
+    """A dense random d-cochain, zero outside about a density share of the simplices."""
     n = len(K.simplices_of_dim(d))
-    return [field.of_int(rng.randint(-3, 3)) for _ in range(n)]
+    return [field.of_int(rng.randint(-3, 3)) if density == 1.0 or rng.random() < density
+            else field.zero for _ in range(n)]
 
 
 def dense_cup(K, field, a, b, p, q):
@@ -146,22 +150,21 @@ def test_torus_cup_product_nonzero_at_cochain_level():
 
 
 def test_cup_product_matches_dense_oracle():
-    # every degree pair on the builtin complexes, p + q > dim included;
-    # repr compares types too, so products over Q stay Fractions
+    # the face positions are found once per complex and (p, q) for every
+    # field; zero, sparse and full cochains, p + q > dim, and a degree above
+    # dim with no simplices at all.  repr compares types too, so products
+    # over Q stay Fractions
     rng = random.Random(11)
-    for problem in builtin_examples().values():
-        if problem.is_associated_space:
-            continue  # no complex of its own
-        K = from_maximal_simplices(problem.vertex_count,
-                                   [list(s) for s in problem.maximal_simplices])
-        for field in FIELDS:
-            for p in range(K.dim + 1):
-                for q in range(K.dim + 1):
-                    a = random_cochain(K, field, p, rng)
-                    b = random_cochain(K, field, q, rng)
+    for K in varied_complexes(29):
+        for field in (F2, F3, F5, Q):
+            for p in range(K.dim + 2):
+                for q in range(K.dim + 2):
+                    density = rng.choice((0.0, 0.3, 1.0))
+                    a = random_cochain(K, field, p, rng, density)
+                    b = random_cochain(K, field, q, rng, density)
                     got = dense_cup(K, field, a, b, p, q)
                     assert repr(got) == repr(oracle_cup_product(K, field, a, b, p, q)), (
-                        problem.name, field, p, q)
+                        K.f_vector(), field, p, q)
 
 
 def test_tensor_multiply_matches_oracle_on_random_elements():
