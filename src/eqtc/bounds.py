@@ -1,12 +1,16 @@
 """Saturation engine deriving intervals for cat, TC, cat_G, TC_G with provenance.
 
 Facts live in a FactBase: quantities (invariant kind + space + acting group)
-with best-known lower/upper values, every value backed by a Bound record
-whose premises point at earlier bounds, computation certificates, or
-user-asserted facts.  Rules encode standard inequalities between these
-invariants; saturation applies them to a fixed point, which exists because
-every rule is monotone and values live in a finite lattice (integers up to
-the seeded maxima, plus infinity).
+with best-known lower/upper values.  A bound is one `Bound` record from rule
+to report: the seeds and every rule propose unnumbered Bounds that name
+their rule, `FactBase.add_bound` numbers and logs each one that improves a
+value, and that same record is then the quantity's best side and, when the
+two sides clash, half of an inconsistency.  Its premises point at earlier
+bounds, its certificate at a computation or a user-asserted fact.  Rules
+encode standard inequalities between these invariants; saturation applies
+them to a fixed point, which exists because every rule is monotone and
+values live in a finite lattice (integers up to the seeded maxima, plus
+infinity).
 
 Hypotheses that a finite model cannot decide (free action, metrizability,
 acting by homomorphisms, bundle numerability) only enter as user-certified
@@ -19,7 +23,7 @@ from __future__ import annotations
 
 import json
 from collections.abc import Callable
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field, fields, replace
 from math import ceil, inf, isinf
 
 from eqtc.complex_core import SimplicialComplex, from_maximal_simplices
@@ -109,16 +113,20 @@ CAT_GXG_XX = Quantity("cat_G", "XxX", "GxG")  # product action
 
 @dataclass(frozen=True)
 class Bound:
-    id: int
+    """One side of a quantity's interval and its provenance.  The id is None
+    until `FactBase.add_bound` records the bound, and stays None for the
+    trivial bound (1 or infinity, no rule) a quantity starts from."""
+
     context: str
     quantity: Quantity
     side: str  # lower | upper
     value: Value
-    rule: str
+    rule: str = ""
     premises: tuple[int, ...] = ()
     certificate: dict | None = None
     hypotheses: tuple[str, ...] = ()
     caveats: tuple[str, ...] = ()
+    id: int | None = None
 
 
 RULE_STATEMENTS: dict[str, str] = {
@@ -200,12 +208,6 @@ class ProblemContext:
         return self.name or "root"
 
 
-@dataclass
-class BestSide:
-    value: Value
-    bound_id: int | None
-
-
 class FactBase:
     """Quantities with best bounds, the full bound log, and inconsistencies."""
 
@@ -213,60 +215,40 @@ class FactBase:
         self.config = config
         self.contexts: dict[str, ProblemContext] = {}
         self.bounds: list[Bound] = []
-        self.best: dict[tuple[str, Quantity], dict[str, BestSide]] = {}
-        self.inconsistencies: list[tuple[str, Quantity, int, int]] = []
+        self.best: dict[tuple[str, Quantity], dict[str, Bound]] = {}
+        self.inconsistencies: list[tuple[Bound, Bound]] = []  # (lower, upper) that clash
 
     def register(self, ctx: str, q: Quantity) -> None:
-        self.best.setdefault((ctx, q), {"lower": BestSide(1, None), "upper": BestSide(inf, None)})
+        self.best.setdefault((ctx, q), {"lower": Bound(ctx, q, "lower", 1),
+                                        "upper": Bound(ctx, q, "upper", inf)})
 
     def is_registered(self, ctx: str, q: Quantity) -> bool:
         return (ctx, q) in self.best
 
-    def lower(self, ctx: str, q: Quantity) -> BestSide:
+    def lower(self, ctx: str, q: Quantity) -> Bound:
         return self.best[(ctx, q)]["lower"]
 
-    def upper(self, ctx: str, q: Quantity) -> BestSide:
+    def upper(self, ctx: str, q: Quantity) -> Bound:
         return self.best[(ctx, q)]["upper"]
 
-    def add_bound(
-        self,
-        ctx: str,
-        q: Quantity,
-        side: str,
-        value: Value,
-        rule: str,
-        premises: tuple[int, ...] = (),
-        certificate: dict | None = None,
-        hypotheses: tuple[str, ...] = (),
-        caveats: tuple[str, ...] = (),
-    ) -> bool:
-        """Record the bound if it improves the current best; returns True if it did."""
+    def add_bound(self, bound: Bound) -> bool:
+        """Number and record the bound if it improves the current best; returns True if it did."""
+        side, value = bound.side, bound.value
         if side not in ("lower", "upper"):
             raise AssertionError(f"bound side must be 'lower' or 'upper', got {side!r}")
         if not (isinf(value) or (isinstance(value, int) and value >= 1)):
             raise AssertionError(f"bound value must be an integer >= 1 or infinity, got {value!r}")
-        record = self.best[(ctx, q)]
+        record = self.best[(bound.context, bound.quantity)]
         current = record[side]
         improved = value > current.value if side == "lower" else value < current.value
         if not improved:
             return False
-        bound = Bound(
-            id=len(self.bounds) + 1,
-            context=ctx,
-            quantity=q,
-            side=side,
-            value=value,
-            rule=rule,
-            premises=premises,
-            certificate=certificate,
-            hypotheses=hypotheses,
-            caveats=caveats,
-        )
+        bound = replace(bound, id=len(self.bounds) + 1)
         self.bounds.append(bound)
-        record[side] = BestSide(value, bound.id)
+        record[side] = bound
         lo, hi = record["lower"], record["upper"]
         if lo.value > hi.value:
-            self.inconsistencies.append((ctx, q, lo.bound_id, hi.bound_id))
+            self.inconsistencies.append((lo, hi))
         return True
 
     def interval(self, ctx: str, q: Quantity) -> tuple[Value, Value]:
@@ -438,47 +420,22 @@ def _seed_space_bounds(fb: FactBase, ctx: ProblemContext) -> None:
         q_cat = Quantity("cat", key, None)
         q_tc = Quantity("TC", key, None)
         if info.connected is False:
-            fb.add_bound(
-                ctx.name,
-                q_tc,
-                "lower",
-                inf,
-                "DISC",
-                certificate={"components": info.complex.connected_components()},
-            )
+            components = {"components": info.complex.connected_components()}
+            fb.add_bound(Bound(ctx.name, q_tc, "lower", inf, "DISC", certificate=components))
         if not info.analyzed:
             continue
         if info.connected:
+            connected = (f"path-connected({info.display})",)
             for cert, cup in info.certificates.values():  # in the order of config.fields
                 if cert.length >= 1:
-                    fb.add_bound(
-                        ctx.name,
-                        q_tc,
-                        "lower",
-                        cert.length + 1,
-                        "R1",
-                        certificate=_certificate_dict(cert),
-                    )
+                    fb.add_bound(Bound(ctx.name, q_tc, "lower", cert.length + 1, "R1",
+                                       certificate=_certificate_dict(cert)))
                 if cup.length >= 1:
-                    fb.add_bound(
-                        ctx.name,
-                        q_cat,
-                        "lower",
-                        cup.length + 1,
-                        "R2",
-                        certificate=_certificate_dict(cup),
-                        hypotheses=(f"path-connected({info.display})",),
-                    )
+                    fb.add_bound(Bound(ctx.name, q_cat, "lower", cup.length + 1, "R2",
+                                       certificate=_certificate_dict(cup), hypotheses=connected))
             for q, value, rule in ((q_tc, 2 * info.dim + 1, "R4"), (q_cat, info.dim + 1, "R4b")):
-                fb.add_bound(
-                    ctx.name,
-                    q,
-                    "upper",
-                    value,
-                    rule,
-                    certificate={"dim": info.dim},
-                    hypotheses=(f"path-connected({info.display})",),
-                )
+                fb.add_bound(Bound(ctx.name, q, "upper", value, rule,
+                                   certificate={"dim": info.dim}, hypotheses=connected))
 
 
 def _seed_assertions(fb: FactBase, ctx: ProblemContext) -> None:
@@ -497,15 +454,9 @@ def _seed_assertions(fb: FactBase, ctx: ProblemContext) -> None:
             )
         sides = ("lower", "upper") if fact.side == "equal" else (fact.side,)
         for side in sides:
-            fb.add_bound(
-                ctx.name,
-                q,
-                side,
-                fact.value,
-                "ASSERT",
-                certificate={"justification": fact.justification},
-                hypotheses=("user-asserted",),
-            )
+            fb.add_bound(Bound(ctx.name, q, side, fact.value, "ASSERT",
+                               certificate={"justification": fact.justification},
+                               hypotheses=("user-asserted",)))
 
 
 def seed_facts(problem: Problem, config: EngineConfig | None = None) -> FactBase:
@@ -552,18 +503,6 @@ HOLDS: dict[str, Callable[[ProblemContext], bool]] = {
 
 
 @dataclass(frozen=True)
-class Candidate:
-    ctx: str
-    quantity: Quantity
-    side: str
-    value: Value
-    premises: tuple[int, ...] = ()
-    certificate: dict | None = None
-    hypotheses: tuple[str, ...] = ()
-    caveats: tuple[str, ...] = ()
-
-
-@dataclass(frozen=True)
 class Link:
     """One inequality between quantities a and b of a context.
 
@@ -586,17 +525,17 @@ class Link:
 class Row:
     """A saturation rule.  It applies to a context where each of its
     hypotheses holds (see HOLDS), its annotations are present and the group
-    is nontrivial unless any_group is set; each link then yields candidates
-    under the row's hypotheses.  A row whose hypotheses include G_CONNECTED
-    also carries the empty-fixed-set caveat.  A row with `derive` computes
-    its candidates itself instead of from links."""
+    is nontrivial unless any_group is set; each link then proposes bounds
+    under the row's rule and hypotheses.  A row whose hypotheses include
+    G_CONNECTED also carries the empty-fixed-set caveat.  A row with `derive`
+    proposes its bounds itself instead of from links."""
 
     rule: str
     links: tuple[Link, ...] | Callable[[ProblemContext], list[Link]] = ()
     hypotheses: tuple[str, ...] = ()
     annotations: tuple[str, ...] = ()
     any_group: bool = False
-    derive: Callable[[FactBase, ProblemContext], list[Candidate]] | None = None
+    derive: Callable[[FactBase, ProblemContext], list[Bound]] | None = None
 
 
 def _half_roundup(v: Value) -> Value:
@@ -604,8 +543,8 @@ def _half_roundup(v: Value) -> Value:
     return inf if isinf(v) else ceil((v + 1) / 2)
 
 
-def _ids(*sides: BestSide) -> tuple[int, ...]:
-    return tuple(s.bound_id for s in sides if s.bound_id is not None)
+def _ids(*sides: Bound) -> tuple[int, ...]:
+    return tuple(s.id for s in sides if s.id is not None)
 
 
 def _annotation_hypotheses(names: tuple[str, ...]) -> tuple[str, ...]:
@@ -621,15 +560,15 @@ def _empty_fixed_caveats(ctx: ProblemContext) -> tuple[str, ...]:
     )
 
 
-def _link_candidates(
-    fb: FactBase, ctx: str, link: Link, hyp: tuple[str, ...], caveats: tuple[str, ...]
-) -> list[Candidate]:
+def _link_bounds(
+    fb: FactBase, ctx: str, link: Link, rule: str, hyp: tuple[str, ...], caveats: tuple[str, ...]
+) -> list[Bound]:
     if link.form == "infinite":
-        return [Candidate(ctx, link.b, "lower", inf, (), link.certificate, hyp, caveats)]
+        return [Bound(ctx, link.b, "lower", inf, rule, (), link.certificate, hyp, caveats)]
     out = []
 
-    def emit(q: Quantity, side: str, value: Value, source: BestSide) -> None:
-        out.append(Candidate(ctx, q, side, value, _ids(source), link.certificate, hyp, caveats))
+    def emit(q: Quantity, side: str, value: Value, source: Bound) -> None:
+        out.append(Bound(ctx, q, side, value, rule, _ids(source), link.certificate, hyp, caveats))
 
     if link.form in ("affine", "affine+inverse"):
         hi = fb.upper(ctx, link.a)
@@ -648,8 +587,8 @@ def _link_candidates(
     return out
 
 
-def _emit(row: Row, fb: FactBase, ctx: ProblemContext) -> list[Candidate]:
-    """All candidates of one table row; computed before any is recorded."""
+def _emit(row: Row, fb: FactBase, ctx: ProblemContext) -> list[Bound]:
+    """All bounds one table row proposes; computed before any is recorded."""
     if not (
         (row.any_group or ctx.equivariant)
         and all(HOLDS[h](ctx) for h in row.hypotheses)
@@ -665,7 +604,7 @@ def _emit(row: Row, fb: FactBase, ctx: ProblemContext) -> list[Candidate]:
     for link in links:
         if all(n in ctx.problem.annotations for n in link.annotations):
             link_hyp = hyp + _annotation_hypotheses(link.annotations) + link.hypotheses
-            out += _link_candidates(fb, ctx.name, link, link_hyp, caveats)
+            out += _link_bounds(fb, ctx.name, link, row.rule, link_hyp, caveats)
     return out
 
 
@@ -711,7 +650,7 @@ def _isotropy_links(ctx: ProblemContext) -> list[Link]:
     return out
 
 
-def _rule_R18(fb: FactBase, ctx: ProblemContext) -> list[Candidate]:
+def _rule_R18(fb: FactBase, ctx: ProblemContext) -> list[Bound]:
     """The bundle bound, on the root context of an associated space only."""
     if not ctx.problem.is_associated_space:
         return []
@@ -721,11 +660,12 @@ def _rule_R18(fb: FactBase, ctx: ProblemContext) -> list[Candidate]:
     if isinf(hi_f.value) or isinf(hi_b.value):
         return []
     return [
-        Candidate(
+        Bound(
             "",
             Quantity("TC", "assoc"),
             "upper",
             hi_f.value * hi_b.value,
+            "R18",
             _ids(hi_f, hi_b),
             {"fiber_upper": hi_f.value, "base_upper": hi_b.value},
             ("numerable principal bundle (user-certified): " + ctx.problem.bundle_justification,),
@@ -792,11 +732,8 @@ def saturate(fb: FactBase) -> FactBase:
         improved = False
         for row in RULES:
             for ctx in list(fb.contexts.values()):
-                for cand in _emit(row, fb, ctx):
-                    if fb.add_bound(
-                        cand.ctx, cand.quantity, cand.side, cand.value, row.rule,
-                        cand.premises, cand.certificate, cand.hypotheses, cand.caveats,
-                    ):
+                for bound in _emit(row, fb, ctx):
+                    if fb.add_bound(bound):
                         improved = True
         if not improved:
             return fb
@@ -852,8 +789,8 @@ def structured_report(fb: FactBase) -> dict:
                 "display": quantity_display(ctx, q),
                 "lower": fmt_value(lo.value),
                 "upper": fmt_value(hi.value),
-                "lower_bound_id": lo.bound_id,
-                "upper_bound_id": hi.bound_id,
+                "lower_bound_id": lo.id,
+                "upper_bound_id": hi.id,
             }
         )
     bounds = []
@@ -937,12 +874,12 @@ def structured_report(fb: FactBase) -> dict:
         "bounds": bounds,
         "inconsistencies": [
             {
-                "context": fb.contexts[ctx].label(),
-                "quantity": quantity_display(fb.contexts[ctx], q),
-                "lower_bound_id": lo_id,
-                "upper_bound_id": hi_id,
+                "context": fb.contexts[lo.context].label(),
+                "quantity": quantity_display(fb.contexts[lo.context], lo.quantity),
+                "lower_bound_id": lo.id,
+                "upper_bound_id": hi.id,
             }
-            for ctx, q, lo_id, hi_id in fb.inconsistencies
+            for lo, hi in fb.inconsistencies
         ],
     }
 
@@ -1052,6 +989,6 @@ def text_report(fb: FactBase) -> str:
 def report(fb: FactBase, fmt: str = "text") -> str:
     if fmt == "text":
         return text_report(fb)
-    if fmt in ("json", "structured"):
+    if fmt == "json":
         return json.dumps(structured_report(fb), indent=2, sort_keys=True) + "\n"
     raise ValueError(f"unknown report format {fmt!r}")

@@ -18,10 +18,9 @@ import os
 import sys
 
 from eqtc.bounds import EngineConfig, analyze_problem, report
-from eqtc.complex_core import ComplexError, from_maximal_simplices
+from eqtc.complex_core import CapExceeded, ComplexError, from_maximal_simplices
 from eqtc.group_action import (
     ActionError,
-    CapExceeded,
     GroupError,
     fixed_subcomplex,
     group_closure,
@@ -58,7 +57,7 @@ def _build_parser() -> argparse.ArgumentParser:
     analyze = sub.add_parser("analyze", help="run the full bounds pipeline on a problem file")
     analyze.add_argument("path")
     _add_engine_flags(analyze)
-    analyze.add_argument("--format", choices=("text", "json", "structured"), default="text")
+    analyze.add_argument("--format", choices=("text", "json"), default="text")
     analyze.add_argument("--output", help="also write the JSON report to this file")
 
     examples = sub.add_parser("examples", help="emit a builtin example problem file")
@@ -125,7 +124,7 @@ def cmd_analyze(args: argparse.Namespace, out) -> int:
     problem = load_problem(args.path)
     config = _config(
         problem,
-        fields=tuple(args.fields.split(",")) if args.fields else None,
+        fields=tuple(args.fields.split(",")) if args.fields is not None else None,
         depth_cap=args.depth_cap,
         subgroup_mode=args.subgroups,
     )

@@ -8,8 +8,9 @@ stable for provenance tracking.
 
 Validation lives where outside input enters: `from_maximal_simplices` checks
 each maximal simplex and that every vertex is used, and builds the downward
-closure itself.  Every other construction is closed and covers its vertices
-by construction (see each one), so `SimplicialComplex` checks nothing.
+closure itself, within SIMPLEX_BUDGET.  Every other construction is closed
+and covers its vertices by construction (see each one), so
+`SimplicialComplex` checks nothing.
 """
 
 from __future__ import annotations
@@ -25,6 +26,18 @@ Simplex = tuple[int, ...]
 
 class ComplexError(ValueError):
     """Raised when simplicial-complex input data is malformed."""
+
+
+class CapExceeded(RuntimeError):
+    """A configured enumeration cap was hit."""
+
+
+# Simplices one construction may build: the downward closure of the input in
+# `from_maximal_simplices`, and each subdivision in `group_action.regularize`,
+# predicted before it is built.  S4-Z3's second round (546,482, about 115 MB)
+# fits; a 3-cycle on the boundary of the 6-simplex (33,156,984) and a single
+# 40-vertex simplex (2^40 - 1 faces) stop here instead of running out of memory.
+SIMPLEX_BUDGET = 2_000_000
 
 
 @dataclass(frozen=True)
@@ -137,7 +150,10 @@ def from_maximal_simplices(vertex_count: int, maximal: list[list[int]]) -> Simpl
     """Downward closure of the given maximal simplices: the one check on outside input.
 
     Raises ComplexError on an empty maximal list, an empty or out-of-range
-    simplex, duplicate vertices inside a tuple, or a vertex id in no simplex.
+    simplex, duplicate vertices inside a tuple, or a vertex id in no simplex,
+    and CapExceeded once the closure has more than SIMPLEX_BUDGET simplices:
+    at once when one maximal simplex alone has that many faces, else after
+    the maximal simplex whose faces take it past the budget.
     """
     if not maximal:
         raise ComplexError("empty maximal simplex list")
@@ -154,7 +170,16 @@ def from_maximal_simplices(vertex_count: int, maximal: list[list[int]]) -> Simpl
     # every vertex is in range, so all are used when there are vertex_count of them
     if len({v for s in canon for v in s}) != vertex_count:
         raise ComplexError("some vertex id appears in no simplex")
-    closure = {face for s in canon for k in range(1, len(s) + 1) for face in combinations(s, k)}
+    for n in {len(s) for s in canon}:
+        if 2**n - 1 > SIMPLEX_BUDGET:
+            raise CapExceeded(f"a maximal simplex of {n} vertices has 2^{n} - 1 faces, "
+                              f"over the budget of {SIMPLEX_BUDGET} simplices")
+    closure: set[Simplex] = set()
+    for s in canon:
+        closure.update(face for k in range(1, len(s) + 1) for face in combinations(s, k))
+        if len(closure) > SIMPLEX_BUDGET:
+            raise CapExceeded(f"the closure of the maximal simplices exceeds the budget "
+                              f"of {SIMPLEX_BUDGET} simplices")
     return SimplicialComplex(vertex_count, frozenset(closure))
 
 

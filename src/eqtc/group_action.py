@@ -50,7 +50,9 @@ from functools import cached_property
 from itertools import compress
 from operator import eq
 
+from eqtc import complex_core
 from eqtc.complex_core import (
+    CapExceeded,
     SimplicialComplex,
     Simplex,
     barycentric_subdivision,
@@ -68,10 +70,6 @@ class GroupError(ValueError):
 
 class ActionError(ValueError):
     """A permutation fails to act simplicially."""
-
-
-class CapExceeded(RuntimeError):
-    """A configured enumeration cap was hit."""
 
 
 def identity_perm(n: int) -> Perm:
@@ -409,18 +407,12 @@ def transport_action(G: FiniteGroup, provenance: dict[int, Simplex]) -> FiniteGr
 # Two barycentric subdivisions always regularize a finite simplicial action.
 MAX_ROUNDS = 2
 
-# Simplices one subdivision in `regularize` may build, predicted before it is
-# built.  S4-Z3's second round (546,482, about 115 MB) fits; a 3-cycle on the
-# boundary of the 6-simplex (33,156,984) stops here instead of running out of
-# memory.
-REGULARIZATION_SIMPLEX_BUDGET = 2_000_000
-
 
 def regularize(K: SimplicialComplex, G: FiniteGroup) -> RegularAction:
     """Subdivide (at most MAX_ROUNDS times) until the validated action is regular.
 
     Raises CapExceeded before a subdivision whose predicted size is over
-    REGULARIZATION_SIMPLEX_BUDGET.  Exhausting the rounds indicates a bug
+    complex_core.SIMPLEX_BUDGET.  Exhausting the rounds indicates a bug
     and fails loudly.  A transported action needs no `validate_action`: the
     round that passes proves its action simplicial.
     """
@@ -431,10 +423,10 @@ def regularize(K: SimplicialComplex, G: FiniteGroup) -> RegularAction:
         if rounds == MAX_ROUNDS:
             break
         size = sum(subdivision_f_vector(K.f_vector()))
-        if size > REGULARIZATION_SIMPLEX_BUDGET:
+        if size > complex_core.SIMPLEX_BUDGET:
             raise CapExceeded(
                 f"regularization round {rounds + 1} would build {size} simplices, "
-                f"over the budget of {REGULARIZATION_SIMPLEX_BUDGET}"
+                f"over the budget of {complex_core.SIMPLEX_BUDGET}"
             )
         K, provenance = barycentric_subdivision(K)
         G = transport_action(G, provenance)

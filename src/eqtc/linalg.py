@@ -37,17 +37,10 @@ class PrimeField:
         self.p = p
         self.name = f"F{p}"
         self.char = p
-        self.zero = 0
         self.one = 1
 
     def of_int(self, n: int):
         return n % self.p
-
-    def add(self, a, b):
-        return (a + b) % self.p
-
-    def sub(self, a, b):
-        return (a - b) % self.p
 
     def mul(self, a, b):
         return (a * b) % self.p
@@ -60,9 +53,6 @@ class PrimeField:
             raise ZeroDivisionError("inverse of zero")
         return pow(a, self.p - 2, self.p)
 
-    def is_zero(self, a) -> bool:
-        return a % self.p == 0
-
     def __repr__(self):
         return self.name
 
@@ -73,17 +63,10 @@ class RationalField:
     def __init__(self):
         self.name = "Q"
         self.char = 0
-        self.zero = Fraction(0)
         self.one = Fraction(1)
 
     def of_int(self, n: int):
         return Fraction(n)
-
-    def add(self, a, b):
-        return a + b
-
-    def sub(self, a, b):
-        return a - b
 
     def mul(self, a, b):
         return a * b
@@ -95,9 +78,6 @@ class RationalField:
         if a == 0:
             raise ZeroDivisionError("inverse of zero")
         return 1 / Fraction(a)
-
-    def is_zero(self, a) -> bool:
-        return a == 0
 
     def __repr__(self):
         return self.name

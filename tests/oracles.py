@@ -16,7 +16,6 @@ helpers at the end are test helpers the program itself does not need.
 
 from __future__ import annotations
 
-from dataclasses import replace
 from itertools import combinations
 from itertools import product as iproduct
 from random import Random
@@ -27,32 +26,51 @@ from eqtc.homology import coboundary_matrix
 from eqtc.linalg import add_multiple, parse_field
 
 
+# field arithmetic the package itself never needs: ints mod p, Fractions over Q
+
+
+def zero(field):
+    return field.of_int(0)
+
+
+def field_add(field, a, b):
+    return (a + b) % field.char if field.char else a + b
+
+
+def field_sub(field, a, b):
+    return (a - b) % field.char if field.char else a - b
+
+
+def is_zero(field, a) -> bool:
+    return a % field.char == 0 if field.char else a == 0
+
+
 def to_rows(columns: list[dict], n_rows: int, field) -> list[list]:
     """Dense rows of a matrix given as sparse columns."""
-    return [[col.get(r, field.zero) for col in columns] for r in range(n_rows)]
+    return [[col.get(r, zero(field)) for col in columns] for r in range(n_rows)]
 
 
 def to_columns(rows: list[list], field) -> list[dict]:
     """Sparse columns of a matrix given as dense rows."""
     n_cols = len(rows[0]) if rows else 0
-    return [{r: row[c] for r, row in enumerate(rows) if not field.is_zero(row[c])}
+    return [{r: row[c] for r, row in enumerate(rows) if not is_zero(field, row[c])}
             for c in range(n_cols)]
 
 
 def to_dense(v: dict, n: int, field) -> list:
-    return [v.get(i, field.zero) for i in range(n)]
+    return [v.get(i, zero(field)) for i in range(n)]
 
 
 def to_sparse(v: list, field) -> dict:
-    return {i: a for i, a in enumerate(v) if not field.is_zero(a)}
+    return {i: a for i, a in enumerate(v) if not is_zero(field, a)}
 
 
 def mat_vec(rows: list[list], v: list, field) -> list:
     out = []
     for row in rows:
-        acc = field.zero
+        acc = zero(field)
         for a, b in zip(row, v):
-            acc = field.add(acc, field.mul(a, b))
+            acc = field_add(field, acc, field.mul(a, b))
         out.append(acc)
     return out
 
@@ -63,7 +81,7 @@ def dense_coboundary_matrix(K, field, d: int) -> list[list]:
     col_of = {s: j for j, s in enumerate(cols)}
     rows = []
     for tau in sorted(s for s in K.simplices if len(s) == d + 2):
-        row = [field.zero] * len(cols)
+        row = [zero(field)] * len(cols)
         for i in range(len(tau)):
             row[col_of[tau[:i] + tau[i + 1 :]]] = field.of_int((-1) ** i)
         rows.append(row)
@@ -102,18 +120,18 @@ def oracle_rref(rows: list[list], field) -> tuple[list[list], list[int]]:
     pivots: list[int] = []
     for c in range(len(work[0]) if work else 0):
         r = len(pivots)
-        p = next((i for i in range(r, len(work)) if not field.is_zero(work[i][c])), None)
+        p = next((i for i in range(r, len(work)) if not is_zero(field, work[i][c])), None)
         if p is None:
             continue
         work[r], work[p] = work[p], work[r]
         inv = field.inv(work[r][c])
         pivot_row = work[r] = [field.mul(inv, x) for x in work[r]]
-        support = [j for j, x in enumerate(pivot_row) if not field.is_zero(x)]
+        support = [j for j, x in enumerate(pivot_row) if not is_zero(field, x)]
         for i, row in enumerate(work):
             f = row[c]
-            if i != r and not field.is_zero(f):
+            if i != r and not is_zero(field, f):
                 for j in support:
-                    row[j] = field.sub(row[j], field.mul(f, pivot_row[j]))
+                    row[j] = field_sub(field, row[j], field.mul(f, pivot_row[j]))
         pivots.append(c)
     return work, pivots
 
@@ -130,7 +148,7 @@ def oracle_nullspace(rows: list[list], field, n_cols: int) -> list[list]:
     for free in range(n_cols):
         if free in pivots:
             continue
-        vec = [field.zero] * n_cols
+        vec = [zero(field)] * n_cols
         vec[free] = field.one
         for r, c in enumerate(pivots):
             vec[c] = field.neg(work[r][free])
@@ -147,7 +165,7 @@ def oracle_representatives(K, field) -> dict[int, list[list]]:
     delta_{d-1} at its pivot columns.
     """
     n = [sum(len(s) == d + 1 for s in K.simplices) for d in range(K.dim + 1)]
-    reps = {0: [[field.one if label == comp else field.zero for label in K.component_labels]
+    reps = {0: [[field.one if label == comp else zero(field) for label in K.component_labels]
                 for comp in range(K.connected_components())]}
     for d in range(1, K.dim + 1):
         lower = dense_coboundary_matrix(K, field, d - 1)
@@ -183,8 +201,8 @@ def oracle_multiply(T, x, y):
             for m, cm in T.ring.multiply_basis(i, k).items():
                 for n, cn in T.ring.multiply_basis(j, l).items():
                     c = field.mul(field.mul(s, field.mul(cx, cy)), field.mul(cm, cn))
-                    out[(m, n)] = field.add(out.get((m, n), field.zero), c)
-    return {k: v for k, v in out.items() if not field.is_zero(v)}
+                    out[(m, n)] = field_add(field, out.get((m, n), zero(field)), c)
+    return {k: v for k, v in out.items() if not is_zero(field, v)}
 
 
 def oracle_longest_product(T, elements, depth_cap: int) -> int:
@@ -217,8 +235,8 @@ def oracle_cuplength(ring, depth_cap: int) -> int:
         out = {}
         for i, ci in sorted(x.items()):
             for k, ck in ring.multiply_basis(i, g).items():
-                out[k] = field.add(out.get(k, field.zero), field.mul(ci, ck))
-        return {k: v for k, v in out.items() if not field.is_zero(v)}
+                out[k] = field_add(field, out.get(k, zero(field)), field.mul(ci, ck))
+        return {k: v for k, v in out.items() if not is_zero(field, v)}
 
     def nonzero(combo):
         acc = {combo[0]: field.one}
@@ -380,7 +398,7 @@ def clone_fact_base(fb: FactBase) -> FactBase:
     out = FactBase(fb.config)
     out.contexts = fb.contexts
     out.bounds = list(fb.bounds)
-    out.best = {k: {s: replace(v) for s, v in sides.items()} for k, sides in fb.best.items()}
+    out.best = {k: dict(sides) for k, sides in fb.best.items()}  # Bounds are immutable
     out.inconsistencies = list(fb.inconsistencies)
     return out
 

@@ -19,6 +19,7 @@ from eqtc.bounds import (
     PATH_CONNECTED,
     RULE_STATEMENTS,
     RULES,
+    Bound,
     Quantity,
     analyze_problem,
     report,
@@ -80,7 +81,7 @@ def test_sphere_trivial_group_tc_bounds():
 def test_reflection_circle_is_infinite_with_witness():
     fb = analyze_problem(EXAMPLES["sphere-reflection-n1"])
     assert interval(fb, "TC_G", "X", "G") == (inf, inf)
-    bid = fb.best[("", Quantity("TC_G", "X", "G"))]["lower"].bound_id
+    bid = fb.best[("", Quantity("TC_G", "X", "G"))]["lower"].id
     bound = bound_by_id(fb, bid)
     assert bound.rule == "R9"
     assert bound.certificate["components"] == 2
@@ -106,7 +107,7 @@ def test_reflection_sphere_without_assertion_only_lower():
 def test_reflection_lower_bound_source_n3():
     # for the odd sphere the binding lower bound comes from the fixed 2-sphere
     fb = analyze_problem(EXAMPLES["sphere-reflection-n3"])
-    bid = fb.best[("", Quantity("TC_G", "X", "G"))]["lower"].bound_id
+    bid = fb.best[("", Quantity("TC_G", "X", "G"))]["lower"].id
     bound = bound_by_id(fb, bid)
     assert bound.rule == "R7"
     assert bound.certificate["subgroup"] == "G"
@@ -119,7 +120,7 @@ def test_free_antipodal_hexagon_cat_g_closed_by_quotient():
     assert interval(fb, "cat", "orbit") == (2, 2)
     assert interval(fb, "cat_G", "X", "G") == (2, 2)
     upper = fb.best[("", Quantity("cat_G", "X", "G"))]["upper"]
-    assert bound_by_id(fb, upper.bound_id).rule == "R6"
+    assert bound_by_id(fb, upper.id).rule == "R6"
     lo, hi = interval(fb, "TC_G", "X", "G")
     assert lo == 2 and isinf(hi)
 
@@ -129,7 +130,7 @@ def test_torus_closes_cat_and_bounds_tc():
     assert interval(fb, "cat", "X") == (3, 3)
     lo, hi = interval(fb, "TC", "X")
     assert lo == 3 and hi == 5
-    bid = fb.best[("", Quantity("TC", "X", None))]["lower"].bound_id
+    bid = fb.best[("", Quantity("TC", "X", None))]["lower"].id
     assert bound_by_id(fb, bid).certificate["length"] == 2
 
 
@@ -137,7 +138,7 @@ def test_klein_bound_via_associated_space():
     fb = analyze_problem(EXAMPLES["klein-bound"])
     lo, hi = interval(fb, "TC", "assoc")
     assert hi == 6
-    bid = fb.best[("", Quantity("TC", "assoc", None))]["upper"].bound_id
+    bid = fb.best[("", Quantity("TC", "assoc", None))]["upper"].id
     bound = bound_by_id(fb, bid)
     assert bound.rule == "R18"
     assert bound.certificate == {"fiber_upper": 3, "base_upper": 2}
@@ -164,10 +165,10 @@ def test_inconsistent_assertion_is_reported_with_both_provenances():
     )
     fb = analyze_problem(bad)
     assert fb.inconsistencies
-    ctx, q, lo_id, hi_id = fb.inconsistencies[0]
-    assert (q.kind, q.space) == ("cat", "X")
-    assert bound_by_id(fb, lo_id).rule == "R2"
-    assert bound_by_id(fb, hi_id).rule == "ASSERT"
+    lo, hi = fb.inconsistencies[0]
+    assert (lo.quantity.kind, lo.quantity.space) == ("cat", "X")
+    assert lo.rule == "R2"
+    assert hi.rule == "ASSERT"
     text = text_report(fb)
     assert "INCONSISTENT" in text
 
@@ -215,23 +216,23 @@ def test_rule_catalogue_equality_r17():
     fb = analyze_problem(p)
     assert interval(fb, "TC_G", "X", "G") == (2, 2)
     upper = fb.best[("", Quantity("TC_G", "X", "G"))]["upper"]
-    assert bound_by_id(fb, upper.bound_id).rule == "R17"
+    assert bound_by_id(fb, upper.id).rule == "R17"
 
 
 def test_r12_upper_from_asserted_cat_g():
     fb = analyze_problem(EXAMPLES["sphere-reflection-n2"])
     upper = fb.best[("", Quantity("TC_G", "X", "G"))]["upper"]
-    assert bound_by_id(fb, upper.bound_id).rule == "R12"
-    assert bound_by_id(fb, upper.bound_id).value == 3
+    assert bound_by_id(fb, upper.id).rule == "R12"
+    assert bound_by_id(fb, upper.id).value == 3
 
 
 def test_engine_checks_survive_python_O():
     # the checks are explicit raises, not asserts, so -O cannot strip them
     bound_check = (
-        "from eqtc.bounds import EngineConfig, FactBase, Quantity\n"
+        "from eqtc.bounds import Bound, EngineConfig, FactBase, Quantity\n"
         "fb = FactBase(EngineConfig())\n"
         "fb.register('', Quantity('cat', 'X'))\n"
-        "fb.add_bound('', Quantity('cat', 'X'), 'lower', 0, 'R2')\n"
+        "fb.add_bound(Bound('', Quantity('cat', 'X'), 'lower', 0, 'R2'))\n"
     )
     ring_check = (
         "import eqtc.ring as r\n"
@@ -528,7 +529,7 @@ def test_r12_reverse_propagation_bounds_cat_g_from_below():
     fb = analyze_problem(bare)
     lo, hi = interval(fb, "cat_G", "X", "G")
     assert lo == 2 and isinf(hi)  # TC_G >= 3 forces cat_G >= ceil(4/2) = 2
-    bid = fb.best[("", Quantity("cat_G", "X", "G"))]["lower"].bound_id
+    bid = fb.best[("", Quantity("cat_G", "X", "G"))]["lower"].id
     assert bound_by_id(fb, bid).rule == "R12"
 
 
@@ -647,3 +648,27 @@ def test_recorded_hypotheses_hold_in_their_context(rule_fact_bases):
             if b.rule in rule_ids:
                 held = _hypotheses_that_hold(fb.contexts[b.context])
                 assert held.issuperset(h for h in b.hypotheses if h in HOLDS), b
+
+
+def test_every_proposal_is_an_unnumbered_bound_of_its_row(rule_fact_bases):
+    proposed = set()
+    for fb in rule_fact_bases:
+        for ctx in fb.contexts.values():
+            for row in RULES:
+                for bound in bounds._emit(row, fb, ctx):
+                    assert isinstance(bound, Bound), (row.rule, bound)
+                    assert (bound.rule, bound.id) == (row.rule, None), bound
+                    proposed.add(row.rule)
+    # the builtins carry none of the annotations R16 and R17 need
+    assert proposed == {row.rule for row in RULES if not row.annotations}
+
+
+def test_best_sides_are_the_recorded_bounds(rule_fact_bases):
+    for fb in rule_fact_bases:
+        for (ctx, q), sides in fb.best.items():
+            for side, bound in sides.items():
+                assert (bound.context, bound.quantity, bound.side) == (ctx, q, side)
+                if bound.id is None:  # no bound yet: the trivial one
+                    assert bound.value == (1 if side == "lower" else inf)
+                else:
+                    assert bound is fb.bounds[bound.id - 1]

@@ -316,6 +316,7 @@ def test_betti_and_cupfind_reject_malformed_config(tmp_path, verb):
         ([], {"fields": [2]}),
         ([], {"fields": ["F\u00b2"]}),  # a digit to str.isdigit, not to int()
         ([], {"fields": []}),  # no field: no Betti numbers and no R1/R2 bounds
+        (["--fields", ""], {}),
     ],
 )
 def test_bad_engine_settings_exit_invalid(tmp_path, capsys, argv_tail, config):
@@ -374,6 +375,20 @@ def test_oversized_regularization_exits_cap_at_once(tmp_path, capsys):
             code, out = run([verb, str(path)])
         assert (code, out) == (EXIT_CAP, "")
         assert "round 2 would build 33156984 simplices" in capsys.readouterr().err
+
+
+def test_huge_maximal_simplex_exits_cap_at_once(tmp_path, capsys):
+    # one 40-vertex simplex is inside every configured cap, but its closure
+    # would list 2^40 - 1 faces; in-process under a timer, as above
+    data = {"schema_version": 1, "name": "simplex-40", "vertex_count": 40,
+            "maximal_simplices": [list(range(40))]}
+    path = tmp_path / "simplex-40.json"
+    path.write_text(json.dumps(data), encoding="utf-8")
+    for verb in ("betti", "analyze"):
+        with deadline(1.0):
+            code, out = run([verb, str(path)])
+        assert (code, out) == (EXIT_CAP, "")
+        assert "2^40 - 1 faces, over the budget of 2000000" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(
@@ -489,11 +504,13 @@ def test_commands_reject_associated_space_files(tmp_path):
         assert code == EXIT_INVALID
 
 
-def test_structured_format_alias(tmp_path):
+def test_structured_format_alias(tmp_path, capsys):
+    # no longer an alias of json: the flag's choices are text and json
     path = write_example(tmp_path, "torus7")
-    code, out = run(["analyze", path, "--format", "structured"])
-    assert code == EXIT_OK
-    assert json.loads(out)["problem"] == "torus7"
+    with pytest.raises(SystemExit) as refused:
+        run(["analyze", path, "--format", "structured"])
+    assert refused.value.code == EXIT_INVALID
+    assert "invalid choice: 'structured'" in capsys.readouterr().err
 
 
 def test_group_cap_env_override(tmp_path, monkeypatch):

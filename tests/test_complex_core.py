@@ -4,7 +4,9 @@ import random
 
 import pytest
 
+import eqtc.complex_core as complex_core
 from eqtc.complex_core import (
+    CapExceeded,
     ComplexError,
     SimplicialComplex,
     barycentric_subdivision,
@@ -36,6 +38,20 @@ def test_solid_tetrahedron_face_count():
     K = from_maximal_simplices(4, [[0, 1, 2, 3]])
     assert len(K.simplices) == 15  # 2^4 - 1
     assert K.dim == 3
+
+
+def test_closure_stops_past_the_simplex_budget(monkeypatch):
+    # two triangles on an edge: 7 faces each, 11 simplices in the closure
+    triangles = [[0, 1, 2], [1, 2, 3]]
+    monkeypatch.setattr(complex_core, "SIMPLEX_BUDGET", 11)
+    assert len(from_maximal_simplices(4, triangles).simplices) == 11
+    monkeypatch.setattr(complex_core, "SIMPLEX_BUDGET", 10)
+    with pytest.raises(CapExceeded, match="closure of the maximal simplices exceeds"):
+        from_maximal_simplices(4, triangles)
+    # one simplex alone over the budget is refused before any face is listed
+    monkeypatch.setattr(complex_core, "SIMPLEX_BUDGET", 6)
+    with pytest.raises(CapExceeded, match="3 vertices has 2\\^3 - 1 faces"):
+        from_maximal_simplices(4, triangles)
 
 
 def test_two_isolated_points():

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import eqtc.complex_core as complex_core
 import eqtc.group_action as group_action
 from eqtc.complex_core import (
     barycentric_subdivision,
@@ -324,18 +325,19 @@ def test_regularize_sphere_reflection():
 
 def test_regularize_stops_before_a_subdivision_over_the_budget(monkeypatch):
     # a 3-cycle on the tetrahedron boundary needs two rounds, of 74 and 434 simplices
-    K = boundary_sphere(2)
-    monkeypatch.setattr(group_action, "REGULARIZATION_SIMPLEX_BUDGET", 434)
+    # (the complexes are built first: the budget also bounds their closures)
+    K, hexagon = boundary_sphere(2), cycle_complex(6)
+    monkeypatch.setattr(complex_core, "SIMPLEX_BUDGET", 434)
     assert len(regular(K, [[1, 2, 0, 3]]).complex.simplices) == 434
-    monkeypatch.setattr(group_action, "REGULARIZATION_SIMPLEX_BUDGET", 433)
+    monkeypatch.setattr(complex_core, "SIMPLEX_BUDGET", 433)
     with pytest.raises(CapExceeded, match="round 2 would build 434 simplices"):
         regular(K, [[1, 2, 0, 3]])
-    monkeypatch.setattr(group_action, "REGULARIZATION_SIMPLEX_BUDGET", 73)
+    monkeypatch.setattr(complex_core, "SIMPLEX_BUDGET", 73)
     with pytest.raises(CapExceeded, match="round 1 would build 74 simplices"):
         regular(K, [[1, 2, 0, 3]])
     # a regular action subdivides nothing, so no budget applies
-    monkeypatch.setattr(group_action, "REGULARIZATION_SIMPLEX_BUDGET", 0)
-    assert regular(cycle_complex(6), [[3, 4, 5, 0, 1, 2]]).subdivision_rounds == 0
+    monkeypatch.setattr(complex_core, "SIMPLEX_BUDGET", 0)
+    assert regular(hexagon, [[3, 4, 5, 0, 1, 2]]).subdivision_rounds == 0
 
 
 def _rounds(K, gens):
