@@ -10,7 +10,9 @@ bounds, its certificate at a computation or a user-asserted fact.  Rules
 encode standard inequalities between these invariants; saturation applies
 them to a fixed point, which exists because every rule is monotone and
 values live in a finite lattice (integers up to the seeded maxima, plus
-infinity).
+infinity).  A rule applies where its hypotheses hold, and only between
+quantities the context registers: `_register_quantities` alone says which
+invariants a context has.
 
 Hypotheses that a finite model cannot decide (free action, metrizability,
 acting by homomorphisms, bundle numerability) only enter as user-certified
@@ -67,31 +69,31 @@ class EngineConfig:
     subgroup_cap: int = 256
     max_ring_simplices: int = 4_000
 
-    @staticmethod
-    def from_problem(problem: Problem, **overrides) -> "EngineConfig":
-        merged: dict = {}
-        known = {f.name for f in fields(EngineConfig)}
-        for key, raw in problem.config.items():
-            if key not in known:
-                raise ProblemFormatError(f"config.{key}: unknown configuration key")
-            if key == "fields":
-                if not (isinstance(raw, list) and raw and all(isinstance(f, str) for f in raw)):
-                    raise ProblemFormatError("config.fields: must list one or more field names")
-                raw = tuple(raw)
-            merged[key] = raw
-        merged.update({k: v for k, v in overrides.items() if v is not None})
-        cfg = EngineConfig(**merged)
-        if cfg.subgroup_mode not in ("conjugacy", "all"):
+    def __post_init__(self) -> None:
+        """Every setting is checked here, so no way of building a config skips a check."""
+        f = self.fields
+        if not (isinstance(f, (list, tuple)) and f and all(isinstance(n, str) for n in f)):
+            raise ProblemFormatError("config.fields: must list one or more field names")
+        object.__setattr__(self, "fields", tuple(f))
+        if self.subgroup_mode not in ("conjugacy", "all"):
             raise ProblemFormatError("config.subgroup_mode: must be 'conjugacy' or 'all'")
         for name in ("depth_cap", "group_order_cap", "subgroup_cap", "max_ring_simplices"):
-            value = getattr(cfg, name)
+            value = getattr(self, name)
             if value is None and name == "depth_cap":
                 continue
             if isinstance(value, bool) or not isinstance(value, int) or value < 1:
                 raise ProblemFormatError(f"config.{name}: must be an integer >= 1, got {value!r}")
-        for name in cfg.fields:
+        for name in self.fields:
             parse_field(name)
-        return cfg
+
+    @staticmethod
+    def from_problem(problem: Problem, **overrides) -> "EngineConfig":
+        known = {f.name for f in fields(EngineConfig)}
+        for key in problem.config:
+            if key not in known:
+                raise ProblemFormatError(f"config.{key}: unknown configuration key")
+        overrides = {k: v for k, v in overrides.items() if v is not None}
+        return EngineConfig(**{**problem.config, **overrides})
 
 
 @dataclass(frozen=True)
@@ -109,6 +111,7 @@ CAT_G = Quantity("cat_G", "X", "G")
 TC_G = Quantity("TC_G", "X", "G")
 CAT_G_XX = Quantity("cat_G", "XxX", "G")  # diagonal action
 CAT_GXG_XX = Quantity("cat_G", "XxX", "GxG")  # product action
+TC_ASSOC = Quantity("TC", "assoc")  # the formal associated space X_G
 
 
 @dataclass(frozen=True)
@@ -389,7 +392,7 @@ def _build_action_context(name: str, problem: Problem, config: EngineConfig) -> 
 
 def _register_quantities(fb: FactBase, ctx: ProblemContext) -> None:
     if ctx.problem.is_associated_space:
-        fb.register(ctx.name, Quantity("TC", "assoc"))
+        fb.register(ctx.name, TC_ASSOC)
         return
     quantities = [CAT_X, TC_X, CAT_XX]
     if ctx.equivariant:
@@ -459,26 +462,31 @@ def _seed_assertions(fb: FactBase, ctx: ProblemContext) -> None:
                                hypotheses=("user-asserted",)))
 
 
+def _build_contexts(problem: Problem, config: EngineConfig) -> dict[str, ProblemContext]:
+    """The root context and, for an associated space, its fiber and base."""
+    if not problem.is_associated_space:
+        return {"": _build_action_context("", problem, config)}
+    if problem.fiber.is_associated_space or problem.base.is_associated_space:
+        raise ProblemFormatError("nested associated-space declarations are not supported")
+    root = ProblemContext(name="", problem=problem)
+    root.spaces["assoc"] = SpaceInfo("assoc", "X_G", None)
+    return {
+        "": root,
+        "fiber": _build_action_context("fiber", problem.fiber, config),
+        "base": _build_action_context("base", problem.base, config),
+    }
+
+
 def seed_facts(problem: Problem, config: EngineConfig | None = None) -> FactBase:
     """Build contexts, compute all space data, and seed the fact base."""
     config = config or EngineConfig.from_problem(problem)
     fb = FactBase(config)
-    if problem.is_associated_space:
-        if problem.fiber.is_associated_space or problem.base.is_associated_space:
-            raise ProblemFormatError("nested associated-space declarations are not supported")
-        root = ProblemContext(name="", problem=problem)
-        root.spaces["assoc"] = SpaceInfo("assoc", "X_G", None)
-        fb.contexts[""] = root
-        fb.contexts["fiber"] = _build_action_context("fiber", problem.fiber, config)
-        fb.contexts["base"] = _build_action_context("base", problem.base, config)
-    else:
-        fb.contexts[""] = _build_action_context("", problem, config)
+    fb.contexts = _build_contexts(problem, config)
     for ctx in fb.contexts.values():
         _register_quantities(fb, ctx)
     for ctx in fb.contexts.values():
-        if not ctx.problem.is_associated_space:
-            _seed_space_bounds(fb, ctx)
-            _seed_assertions(fb, ctx)
+        _seed_space_bounds(fb, ctx)
+        _seed_assertions(fb, ctx)
     return fb
 
 
@@ -504,7 +512,9 @@ HOLDS: dict[str, Callable[[ProblemContext], bool]] = {
 
 @dataclass(frozen=True)
 class Link:
-    """One inequality between quantities a and b of a context.
+    """One inequality between quantities a and b of a context.  It proposes
+    bounds only where the context registers both quantities and carries its
+    annotations, which are recorded first among its hypotheses.
 
     Forms: "le" is a <= b, giving b a's lower bound and a b's upper bound;
     "lower" is a <= b giving only the lower bound; "eq" is "le" for (a, b)
@@ -524,17 +534,14 @@ class Link:
 @dataclass(frozen=True)
 class Row:
     """A saturation rule.  It applies to a context where each of its
-    hypotheses holds (see HOLDS), its annotations are present and the group
-    is nontrivial unless any_group is set; each link then proposes bounds
-    under the row's rule and hypotheses.  A row whose hypotheses include
-    G_CONNECTED also carries the empty-fixed-set caveat.  A row with `derive`
-    proposes its bounds itself instead of from links."""
+    hypotheses holds (see HOLDS); each link then proposes bounds under the
+    row's rule and hypotheses.  A row whose hypotheses include G_CONNECTED
+    also carries the empty-fixed-set caveat.  A row with `derive` proposes
+    its bounds itself instead of from links."""
 
     rule: str
     links: tuple[Link, ...] | Callable[[ProblemContext], list[Link]] = ()
     hypotheses: tuple[str, ...] = ()
-    annotations: tuple[str, ...] = ()
-    any_group: bool = False
     derive: Callable[[FactBase, ProblemContext], list[Bound]] | None = None
 
 
@@ -545,10 +552,6 @@ def _half_roundup(v: Value) -> Value:
 
 def _ids(*sides: Bound) -> tuple[int, ...]:
     return tuple(s.id for s in sides if s.id is not None)
-
-
-def _annotation_hypotheses(names: tuple[str, ...]) -> tuple[str, ...]:
-    return tuple(f"annotation:{n} (user-certified)" for n in names)
 
 
 def _empty_fixed_caveats(ctx: ProblemContext) -> tuple[str, ...]:
@@ -589,22 +592,22 @@ def _link_bounds(
 
 def _emit(row: Row, fb: FactBase, ctx: ProblemContext) -> list[Bound]:
     """All bounds one table row proposes; computed before any is recorded."""
-    if not (
-        (row.any_group or ctx.equivariant)
-        and all(HOLDS[h](ctx) for h in row.hypotheses)
-        and all(n in ctx.problem.annotations for n in row.annotations)
-    ):
+    if not all(HOLDS[h](ctx) for h in row.hypotheses):
         return []
     if row.derive is not None:
         return row.derive(fb, ctx)
-    hyp = _annotation_hypotheses(row.annotations) + row.hypotheses
-    caveats = _empty_fixed_caveats(ctx) if G_CONNECTED in hyp else ()
+    caveats = _empty_fixed_caveats(ctx) if G_CONNECTED in row.hypotheses else ()
     links = row.links(ctx) if callable(row.links) else row.links
     out = []
     for link in links:
-        if all(n in ctx.problem.annotations for n in link.annotations):
-            link_hyp = hyp + _annotation_hypotheses(link.annotations) + link.hypotheses
-            out += _link_bounds(fb, ctx.name, link, row.rule, link_hyp, caveats)
+        if (
+            fb.is_registered(ctx.name, link.a)
+            and fb.is_registered(ctx.name, link.b)
+            and all(n in ctx.problem.annotations for n in link.annotations)
+        ):
+            annotated = tuple(f"annotation:{n} (user-certified)" for n in link.annotations)
+            hyp = annotated + row.hypotheses + link.hypotheses
+            out += _link_bounds(fb, ctx.name, link, row.rule, hyp, caveats)
     return out
 
 
@@ -627,7 +630,6 @@ def _fixed_set_links(ctx: ProblemContext) -> list[Link]:
     return [
         Link("lower", Quantity("TC", c.fixed_space), TC_G, certificate={"subgroup": c.display})
         for c in ctx.classes
-        if not ctx.spaces[c.fixed_space].empty
     ]
 
 
@@ -635,7 +637,6 @@ def _subgroup_links(ctx: ProblemContext) -> list[Link]:
     return [
         Link("le", Quantity("TC_G", "X", c.key), TC_G, (f"subgroup {c.display} <= G",))
         for c in ctx.classes
-        if not (c.subgroup.is_trivial or c.subgroup.is_full)
     ]
 
 
@@ -651,18 +652,17 @@ def _isotropy_links(ctx: ProblemContext) -> list[Link]:
 
 
 def _rule_R18(fb: FactBase, ctx: ProblemContext) -> list[Bound]:
-    """The bundle bound, on the root context of an associated space only."""
-    if not ctx.problem.is_associated_space:
+    """The bundle bound, where the context registers an associated space."""
+    if not fb.is_registered(ctx.name, TC_ASSOC):
         return []
-    fiber_q = TC_G if fb.contexts["fiber"].equivariant else TC_X
-    hi_f = fb.upper("fiber", fiber_q)
+    hi_f = fb.upper("fiber", TC_G if fb.is_registered("fiber", TC_G) else TC_X)
     hi_b = fb.upper("base", TC_X)
     if isinf(hi_f.value) or isinf(hi_b.value):
         return []
     return [
         Bound(
             "",
-            Quantity("TC", "assoc"),
+            TC_ASSOC,
             "upper",
             hi_f.value * hi_b.value,
             "R18",
@@ -678,13 +678,8 @@ def _rule_R18(fb: FactBase, ctx: ProblemContext) -> list[Bound]:
 # TC_G carries the disconnected-fixed-set witness (R7 would reach infinity
 # via the seeded TC of the disconnected fixed space instead).
 RULES: tuple[Row, ...] = (
-    Row(
-        "R3",
-        (Link("le", CAT_X, TC_X), Link("le", TC_X, CAT_XX)),
-        (PATH_CONNECTED,),
-        any_group=True,
-    ),
-    Row("R5", (Link("affine", CAT_X, CAT_XX),), (PATH_CONNECTED,), any_group=True),
+    Row("R3", (Link("le", CAT_X, TC_X), Link("le", TC_X, CAT_XX)), (PATH_CONNECTED,)),
+    Row("R5", (Link("affine", CAT_X, CAT_XX),), (PATH_CONNECTED,)),
     Row(
         "R6",
         (
@@ -706,17 +701,15 @@ RULES: tuple[Row, ...] = (
     Row("R15", (Link("affine", CAT_G, CAT_GXG_XX),), (PATH_CONNECTED, NORMAL)),
     Row(
         "R16",
-        (Link("eq", TC_G, CAT_G),),
+        (Link("eq", TC_G, CAT_G, annotations=("topological_group_homomorphism_action",)),),
         (G_CONNECTED,),
-        annotations=("topological_group_homomorphism_action",),
     ),
     Row(
         "R17",
-        (Link("eq", TC_G, CAT_X),),
+        (Link("eq", TC_G, CAT_X, annotations=("left_translation_action", "metrizable")),),
         (PATH_CONNECTED,),
-        annotations=("left_translation_action", "metrizable"),
     ),
-    Row("R18", any_group=True, derive=_rule_R18),
+    Row("R18", derive=_rule_R18),
     Row("R19", (Link("le", TC_X, TC_G),)),
 )
 

@@ -61,8 +61,7 @@ def _build_parser() -> argparse.ArgumentParser:
     analyze.add_argument("--output", help="also write the JSON report to this file")
 
     examples = sub.add_parser("examples", help="emit a builtin example problem file")
-    examples.add_argument("name", nargs="?")
-    examples.add_argument("--list", action="store_true", help="list builtin example names")
+    examples.add_argument("name", nargs="?", help="the example to emit; omit it to list them")
     examples.add_argument("--output", help="write the file here instead of stdout")
 
     betti = sub.add_parser("betti", help="Betti numbers of the problem's complex")
@@ -140,7 +139,7 @@ def cmd_analyze(args: argparse.Namespace, out) -> int:
 
 def cmd_examples(args: argparse.Namespace, out) -> int:
     examples = builtin_examples()
-    if args.list or args.name is None:
+    if args.name is None:
         for name in sorted(examples):
             out.write(name + "\n")
         return EXIT_OK

@@ -89,21 +89,23 @@ _CACHE: dict[str, Field] = {}
 
 
 def parse_field(spec: str) -> Field:
-    """Field from a short name: "Q" or "F<p>" (e.g. "F2", "F3") with p below 2^32."""
-    key = spec.strip()
-    if key not in _CACHE:
-        if key in ("Q", "QQ", "q"):
-            _CACHE[key] = RationalField()
-        elif key[:1] in ("F", "f") and key[1:].isascii() and key[1:].isdigit():
-            digits = key[1:].lstrip("0") or "0"
+    """Field from its name, exactly "Q" or "F<p>" (e.g. "F2", "F3") with p below
+    2^32 written without a leading zero; so a field is only known by its `name`."""
+    if spec not in _CACHE:
+        digits = spec[1:]
+        if spec == "Q":
+            _CACHE[spec] = RationalField()
+        elif spec[:1] == "F" and digits.isascii() and digits.isdigit() and (
+            digits[0] != "0" or digits == "0"
+        ):
             # p < 2^32 bounds trial division by 2^16 steps; the digits are counted
             # first, as int() of a huge digit string is slow or refused
             if len(digits) > 10 or int(digits) >= 2**32:
                 raise FieldError("the characteristic of a field F<p> must be below 2^32")
-            _CACHE[key] = PrimeField(int(digits))
+            _CACHE[spec] = PrimeField(int(digits))
         else:
             raise FieldError(f"unknown field {spec!r} (expected Q or F<prime>)")
-    return _CACHE[key]
+    return _CACHE[spec]
 
 
 def add_multiple(y: dict, a, x: dict, field: Field) -> None:

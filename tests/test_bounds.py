@@ -20,7 +20,10 @@ from eqtc.bounds import (
     RULE_STATEMENTS,
     RULES,
     Bound,
+    EngineConfig,
+    Link,
     Quantity,
+    Row,
     analyze_problem,
     report,
     seed_facts,
@@ -191,6 +194,16 @@ def test_assert_on_trivial_group_equivariant_quantity_rejected():
         analyze_problem(p)
 
 
+def test_assert_on_associated_root_rejected():
+    # the formal root registers only TC(X_G); facts belong on the fiber or base
+    p = replace(
+        EXAMPLES["klein-bound"],
+        asserted_facts=(AssertedFact("TC", "X", "equal", 2, "asserted on the root"),),
+    )
+    with pytest.raises(ProblemFormatError):
+        analyze_problem(p)
+
+
 def test_rule_catalogue_equality_r16():
     hexagon = EXAMPLES["ngon-rotation-6"]
     p = replace(
@@ -351,6 +364,26 @@ def test_depth_cap_override_from_config():
     fb = analyze_problem(p)
     lo, _ = interval(fb, "TC", "X")
     assert lo == 2  # cap 1 only certifies a single zero-divisor factor
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: EngineConfig.from_problem(EXAMPLES["torus7"], fields=()),
+        lambda: EngineConfig(subgroup_mode="bogus"),
+        lambda: EngineConfig(max_ring_simplices=0),
+        lambda: replace(EngineConfig(), depth_cap=0),
+    ],
+    ids=["override-no-fields", "bad-subgroup-mode", "zero-ring-cap", "replaced-depth-cap"],
+)
+def test_every_way_of_building_a_config_checks_it(build):
+    # these once ran: no R1/R2 bounds, the "all" enumeration, no analyzed space
+    with pytest.raises(ProblemFormatError):
+        build()
+
+
+def test_config_fields_become_a_tuple():
+    assert EngineConfig(fields=["F2", "Q"]).fields == ("F2", "Q")
 
 
 def test_field_sweep_restriction():
@@ -660,7 +693,44 @@ def test_every_proposal_is_an_unnumbered_bound_of_its_row(rule_fact_bases):
                     assert (bound.rule, bound.id) == (row.rule, None), bound
                     proposed.add(row.rule)
     # the builtins carry none of the annotations R16 and R17 need
-    assert proposed == {row.rule for row in RULES if not row.annotations}
+    annotated = {
+        row.rule
+        for row in RULES
+        if not callable(row.links) and row.links and all(link.annotations for link in row.links)
+    }
+    assert annotated == {"R16", "R17"}
+    assert proposed == {row.rule for row in RULES} - annotated
+
+
+def test_link_to_an_unregistered_quantity_proposes_nothing(rule_fact_bases):
+    row = Row("R19", (Link("le", bounds.CAT_X, Quantity("TC", "nowhere")),))
+    for fb in rule_fact_bases:
+        for ctx in fb.contexts.values():
+            assert bounds._emit(row, fb, ctx) == [], ctx.problem.name
+
+
+def test_link_proposes_exactly_where_it_applies(rule_fact_bases):
+    # a link proposes where its row's hypotheses hold, the context registers
+    # both of its quantities and carries its annotations; every context is
+    # also tried with every annotation a link needs
+    every = tuple(sorted({n for row in RULES if not callable(row.links)
+                          for link in row.links for n in link.annotations}))
+    for fb in rule_fact_bases:
+        for plain in fb.contexts.values():
+            held = _hypotheses_that_hold(plain)
+            for ctx in (plain, replace(plain, problem=replace(plain.problem, annotations=every))):
+                for row in RULES:
+                    if row.derive is not None:
+                        continue
+                    for link in row.links(ctx) if callable(row.links) else row.links:
+                        applies = (
+                            held.issuperset(row.hypotheses)
+                            and fb.is_registered(ctx.name, link.a)
+                            and fb.is_registered(ctx.name, link.b)
+                            and set(link.annotations) <= set(ctx.problem.annotations)
+                        )
+                        proposed = bounds._emit(replace(row, links=(link,)), fb, ctx)
+                        assert bool(proposed) == applies, (ctx.problem.name, row.rule, link)
 
 
 def test_best_sides_are_the_recorded_bounds(rule_fact_bases):

@@ -49,12 +49,16 @@ def write_example(tmp_path, name, mutate=None):
 
 
 def test_examples_list_has_all_builtins():
-    code, out = run(["examples", "--list"])
+    code, out = run(["examples"])
     assert code == EXIT_OK
     names = out.split()
     assert len(names) >= 8
     for expected in ("sphere-reflection-n2", "ngon-antipodal", "torus7", "klein-bound"):
         assert expected in names
+    # listing is what omitting the name does; there is no --list flag
+    with pytest.raises(SystemExit) as refused:
+        run(["examples", "--list"])
+    assert refused.value.code == EXIT_INVALID
 
 
 def test_examples_unknown_name_lists_available():
@@ -317,6 +321,9 @@ def test_betti_and_cupfind_reject_malformed_config(tmp_path, verb):
         ([], {"fields": ["F\u00b2"]}),  # a digit to str.isdigit, not to int()
         ([], {"fields": []}),  # no field: no Betti numbers and no R1/R2 bounds
         (["--fields", ""], {}),
+        # a field has one name, so no sweep lists it twice under two spellings
+        *((["--fields", name], {}) for name in ("f2", "QQ", " Q", "F02")),
+        *(([], {"fields": [name]}) for name in ("f2", "QQ", " Q", "F02")),
     ],
 )
 def test_bad_engine_settings_exit_invalid(tmp_path, capsys, argv_tail, config):
@@ -325,11 +332,20 @@ def test_bad_engine_settings_exit_invalid(tmp_path, capsys, argv_tail, config):
     assert "error: " in capsys.readouterr().err
 
 
+def test_betti_field_name_is_exact(tmp_path, capsys):
+    assert run(["betti", write_example(tmp_path, "torus7"), "--field", "q"])[0] == EXIT_INVALID
+    assert "error: unknown field 'q'" in capsys.readouterr().err
+
+
+class Overrun(BaseException):
+    """Raised by `deadline`; not an Exception, so `main` cannot report it as an error."""
+
+
 @contextmanager
 def deadline(seconds):
-    """Raise TimeoutError in the block once `seconds` of wall time have passed."""
+    """Raise Overrun in the block once `seconds` of wall time have passed."""
     def expire(signum, frame):
-        raise TimeoutError(f"still running after {seconds} s")
+        raise Overrun(f"still running after {seconds} s")
 
     previous = signal.signal(signal.SIGALRM, expire)
     signal.setitimer(signal.ITIMER_REAL, seconds)
@@ -338,6 +354,16 @@ def deadline(seconds):
     finally:
         signal.setitimer(signal.ITIMER_REAL, 0)
         signal.signal(signal.SIGALRM, previous)
+
+
+def test_deadline_overrun_escapes_main(tmp_path, monkeypatch):
+    # a TimeoutError is an OSError, which main reports as a bad file (exit 2),
+    # so a hang under a test that expects exit 2 would pass
+    monkeypatch.setattr("eqtc.cli.betti_numbers", lambda K, field: time.sleep(5))
+    path = write_example(tmp_path, "torus7")
+    with pytest.raises(Overrun):
+        with deadline(0.2):
+            run(["betti", path])
 
 
 @pytest.mark.parametrize(
