@@ -83,8 +83,12 @@ class EngineConfig:
                 continue
             if isinstance(value, bool) or not isinstance(value, int) or value < 1:
                 raise ProblemFormatError(f"config.{name}: must be an integer >= 1, got {value!r}")
+        seen: set[str] = set()
         for name in self.fields:
             parse_field(name)
+            if name in seen:  # a field has one spelling, so an equal name is the same field
+                raise ProblemFormatError(f"config.fields: {name} is listed more than once")
+            seen.add(name)
 
     @staticmethod
     def from_problem(problem: Problem, **overrides) -> "EngineConfig":

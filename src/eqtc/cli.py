@@ -4,7 +4,9 @@ Subcommands:
   analyze   full pipeline (validate -> regularize -> seed -> saturate -> report)
   examples  write a builtin problem file, or list them
   betti     Betti numbers of the problem's complex over one field
-  fixed     Betti numbers of a fixed subcomplex of the regularized action
+  fixed     Betti numbers of a fixed subcomplex of the regularized action; `full`
+            and `trivial` are built directly, and only a class index (sorted
+            by order) enumerates the subgroup classes
   cupfind   zero-divisor cup-length certificate for the problem's complex
 
 Exit codes: 0 success, 2 parse/validation error, 3 inconsistent fact base,
@@ -14,6 +16,7 @@ Exit codes: 0 success, 2 parse/validation error, 3 inconsistent fact base,
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 
@@ -22,6 +25,8 @@ from eqtc.complex_core import CapExceeded, ComplexError, from_maximal_simplices
 from eqtc.group_action import (
     ActionError,
     GroupError,
+    Subgroup,
+    check_subgroup_cap,
     fixed_subcomplex,
     group_closure,
     regularize,
@@ -46,6 +51,7 @@ EXIT_CAP = 4
 EXIT_SELFCHECK = 5
 
 
+@functools.cache  # parse_args leaves the parser as it found it, so one serves every call
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="eqtc",
@@ -170,21 +176,21 @@ def cmd_fixed(args: argparse.Namespace, out) -> int:
     problem = _require_complex(load_problem(args.path))
     config = _config(problem)
     R = _regularized(problem, config)
-    classes = subgroups(R.group, "up_to_conjugacy", cap=config.subgroup_cap)
+    G = R.group
+    check_subgroup_cap(G, config.subgroup_cap)
     if args.subgroup == "full":
-        H = classes[-1]
+        H = Subgroup(G, frozenset(range(G.order)))
     elif args.subgroup == "trivial":
-        H = classes[0]
-    else:
-        try:
-            pos = int(args.subgroup)
-            if pos < 0:
-                raise IndexError
-            H = classes[pos]
-        except (ValueError, IndexError):
+        H = Subgroup(G, frozenset({0}))  # the identity sorts first
+    else:  # only an index needs the classes, sorted by order
+        classes = subgroups(G, "up_to_conjugacy", cap=config.subgroup_cap)
+        # each index has one spelling: ASCII digits, no sign, padding or separator
+        by_index = {str(i): K for i, K in enumerate(classes)}
+        if args.subgroup not in by_index:
             raise ProblemFormatError(
                 f"--subgroup must be 'full', 'trivial', or 0..{len(classes) - 1}"
-            ) from None
+            )
+        H = by_index[args.subgroup]
     fixed = fixed_subcomplex(R, H)
     if fixed.is_empty:
         out.write("empty\n")

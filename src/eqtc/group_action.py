@@ -243,6 +243,12 @@ def _in_class(G: FiniteGroup, members: frozenset[int], conjugates: frozenset) ->
     return h
 
 
+def check_subgroup_cap(G: FiniteGroup, cap: int) -> None:
+    """Refuse a group of order above `cap`, as `subgroups` does before enumerating."""
+    if G.order > cap:
+        raise CapExceeded(f"subgroup enumeration needs |G| <= {cap}, got {G.order}")
+
+
 def subgroups(G: FiniteGroup, mode: str = "all", cap: int = 256) -> list[Subgroup]:
     """All subgroups, or one representative per conjugacy class, by (order, key).
 
@@ -262,8 +268,7 @@ def subgroups(G: FiniteGroup, mode: str = "all", cap: int = 256) -> list[Subgrou
     """
     if mode not in ("all", "up_to_conjugacy"):
         raise GroupError(f"unknown subgroup mode {mode!r}")
-    if G.order > cap:
-        raise CapExceeded(f"subgroup enumeration needs |G| <= {cap}, got {G.order}")
+    check_subgroup_cap(G, cap)
     table, spent = G.mul, 0
     index = G.by_base_images
     generators = [index[tuple(p[b] for b in G.base)] for p in G.generators]

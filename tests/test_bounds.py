@@ -373,8 +373,10 @@ def test_depth_cap_override_from_config():
         lambda: EngineConfig(subgroup_mode="bogus"),
         lambda: EngineConfig(max_ring_simplices=0),
         lambda: replace(EngineConfig(), depth_cap=0),
+        lambda: EngineConfig(fields=("F3", "F3")),
     ],
-    ids=["override-no-fields", "bad-subgroup-mode", "zero-ring-cap", "replaced-depth-cap"],
+    ids=["override-no-fields", "bad-subgroup-mode", "zero-ring-cap", "replaced-depth-cap",
+         "repeated-field"],
 )
 def test_every_way_of_building_a_config_checks_it(build):
     # these once ran: no R1/R2 bounds, the "all" enumeration, no analyzed space

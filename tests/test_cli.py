@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import argparse
 import io
 import json
 import os
@@ -187,7 +188,7 @@ def test_analyze_cap_exceeded_exit_code(tmp_path):
     assert code == EXIT_CAP
 
 
-def test_analyze_huge_subgroup_lattice_exits_on_work_budget(tmp_path, capsys):
+def write_z2_8(tmp_path) -> str:
     # (Z/2)^8 swapping the ends of 8 disjoint edges: order 256 passes the
     # subgroup cap, but its ~417k subgroups exceed the closure work budget
     gens = []
@@ -199,10 +200,29 @@ def test_analyze_huge_subgroup_lattice_exits_on_work_budget(tmp_path, capsys):
             "maximal_simplices": [[2 * i, 2 * i + 1] for i in range(8)], "group_generators": gens}
     path = tmp_path / "z2-8.json"
     path.write_text(json.dumps(data), encoding="utf-8")
+    return str(path)
+
+
+def test_analyze_huge_subgroup_lattice_exits_on_work_budget(tmp_path, capsys):
+    path = write_z2_8(tmp_path)
     start = time.perf_counter()
-    code, _ = run(["analyze", str(path)])
+    code, _ = run(["analyze", path])
     assert code == EXIT_CAP
     assert time.perf_counter() - start < 10
+    assert "subgroup enumeration exceeded" in capsys.readouterr().err
+
+
+def test_fixed_full_and_trivial_need_no_subgroup_enumeration(tmp_path, capsys):
+    # G and 1 are built directly, so a lattice over the work budget stops
+    # only a class index; the 8 edge midpoints are fixed by all of G
+    path = write_z2_8(tmp_path)
+    for subgroup, betti in (("full", "8"), ("trivial", "8 0")):
+        with deadline(2.0):
+            code, out = run(["fixed", path, "--subgroup", subgroup])
+        assert (code, out) == (EXIT_OK, betti + "\n"), subgroup
+    with deadline(30.0):
+        code, out = run(["fixed", path, "--subgroup", "1"])
+    assert (code, out) == (EXIT_CAP, "")
     assert "subgroup enumeration exceeded" in capsys.readouterr().err
 
 
@@ -235,6 +255,23 @@ def test_fixed_subcomplex_of_reflection(tmp_path):
     assert out.strip() == "1 1"
     code, out = run(["fixed", path, "--subgroup", "trivial"])
     assert out.strip() == "1 0 1"
+
+
+def test_fixed_subgroup_index_has_one_spelling(tmp_path, capsys):
+    # S4 on the boundary of the tetrahedron: 11 subgroup classes
+    gens = [[1, 0, 2, 3], [1, 2, 3, 0]]
+    data = {"schema_version": 1, "name": "S2-S4", "vertex_count": 4,
+            "maximal_simplices": [list(c) for c in combinations(range(4), 3)],
+            "group_generators": gens}
+    path = tmp_path / "s2-s4.json"
+    path.write_text(json.dumps(data), encoding="utf-8")
+    assert run(["fixed", str(path), "--subgroup", "0"]) == (EXIT_OK, "1 0 1\n")
+    assert run(["fixed", str(path), "--subgroup", "10"]) == run(["fixed", str(path)])
+    capsys.readouterr()
+    # out of range, and every spelling int() once read as 10
+    for bad in ("11", "-1", "1_0", " 10", "+10", "\uff11\uff10", "010"):
+        assert run(["fixed", str(path), "--subgroup", bad]) == (EXIT_INVALID, ""), bad
+        assert "--subgroup must be 'full', 'trivial', or 0..10" in capsys.readouterr().err, bad
 
 
 def test_fixed_empty_for_free_rotation(tmp_path):
@@ -324,6 +361,9 @@ def test_betti_and_cupfind_reject_malformed_config(tmp_path, verb):
         # a field has one name, so no sweep lists it twice under two spellings
         *((["--fields", name], {}) for name in ("f2", "QQ", " Q", "F02")),
         *(([], {"fields": [name]}) for name in ("f2", "QQ", " Q", "F02")),
+        # a field listed twice would be printed twice but computed once
+        (["--fields", "F2,F2"], {}),
+        ([], {"fields": ["Q", "Q"]}),
     ],
 )
 def test_bad_engine_settings_exit_invalid(tmp_path, capsys, argv_tail, config):
@@ -443,6 +483,46 @@ def test_hostile_problem_files_exit_invalid(tmp_path, change, message):
     assert (proc.returncode, proc.stdout) == (EXIT_INVALID, "")
     assert "Traceback" not in proc.stderr
     assert message in proc.stderr
+
+
+def test_main_builds_its_parser_once(tmp_path, monkeypatch, capsys):
+    # one parser serves every call, so an argparse error must leave it as a
+    # new one would be: each call prints what it prints in a fresh process
+    monkeypatch.setenv("COLUMNS", "80")  # argparse wraps usage lines to the terminal
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        if self.prog == "eqtc":  # the root parser, not a subcommand's
+            built.append(self)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    path = write_example(tmp_path, "sphere-reflection-n2")
+    calls = [
+        ["fixed", path, "--subgroup", "trivial"],
+        ["analyze", path, "--format", "yaml"],
+        ["betti"],
+        ["fixed", path, "--subgroup", "trivial"],
+        ["examples", "--list"],
+        ["betti", path, "--field", "F2"],
+    ]
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    fresh = []
+    for argv in calls:
+        proc = subprocess.run(
+            [sys.executable, "-m", "eqtc", *argv], env={**os.environ, "PYTHONPATH": src},
+            capture_output=True, text=True, timeout=60,
+        )
+        fresh.append((proc.returncode, proc.stdout, proc.stderr))
+    for _ in range(3):
+        for argv, want in zip(calls, fresh):
+            try:
+                code, out = run(argv)
+            except SystemExit as exc:
+                code, out = exc.code, ""
+            assert (code, out, capsys.readouterr().err) == want, argv
+    assert len(built) <= 1
 
 
 def test_bad_group_cap_env_exits_invalid(tmp_path, monkeypatch):

@@ -1,8 +1,12 @@
 from __future__ import annotations
 
 import importlib.util
+import io
+import json
 import random
 import sys
+import tempfile
+from contextlib import redirect_stderr
 from pathlib import Path
 
 import pytest
@@ -11,6 +15,7 @@ from hypothesis import strategies as st
 
 import eqtc.complex_core as complex_core
 import eqtc.group_action as group_action
+from eqtc.cli import main
 from eqtc.complex_core import (
     barycentric_subdivision,
     from_maximal_simplices,
@@ -20,6 +25,7 @@ from eqtc.group_action import (
     ActionError,
     CapExceeded,
     GroupError,
+    Subgroup,
     apply_perm,
     check_regularity,
     compose,
@@ -516,6 +522,45 @@ def invariant_actions(draw):
 @given(invariant_actions())
 def test_constructions_are_complexes_on_random_actions(action):
     _check_constructions(*action)
+
+
+def _check_full_and_trivial(K, gens) -> None:
+    """`fixed --subgroup full|trivial` builds G and 1 without listing the
+    classes; they must be the last and the first class `subgroups` lists, in
+    the fixed set and in what `fixed` prints for the matching class index."""
+    R = regular(K, gens)
+    G, classes = R.group, subgroups(R.group, "up_to_conjugacy")
+    whole, trivial = Subgroup(G, frozenset(range(G.order))), Subgroup(G, frozenset({0}))
+    assert (classes[-1].members, classes[0].members) == (whole.members, trivial.members)
+    assert fixed_subcomplex(R, whole) == fixed_subcomplex(R, classes[-1])
+    assert fixed_subcomplex(R, trivial) == fixed_subcomplex(R, classes[0])
+    data = {"schema_version": 1, "name": "action", "vertex_count": K.vertex_count,
+            "maximal_simplices": sorted(map(list, K.simplices)),
+            "group_generators": [list(g) for g in gens]}
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "action.json"
+        path.write_text(json.dumps(data), encoding="utf-8")
+
+        def fixed(subgroup: str, field: str) -> tuple[int, str, str]:
+            out, err = io.StringIO(), io.StringIO()
+            with redirect_stderr(err):
+                code = main(["fixed", str(path), "--subgroup", subgroup, "--field", field], out=out)
+            return code, out.getvalue(), err.getvalue()
+
+        for field in ("Q", "F2"):
+            assert fixed("full", field) == fixed(str(len(classes) - 1), field)
+            assert fixed("trivial", field) == fixed("0", field)
+
+
+def test_full_and_trivial_are_the_last_and_first_class_on_builtins():
+    for K, gens in _regularity_inputs().values():
+        _check_full_and_trivial(K, gens)
+
+
+@settings(derandomize=True, deadline=None, max_examples=50)
+@given(invariant_actions())
+def test_full_and_trivial_are_the_last_and_first_class_on_random_actions(action):
+    _check_full_and_trivial(*action)
 
 
 def test_weak_condition_fails_before_subdivision():
