@@ -284,6 +284,23 @@ def quantity_display(ctx: ProblemContext, q: Quantity) -> str:
 # context construction and seeding
 
 
+def problem_complex(problem: Problem) -> SimplicialComplex:
+    """The problem's complex K; its simplices go in as lists, the form its errors print."""
+    return from_maximal_simplices(problem.vertex_count, [list(s) for s in problem.maximal_simplices])
+
+
+def regular_action(problem: Problem, config: EngineConfig) -> tuple[SimplicialComplex, RegularAction]:
+    """K and the regular action of G on a subdivision of it, G closed under the order cap."""
+    K = problem_complex(problem)
+    G = group_closure(K.vertex_count, [list(g) for g in problem.group_generators],
+                      cap=config.group_order_cap)
+    validate_action(K, G)
+    R = regularize(K, G)
+    if R.complex.dim != K.dim:
+        raise AssertionError("subdivision must preserve dimension")
+    return K, R
+
+
 def _betti_and_certificates(K: SimplicialComplex, name: str, config: EngineConfig) -> tuple:
     """K's Betti numbers over one field and, for a connected K, its R1 and R2 certificates.
 
@@ -295,9 +312,15 @@ def _betti_and_certificates(K: SimplicialComplex, name: str, config: EngineConfi
         # for disconnected spaces the infinity seed always dominates R1,
         # and component idempotents would make the product search useless
         return betti, None
+    return betti, (zero_divisor_certificate(ring, config.depth_cap),
+                   reduced_cuplength(ring, config.depth_cap))
+
+
+def zero_divisor_certificate(ring, depth_cap: int | None) -> ProductCertificate:
+    """R1's certificate: a longest nonzero product of zero-divisors in the ring's tensor square."""
     tensor = kunneth_tensor_ring(ring)
-    cert, _ = nilpotency_lower_bound(tensor, combined_zero_divisors(tensor), config.depth_cap)
-    return betti, (cert, reduced_cuplength(ring, config.depth_cap))
+    cert, _ = nilpotency_lower_bound(tensor, combined_zero_divisors(tensor), depth_cap)
+    return cert
 
 
 def _analyze_space(info: SpaceInfo, config: EngineConfig, known: dict) -> None:
@@ -329,15 +352,9 @@ def _analyze_space(info: SpaceInfo, config: EngineConfig, known: dict) -> None:
 
 def _build_action_context(name: str, problem: Problem, config: EngineConfig) -> ProblemContext:
     ctx = ProblemContext(name=name, problem=problem)
-    K = from_maximal_simplices(problem.vertex_count, [list(s) for s in problem.maximal_simplices])
-    G = group_closure(K.vertex_count, [list(g) for g in problem.group_generators],
-                      cap=config.group_order_cap)
-    validate_action(K, G)
-    R = regularize(K, G)
-    if R.complex.dim != K.dim:
-        raise AssertionError("subdivision must preserve dimension")
+    K, R = regular_action(problem, config)
     ctx.regular = R
-    ctx.equivariant = not G.is_trivial
+    ctx.equivariant = not R.group.is_trivial
 
     known: dict = {}  # simplices -> field name -> (betti, certificates), for this context
     ctx.spaces["X"] = SpaceInfo("X", "X", K)
@@ -750,9 +767,8 @@ def analyze_problem(problem: Problem, config: EngineConfig | None = None) -> Fac
 def _sorted_quantities(fb: FactBase) -> list[tuple[str, Quantity]]:
     def sort_key(item: tuple[str, Quantity]):
         ctx_name, q = item
-        ctx_rank = {"": 0, "fiber": 1, "base": 2}.get(ctx_name, 3)
         return (
-            ctx_rank,
+            ("", "fiber", "base").index(ctx_name),
             _KIND_ORDER[q.kind],
             q.space,
             q.group or "",

@@ -5,9 +5,12 @@ Subcommands:
   examples  write a builtin problem file, or list them
   betti     Betti numbers of the problem's complex over one field
   fixed     Betti numbers of a fixed subcomplex of the regularized action; `full`
-            and `trivial` are built directly, and only a class index (sorted
-            by order) enumerates the subgroup classes
+            and `trivial` are built directly, a malformed value is refused at
+            once, and only a class index (sorted by order) lists the classes
   cupfind   zero-divisor cup-length certificate for the problem's complex
+
+K and the regular action come from the builders `analyze` uses
+(`eqtc.bounds.problem_complex` and `regular_action`).
 
 Exit codes: 0 success, 2 parse/validation error, 3 inconsistent fact base,
 4 enumeration cap exceeded, 5 an internal self-check failed (a bug, not bad input).
@@ -18,21 +21,14 @@ from __future__ import annotations
 import argparse
 import functools
 import os
+import re
 import sys
 
-from eqtc.bounds import EngineConfig, analyze_problem, report
-from eqtc.complex_core import CapExceeded, ComplexError, from_maximal_simplices
-from eqtc.group_action import (
-    ActionError,
-    GroupError,
-    Subgroup,
-    check_subgroup_cap,
-    fixed_subcomplex,
-    group_closure,
-    regularize,
-    subgroups,
-    validate_action,
-)
+from eqtc.bounds import EngineConfig, analyze_problem, problem_complex, regular_action, report
+from eqtc.bounds import zero_divisor_certificate
+from eqtc.complex_core import CapExceeded, ComplexError
+from eqtc.group_action import ActionError, GroupError, Subgroup, check_subgroup_cap
+from eqtc.group_action import fixed_subcomplex, subgroups
 from eqtc.homology import betti_numbers, parse_field
 from eqtc.linalg import FieldError
 from eqtc.problems import (
@@ -42,7 +38,12 @@ from eqtc.problems import (
     dumps_problem,
     load_problem,
 )
-from eqtc.ring import combined_zero_divisors, kunneth_tensor_ring, nilpotency_lower_bound, ring_structure
+from eqtc.ring import ring_structure
+
+# not called here: perfbench/spans.py wraps them on this module (ROADMAP item 1b)
+from eqtc.complex_core import from_maximal_simplices  # noqa: F401
+from eqtc.group_action import group_closure, regularize, validate_action  # noqa: F401
+from eqtc.ring import combined_zero_divisors, kunneth_tensor_ring, nilpotency_lower_bound  # noqa: F401
 
 EXIT_OK = 0
 EXIT_INVALID = 2
@@ -114,17 +115,6 @@ def _require_complex(problem: Problem) -> Problem:
     return problem
 
 
-def _regularized(problem: Problem, config: EngineConfig):
-    K = from_maximal_simplices(
-        problem.vertex_count, [list(s) for s in problem.maximal_simplices]
-    )
-    G = group_closure(
-        K.vertex_count, [list(g) for g in problem.group_generators], cap=config.group_order_cap
-    )
-    validate_action(K, G)
-    return regularize(K, G)
-
-
 def cmd_analyze(args: argparse.Namespace, out) -> int:
     problem = load_problem(args.path)
     config = _config(
@@ -164,10 +154,7 @@ def cmd_examples(args: argparse.Namespace, out) -> int:
 def cmd_betti(args: argparse.Namespace, out) -> int:
     problem = _require_complex(load_problem(args.path))
     _config(problem)  # rejects malformed settings, though betti uses none of them
-    K = from_maximal_simplices(
-        problem.vertex_count, [list(s) for s in problem.maximal_simplices]
-    )
-    values = betti_numbers(K, parse_field(args.field))
+    values = betti_numbers(problem_complex(problem), parse_field(args.field))
     out.write(" ".join(map(str, values)) + "\n")
     return EXIT_OK
 
@@ -175,16 +162,21 @@ def cmd_betti(args: argparse.Namespace, out) -> int:
 def cmd_fixed(args: argparse.Namespace, out) -> int:
     problem = _require_complex(load_problem(args.path))
     config = _config(problem)
-    R = _regularized(problem, config)
+    _, R = regular_action(problem, config)
     G = R.group
     check_subgroup_cap(G, config.subgroup_cap)
     if args.subgroup == "full":
         H = Subgroup(G, frozenset(range(G.order)))
     elif args.subgroup == "trivial":
         H = Subgroup(G, frozenset({0}))  # the identity sorts first
+    elif not re.fullmatch("0|[1-9][0-9]*", args.subgroup):
+        # refused before any class is listed, so the message cannot name their count
+        raise ProblemFormatError(
+            "--subgroup must be 'full', 'trivial', or a class index in plain digits"
+        )
     else:  # only an index needs the classes, sorted by order
         classes = subgroups(G, "up_to_conjugacy", cap=config.subgroup_cap)
-        # each index has one spelling: ASCII digits, no sign, padding or separator
+        # looked up as text, since int() refuses a long enough digit string
         by_index = {str(i): K for i, K in enumerate(classes)}
         if args.subgroup not in by_index:
             raise ProblemFormatError(
@@ -203,18 +195,13 @@ def cmd_fixed(args: argparse.Namespace, out) -> int:
 def cmd_cupfind(args: argparse.Namespace, out) -> int:
     problem = _require_complex(load_problem(args.path))
     config = _config(problem, depth_cap=args.depth_cap)
-    K = from_maximal_simplices(
-        problem.vertex_count, [list(s) for s in problem.maximal_simplices]
-    )
+    K = problem_complex(problem)
     if len(K.simplices) > config.max_ring_simplices:
         raise CapExceeded(
             f"{len(K.simplices)} simplices exceed the configured ring limit "
             f"{config.max_ring_simplices}"
         )
-    field = parse_field(args.field)
-    ring = ring_structure(K, field)
-    tensor = kunneth_tensor_ring(ring)
-    cert, _ = nilpotency_lower_bound(tensor, combined_zero_divisors(tensor), config.depth_cap)
+    cert = zero_divisor_certificate(ring_structure(K, parse_field(args.field)), config.depth_cap)
     factors = ", ".join(cert.factor_labels)
     out.write(f"zero-divisor length {cert.length}, certificate [{factors}]\n")
     return EXIT_OK

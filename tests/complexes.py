@@ -4,12 +4,16 @@ Every fixture goes through `from_maximal_simplices`, the one check on
 outside input, so a fixture is a complex exactly when the program would
 accept it from a problem file.  `test_complex_core.py` checks that
 `torus_seven_vertex` and `boundary_sphere` equal the triangulations of the
-builtin examples.
+builtin examples.  `perfbench_corpus` loads the benchmark's seeded problem
+files, which reach the program as any problem file does.
 """
 
 from __future__ import annotations
 
+import importlib.util
+import sys
 from itertools import combinations
+from pathlib import Path
 from random import Random
 
 from eqtc.complex_core import (
@@ -101,3 +105,12 @@ def varied_complexes(seed: int) -> list[SimplicialComplex]:
     rng = Random(seed)
     return (builtins + [barycentric_subdivision(K)[0] for K in builtins]
             + [random_complex(rng, 8) for _ in range(40)])
+
+
+def perfbench_corpus():
+    """perfbench/corpus.py, loaded by path: the benchmark's seeded problem families."""
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_corpus", Path(__file__).resolve().parents[1] / "perfbench" / "corpus.py")
+    module = sys.modules[spec.name] = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module

@@ -568,6 +568,18 @@ def test_r12_reverse_propagation_bounds_cat_g_from_below():
     assert bound_by_id(fb, bid).rule == "R12"
 
 
+def test_r12_inverse_rounds_up_half_of_tc_g_plus_one():
+    # TC_G <= 2 cat_G - 1 gives cat_G >= ceil((v + 1) / 2); v = 5 tells this
+    # from ceil((v + 1) / 3), which the builtins' v = 3 does not
+    fb = seed_facts(replace(EXAMPLES["sphere-reflection-n2"], asserted_facts=()))
+    fb.add_bound(Bound("", bounds.TC_G, "lower", 5, "ASSERT"))
+    tc_g = fb.lower("", bounds.TC_G)
+    row = next(r for r in RULES if r.rule == "R12")
+    proposed = [(b.value, b.premises) for b in bounds._emit(row, fb, fb.contexts[""])
+                if (b.quantity, b.side) == (bounds.CAT_G, "lower")]
+    assert proposed == [(3, (tc_g.id,))]
+
+
 def test_klein_four_reflections_on_circle_are_infinite():
     p = Problem(
         name="square-klein4",

@@ -16,6 +16,7 @@ from pathlib import Path
 
 import pytest
 
+from complexes import perfbench_corpus, projective_plane_six_vertex
 from eqtc.cli import (
     EXIT_CAP,
     EXIT_INCONSISTENT,
@@ -60,6 +61,18 @@ def test_examples_list_has_all_builtins():
     with pytest.raises(SystemExit) as refused:
         run(["examples", "--list"])
     assert refused.value.code == EXIT_INVALID
+
+
+def test_exit_codes_are_the_documented_values():
+    assert (EXIT_OK, EXIT_INVALID, EXIT_INCONSISTENT, EXIT_CAP, EXIT_SELFCHECK) == (0, 2, 3, 4, 5)
+
+
+def test_examples_prints_json_indented_by_two_spaces():
+    for name in ("torus7", "klein-bound"):
+        code, out = run(["examples", name])
+        assert code == EXIT_OK
+        assert out.startswith('{\n  "schema_version": 1,\n  "name": '), name
+        assert out == json.dumps(json.loads(out), indent=2) + "\n", name
 
 
 def test_examples_unknown_name_lists_available():
@@ -212,6 +225,9 @@ def test_analyze_huge_subgroup_lattice_exits_on_work_budget(tmp_path, capsys):
     assert "subgroup enumeration exceeded" in capsys.readouterr().err
 
 
+MALFORMED_SUBGROUP = "error: --subgroup must be 'full', 'trivial', or a class index in plain digits\n"
+
+
 def test_fixed_full_and_trivial_need_no_subgroup_enumeration(tmp_path, capsys):
     # G and 1 are built directly, so a lattice over the work budget stops
     # only a class index; the 8 edge midpoints are fixed by all of G
@@ -224,6 +240,10 @@ def test_fixed_full_and_trivial_need_no_subgroup_enumeration(tmp_path, capsys):
         code, out = run(["fixed", path, "--subgroup", "1"])
     assert (code, out) == (EXIT_CAP, "")
     assert "subgroup enumeration exceeded" in capsys.readouterr().err
+    # a malformed index is refused before the classes are listed
+    with deadline(2.0):
+        code, out = run(["fixed", path, "--subgroup", "abc"])
+    assert (code, out, capsys.readouterr().err) == (EXIT_INVALID, "", MALFORMED_SUBGROUP)
 
 
 def test_fixed_honours_config_caps(tmp_path):
@@ -268,10 +288,86 @@ def test_fixed_subgroup_index_has_one_spelling(tmp_path, capsys):
     assert run(["fixed", str(path), "--subgroup", "0"]) == (EXIT_OK, "1 0 1\n")
     assert run(["fixed", str(path), "--subgroup", "10"]) == run(["fixed", str(path)])
     capsys.readouterr()
-    # out of range, and every spelling int() once read as 10
-    for bad in ("11", "-1", "1_0", " 10", "+10", "\uff11\uff10", "010"):
+    # out of range, named with the class count
+    assert run(["fixed", str(path), "--subgroup", "11"]) == (EXIT_INVALID, "")
+    assert capsys.readouterr().err == "error: --subgroup must be 'full', 'trivial', or 0..10\n"
+    # malformed, such as every spelling int() once read as 10: refused
+    # before the classes are listed, so the message cannot name their count
+    for bad in ("-1", "1_0", " 10", "+10", "\uff11\uff10", "010", "10\n", "", "abc"):
         assert run(["fixed", str(path), "--subgroup", bad]) == (EXIT_INVALID, ""), bad
-        assert "--subgroup must be 'full', 'trivial', or 0..10" in capsys.readouterr().err, bad
+        assert capsys.readouterr().err == MALFORMED_SUBGROUP, bad
+
+
+# corpus families that would each add seconds to the test below
+SLOW_FAMILIES = {"S4-Z3", "T3-3-Z3", "T4-3", "T4-3-ring"}
+
+
+def betti_line(space: dict, field: str) -> str:
+    """What betti and fixed print for a space of an analyze report."""
+    return "empty\n" if space["empty"] else " ".join(map(str, space["betti"][field])) + "\n"
+
+
+def test_commands_agree_with_analyze(tmp_path):
+    # betti, fixed and cupfind build K, the regular action and the R1
+    # certificate as analyze does, so they print what `analyze --fields F`
+    # reports for X, for X^G and in the R1 bound on TC(X)
+    corpus = perfbench_corpus()
+    inputs = {name: problem_to_dict(p) for name, p in builtin_examples().items()
+              if not p.is_associated_space}
+    inputs.update((family, corpus.build(family, 0))
+                  for family in sorted(set(corpus.FAMILIES) - SLOW_FAMILIES))
+    # RP^2, whose Betti numbers depend on the field; a contractible X, with
+    # no R1 bound; and a disconnected one, which has none either
+    rp2 = projective_plane_six_vertex()
+    inputs["rp2"] = {"schema_version": 1, "name": "rp2", "vertex_count": rp2.vertex_count,
+                     "maximal_simplices": [list(s) for s in rp2.simplices_of_dim(2)]}
+    circles = [[0, 1], [1, 2], [0, 2], [3, 4], [4, 5], [3, 5]]
+    inputs["triangle"] = {"schema_version": 1, "name": "triangle", "vertex_count": 3,
+                          "maximal_simplices": [[0, 1, 2]]}
+    inputs["two-circles-swap"] = {"schema_version": 1, "name": "two-circles-swap",
+                                  "vertex_count": 6, "maximal_simplices": circles,
+                                  "group_generators": [[3, 4, 5, 0, 1, 2]]}
+    seen = set()
+    for name, data in inputs.items():
+        path = tmp_path / "problem.json"
+        path.write_text(json.dumps(data), encoding="utf-8")
+        path = str(path)
+        for field in ("F2", "F3", "Q"):
+            case = (name, field)
+            code, out = run(["analyze", path, "--fields", field, "--format", "json"])
+            assert code == EXIT_OK, case
+            doc = json.loads(out)
+            ctx = doc["contexts"][0]
+            spaces = {s["key"]: s for s in ctx["spaces"]}
+            x = spaces["X"]
+            if ctx["equivariant"]:
+                full = next(c["key"] for c in ctx["subgroup_classes"] if c["display"] == "G")
+                x_g = spaces[f"fix:{full}"]
+            else:
+                x_g = x
+            betti = run(["betti", path, "--field", field])
+            assert betti == run(["fixed", path, "--subgroup", "trivial", "--field", field]), case
+            if x["skip_reason"] is None:
+                assert betti == (EXIT_OK, betti_line(x, field)), case
+            if x_g["empty"] or x_g["skip_reason"] is None:
+                assert run(["fixed", path, "--subgroup", "full", "--field", field]) == (
+                    EXIT_OK, betti_line(x_g, field)), case
+                seen.add("empty X^G" if x_g["empty"] else "X^G")
+            code, out = run(["cupfind", path, "--field", field])
+            if x["skip_reason"] is not None:  # analyze skips the ring, and cupfind refuses it
+                assert (code, out) == (EXIT_CAP, ""), case
+                seen.add("over the ring cap")
+                continue
+            assert code == EXIT_OK, case
+            length = int(re.fullmatch(r"zero-divisor length (\d+), certificate \[.*\]\n", out)[1])
+            if not x["connected"]:  # no R1 bound, but cupfind still searches
+                seen.add("disconnected")
+                continue
+            r1 = [b["certificate"]["length"] for b in doc["bounds"]
+                  if (b["rule"], b["quantity"]) == ("R1", "TC(X)")]
+            assert r1 == ([length] if length else []), case
+            seen.add("R1" if r1 else "no R1")
+    assert seen == {"X^G", "empty X^G", "over the ring cap", "disconnected", "R1", "no R1"}
 
 
 def test_fixed_empty_for_free_rotation(tmp_path):

@@ -1,10 +1,8 @@
 from __future__ import annotations
 
-import importlib.util
 import io
 import json
 import random
-import sys
 import tempfile
 from contextlib import redirect_stderr
 from pathlib import Path
@@ -44,7 +42,7 @@ from eqtc.group_action import (
 from eqtc.homology import betti_numbers, parse_field
 from eqtc.problems import builtin_examples
 
-from complexes import boundary_sphere, cycle_complex, solid_simplex
+from complexes import boundary_sphere, cycle_complex, perfbench_corpus, solid_simplex
 from oracles import (
     oracle_is_complex,
     oracle_orbit_complex,
@@ -223,7 +221,7 @@ def test_cayley_table_agrees_with_permutations(name):
 
 def test_cayley_table_agrees_on_transported_groups():
     # (complex, generators, subdivision rounds, base length)
-    t2 = _corpus().build("T2-4-Z4xZ4", 0)
+    t2 = perfbench_corpus().build("T2-4-Z4xZ4", 0)
     cases = {
         "S2-S4": (boundary_sphere(2), SMALL_GROUPS["S4"][1], 1, 3),
         "S2-A4": (boundary_sphere(2), SMALL_GROUPS["A4"][1], 2, 2),
@@ -270,12 +268,15 @@ def test_subgroup_work_budget_charges_conjugation(monkeypatch):
     classes = subgroups(G, "up_to_conjugacy")
     closures = sum(closure_products)
     conjugations = sum(2 * G.order * h.order for h in classes)  # g h g^-1 per class member
+    assert (closures, conjugations) == (5_065, 3_360)
     monkeypatch.setattr(group_action, "SUBGROUP_WORK_BUDGET", closures + conjugations)
     assert len(subgroups(G, "all")) == 30
-    # enough for the closures alone, so the conjugations go over it
-    monkeypatch.setattr(group_action, "SUBGROUP_WORK_BUDGET", closures)
-    with pytest.raises(CapExceeded, match="subgroup enumeration exceeded"):
-        subgroups(G, "all")
+    # one product short of the exact charge, and enough for the closures
+    # alone: either way the conjugations go over it
+    for budget in (closures + conjugations - 1, closures):
+        monkeypatch.setattr(group_action, "SUBGROUP_WORK_BUDGET", budget)
+        with pytest.raises(CapExceeded, match="subgroup enumeration exceeded"):
+            subgroups(G, "all")
 
 
 def test_abelian_subgroups_are_not_conjugated(monkeypatch):
@@ -448,15 +449,6 @@ def test_check_regularity_passes_only_simplicial_regular_actions(action):
     assert passes(check_regularity(K, G)) == (_is_simplicial(K, G) and all(oracle_regularity(K, G)))
 
 
-def _corpus():
-    """perfbench/corpus.py, loaded by path: the benchmark's seeded problem families."""
-    spec = importlib.util.spec_from_file_location(
-        "perfbench_corpus", Path(__file__).resolve().parents[1] / "perfbench" / "corpus.py")
-    module = sys.modules[spec.name] = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
-
-
 def _check_constructions(K, gens) -> None:
     """Every complex regularization builds is a complex, each transported group
     is the one induced element by element, each isotropy group is the
@@ -488,7 +480,7 @@ def _check_constructions(K, gens) -> None:
 
 def test_constructions_are_complexes_on_builtins_and_corpus():
     inputs = _regularity_inputs()
-    corpus = _corpus()
+    corpus = perfbench_corpus()
     families = {c.family for w in ("regularize", "lattice", "cohomology")
                 for c in corpus.WORKLOADS[w].commands}
     for family in sorted(families):

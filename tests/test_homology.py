@@ -19,6 +19,7 @@ from eqtc.homology import (
 from eqtc.linalg import (
     FieldError,
     LinearSolver,
+    PrimeField,
     _reduce_columns,
     column_space_basis,
     nullspace,
@@ -134,6 +135,18 @@ def test_betti_of_seven_vertex_torus_with_oracle():
     b1 = oracle_rank(to_rows(boundary_matrix(K, Q, 1), 7, Q))
     b2 = oracle_rank(to_rows(boundary_matrix(K, Q, 2), 21, Q))
     assert (7 - b1, 21 - b1 - b2, 14 - b2) == (1, 2, 1)
+
+
+def test_prime_field_inverse_is_an_inverse():
+    # F7 is the smallest field where a^(p+2) and a^(p-2) differ
+    F7 = PrimeField(7)
+    assert [F7.mul(a, F7.inv(a)) for a in range(1, 7)] == [1] * 6
+
+
+def test_field_characteristic_limit_is_2_to_the_32():
+    assert parse_field("F1000000007").p == 1_000_000_007  # ten digits, below 2^32
+    with pytest.raises(FieldError, match="must be below 2\\^32"):
+        parse_field("F4294967311")  # the least prime above 2^32
 
 
 def test_betti_empty_complex_rejected():

@@ -327,6 +327,16 @@ def test_torus_zero_divisor_length_two():
     assert verify_zero_divisor_certificate(T, factors)
 
 
+def test_certificate_check_rejects_factors_whose_product_is_zero():
+    # zbar(a)^2 = 0 for the degree-1 class a of a circle, over every field
+    for field in FIELDS:
+        T = kunneth_tensor_ring(ring_structure(cycle_complex(4), field))
+        (z,) = elementary_zero_divisors(T)
+        assert verify_zero_divisor_certificate(T, [z])
+        assert not verify_zero_divisor_certificate(T, [z, z])
+        assert not verify_zero_divisor_certificate(T, [])
+
+
 def test_nil_search_agrees_with_oracle_on_small_complexes():
     small = [K for K in BUILTINS if len(K.simplices) <= 50]
     assert small
