@@ -5,8 +5,9 @@ Subcommands:
   examples  write a builtin problem file, or list them
   betti     Betti numbers of the problem's complex over one field
   fixed     Betti numbers of a fixed subcomplex of the regularized action; `full`
-            and `trivial` are built directly, a malformed value is refused at
-            once, and only a class index (sorted by order) lists the classes
+            is built directly, the trivial group's is read off K, a malformed
+            value is refused at once, and only a class index (sorted by
+            order) lists the classes
   cupfind   zero-divisor cup-length certificate for the problem's complex
 
 K and the regular action come from the builders `analyze` uses
@@ -162,7 +163,7 @@ def cmd_betti(args: argparse.Namespace, out) -> int:
 def cmd_fixed(args: argparse.Namespace, out) -> int:
     problem = _require_complex(load_problem(args.path))
     config = _config(problem)
-    _, R = regular_action(problem, config)
+    K, R = regular_action(problem, config)
     G = R.group
     check_subgroup_cap(G, config.subgroup_cap)
     if args.subgroup == "full":
@@ -183,7 +184,8 @@ def cmd_fixed(args: argparse.Namespace, out) -> int:
                 f"--subgroup must be 'full', 'trivial', or 0..{len(classes) - 1}"
             )
         H = by_index[args.subgroup]
-    fixed = fixed_subcomplex(R, H)
+    # the trivial group fixes all of R's complex, a subdivision of K: same Betti numbers
+    fixed = K if H.is_trivial else fixed_subcomplex(R, H)
     if fixed.is_empty:
         out.write("empty\n")
     else:

@@ -9,6 +9,8 @@ sorted d-simplex, holding (-1)^i at each coface that drops the simplex as
 its i-th face.  The complex finds those faces once for every field, so
 betti_numbers and each field's CochainBasis fill delta_d without hashing
 a face, and all elimination and every sparse sum go through eqtc.linalg.
+Both reduce with clearing: betti_numbers has rank fill the pivot table of
+delta_{d-1} and leaves its pivot rows out of delta_d.
 """
 
 from __future__ import annotations
@@ -52,11 +54,25 @@ def coboundary_matrix(K: SimplicialComplex, field: Field, d: int) -> list[dict]:
 
 
 def betti_numbers(K: SimplicialComplex, field: Field) -> tuple[int, ...]:
-    """Betti numbers b_0..b_dim over the given field."""
+    """Betti numbers b_0..b_dim over the given field, reduced with clearing.
+
+    In ascending degree, the pivot rows of delta_{d-1} are the lowest rows
+    of coboundaries, which are cocycles, so those columns of delta_d depend
+    on earlier ones (Chen & Kerber 2011, as in CochainBasis): rank reduces
+    the f_d - rank delta_{d-1} others, the columns that can add rank.
+    """
     if K.is_empty:
         raise FieldError("Betti numbers of the empty complex are undefined")
     # ranks[d + 1] = rank delta_d; b_d = f_d - rank delta_{d-1} - rank delta_d
-    ranks = [0] + [rank(coboundary_matrix(K, field, d), field) for d in range(K.dim)] + [0]
+    ranks = [0]
+    pivot_rows: set = set()  # of delta_{d-1}
+    for d in range(K.dim):
+        table: dict = {}
+        # not kept by name: rank holds the kept columns, and the cleared ones are freed
+        columns = enumerate(coboundary_matrix(K, field, d))
+        ranks.append(rank([v for c, v in columns if c not in pivot_rows], field, table))
+        pivot_rows = set(table)
+    ranks.append(0)
     f = K.f_vector()
     return tuple(f[d] - ranks[d] - ranks[d + 1] for d in range(K.dim + 1))
 

@@ -8,7 +8,8 @@ matrices are more than 99% zeros.
 All elimination goes through one left-to-right column reduction,
 _reduce_columns: each column is reduced against a pivot table keyed by the
 lowest row of the columns before it, and may carry a mask of the column
-operations.  rank counts its pivots, column_space_basis lists them,
+operations.  rank counts its pivots (and fills a pivot table it is given,
+so a caller can read the pivot rows), column_space_basis lists them,
 nullspace returns the masks of the columns that reduce to zero, and
 LinearSolver keeps the table and the masks, continues the pass on columns
 appended later, and solves against them.
@@ -190,8 +191,9 @@ def _reduce_columns(mat: list[dict], field: Field, masks: bool = False,
     return pivots, table, kernel
 
 
-def rank(mat: list[dict], field: Field) -> int:
-    return len(_reduce_columns(mat, field)[0])
+def rank(mat: list[dict], field: Field, table: dict | None = None) -> int:
+    """Rank of mat; a given dict is filled with the pivot table, keyed by pivot row."""
+    return len(_reduce_columns(mat, field, table=table)[0])
 
 
 def nullspace(mat: list[dict], field: Field) -> list[dict]:

@@ -136,9 +136,17 @@ def oracle_rref(rows: list[list], field) -> tuple[list[list], list[int]]:
     return work, pivots
 
 
-def oracle_rank(rows: list[list]) -> int:
-    """Rank over Q by dense row reduction."""
-    return len(oracle_rref(rows, parse_field("Q"))[1])
+def oracle_rank(rows: list[list], field=None) -> int:
+    """Rank by dense row reduction, over Q unless a field is given."""
+    return len(oracle_rref(rows, field or parse_field("Q"))[1])
+
+
+def oracle_betti(K, field) -> tuple[int, ...]:
+    """b_d = f_d - rank delta_{d-1} - rank delta_d, each rank by dense row reduction."""
+    f = K.f_vector()
+    ranks = [oracle_rank(dense_coboundary_matrix(K, field, d), field) for d in range(K.dim)]
+    ranks = [0] + ranks + [0]
+    return tuple(f[d] - ranks[d] - ranks[d + 1] for d in range(K.dim + 1))
 
 
 def oracle_nullspace(rows: list[list], field, n_cols: int) -> list[list]:

@@ -25,6 +25,7 @@ from eqtc.cli import (
     EXIT_SELFCHECK,
     main,
 )
+from eqtc.homology import betti_numbers
 from eqtc.problems import (
     ProblemFormatError,
     builtin_examples,
@@ -246,6 +247,27 @@ def test_fixed_full_and_trivial_need_no_subgroup_enumeration(tmp_path, capsys):
     assert (code, out, capsys.readouterr().err) == (EXIT_INVALID, "", MALFORMED_SUBGROUP)
 
 
+def test_fixed_trivial_subgroup_reads_betti_numbers_off_k(tmp_path, monkeypatch):
+    # the trivial group fixes all of the subdivided complex, which has K's
+    # Betti numbers; S3-Z3 is regular only after two subdivision rounds
+    data = perfbench_corpus().build("S3-Z3", 0)
+    path = tmp_path / "s3-z3.json"
+    path.write_text(json.dumps(data), encoding="utf-8")
+    reduced = []
+    monkeypatch.setattr("eqtc.cli.betti_numbers",
+                        lambda K, field: reduced.append(K) or betti_numbers(K, field))
+    monkeypatch.setattr("eqtc.cli.fixed_subcomplex", lambda R, H: pytest.fail("built X^1"))
+    for subgroup in ("trivial", "0"):
+        reduced.clear()
+        assert run(["fixed", str(path), "--subgroup", subgroup, "--field", "F2"]) == (
+            EXIT_OK, "1 0 0 1\n"), subgroup
+        assert [K.f_vector() for K in reduced] == [(5, 10, 10, 5)], subgroup
+    # the action is still regularized, so a bad one exits as before
+    path = write_example(tmp_path, "ngon-antipodal",
+                         mutate=lambda d: d.update(group_generators=[[1, 0, 2, 3, 4, 5]]))
+    assert run(["fixed", path, "--subgroup", "trivial"]) == (EXIT_INVALID, "")
+
+
 def test_fixed_honours_config_caps(tmp_path):
     for config in ({"group_order_cap": 3}, {"subgroup_cap": 5}):
         path = write_example(tmp_path, "ngon-rotation-6", mutate=lambda d: d.update(config=config))
@@ -409,6 +431,15 @@ def test_cupfind_honours_ring_size_limit(tmp_path):
     assert code == EXIT_CAP
     assert out == ""
     assert "cohomology skipped" in run(["analyze", path])[1]
+
+
+def test_cupfind_ring_size_limit_admits_exactly_that_many_simplices(tmp_path, capsys):
+    for limit, want in ((42, EXIT_OK), (41, EXIT_CAP)):  # torus7 has 42 simplices
+        path = write_example(
+            tmp_path, "torus7", mutate=lambda d: d.update(config={"max_ring_simplices": limit})
+        )
+        assert run(["cupfind", path, "--field", "F2"])[0] == want, limit
+    assert capsys.readouterr().err == "error: 42 simplices exceed the configured ring limit 41\n"
 
 
 def test_failed_self_check_exits_selfcheck(tmp_path, monkeypatch, capsys):

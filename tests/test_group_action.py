@@ -83,13 +83,29 @@ def test_group_closure_symmetric_three():
 
 
 def test_group_closure_rejects_non_bijection():
-    with pytest.raises(GroupError):
+    with pytest.raises(GroupError) as err:
         group_closure(3, [[0, 0, 1]])
+    assert str(err.value) == "generator [0, 0, 1] is not a bijection on 0..2"
 
 
 def test_group_closure_cap():
     with pytest.raises(CapExceeded):
         group_closure(4, [[1, 2, 3, 0]], cap=3)
+
+
+def test_group_closure_cap_admits_a_group_of_exactly_that_order():
+    for gens, order in (([[1, 2, 3, 0]], 4), ([[1, 0, 2], [0, 2, 1]], 6)):
+        assert group_closure(len(gens[0]), gens, cap=order).order == order
+        with pytest.raises(CapExceeded, match=f"group closure exceeded cap {order - 1}"):
+            group_closure(len(gens[0]), gens, cap=order - 1)
+
+
+def test_isotropy_accepts_exactly_the_vertices_of_the_group():
+    G = group_closure(4, [[1, 0, 2, 3]])
+    assert [isotropy(G, v).order for v in range(4)] == [1, 1, 2, 2]
+    for v in (-1, 4):
+        with pytest.raises(ActionError, match=f"vertex {v} out of range"):
+            isotropy(G, v)
 
 
 def test_validate_square_rotation():

@@ -31,6 +31,7 @@ from complexes import (
     cycle_complex,
     euler_characteristic,
     klein_bottle_grid,
+    perfbench_corpus,
     projective_plane_six_vertex,
     random_complex,
     solid_simplex,
@@ -46,6 +47,7 @@ from oracles import (
     is_cocycle,
     is_zero,
     mat_vec,
+    oracle_betti,
     oracle_nullspace,
     oracle_rank,
     oracle_representatives,
@@ -469,6 +471,59 @@ def test_clearing_skips_exactly_the_columns_that_reduce_to_zero(monkeypatch):
                 assert widths[d - 1] == len(K.simplices_of_dim(d)) - skip
                 _, pivots = oracle_rref(dense_coboundary_matrix(K, field, d), field)
                 assert rows.isdisjoint(pivots), (K.f_vector(), field.name, d)
+
+
+def test_betti_numbers_reduce_only_the_columns_off_the_lower_pivot_rows(monkeypatch):
+    # clearing in betti_numbers: in degree d, rank gets the columns of
+    # delta_d that are not pivot rows of delta_{d-1}, f_d - rank delta_{d-1}
+    # of them, and fills the table it is given with one key per pivot, the
+    # pivot rows of all of delta_d
+    calls = []
+
+    def recording_rank(mat, field, table=None):
+        r = rank(mat, field, table)
+        calls.append((mat, r, table))
+        return r
+
+    monkeypatch.setattr("eqtc.homology.rank", recording_rank)
+    rng = random.Random(13)
+    complexes = [torus_seven_vertex(), klein_bottle_grid(), projective_plane_six_vertex(),
+                 boundary_sphere(3), barycentric_subdivision(torus_seven_vertex())[0]]
+    complexes += [random_complex(rng, 8) for _ in range(30)]
+    for K in complexes:
+        for field in (F2, F3, F5, Q):
+            calls.clear()
+            betti_numbers(K, field)
+            assert len(calls) == K.dim
+            lower_rows: set = set()  # the pivot rows of delta_{d-1}
+            for d, (mat, r, table) in enumerate(calls):
+                delta = coboundary_matrix(K, field, d)
+                assert len(mat) == len(delta) - len(lower_rows), (K.f_vector(), field.name, d)
+                assert mat == [c for j, c in enumerate(delta) if j not in lower_rows]
+                full_table = _reduce_columns(delta, field)[1]
+                assert r == len(full_table) == len(table)
+                assert set(table) == set(full_table), (K.f_vector(), field.name, d)
+                lower_rows = set(full_table)
+
+
+def test_betti_numbers_agree_with_cochain_basis_and_dense_oracle():
+    # on the builtins and their subdivisions, random complexes and the corpus
+    # families that run fast; the dense oracle is left out where its pure-Python
+    # elimination would take minutes, and the family's known numbers stand in
+    corpus = perfbench_corpus()
+    complexes = [(K, None) for K in varied_complexes(19)]
+    for family in sorted(set(corpus.FAMILIES) - {"S4-Z3", "T3-3-Z3", "T4-3", "T4-3-ring"}):
+        data = corpus.build(family, 0)
+        K = from_maximal_simplices(data["vertex_count"], data["maximal_simplices"])
+        complexes.append((K, corpus.FAMILIES[family].betti))
+    for K, known in complexes:
+        for field in (F2, F3, F5, Q):
+            betti = betti_numbers(K, field)
+            assert betti == cohomology_basis(K, field).betti_vector(), (K.f_vector(), field.name)
+            if max(K.f_vector()) <= 400:
+                assert betti == oracle_betti(K, field), (K.f_vector(), field.name)
+            if known is not None:
+                assert betti == known, (K.f_vector(), field.name)
 
 
 def test_coboundary_squared_is_zero():

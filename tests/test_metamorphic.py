@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from eqtc.bounds import EngineConfig, Quantity, analyze_problem
 from eqtc.complex_core import barycentric_subdivision, from_maximal_simplices
 from eqtc.group_action import group_closure, transport_action
-from eqtc.homology import betti_numbers, parse_field
+from eqtc.homology import betti_numbers, cohomology_basis, parse_field
 from eqtc.problems import Problem, builtin_examples
 from eqtc.ring import (
     combined_zero_divisors,
@@ -23,6 +23,7 @@ from eqtc.ring import (
 )
 
 from complexes import euler_characteristic
+from oracles import oracle_betti
 
 EXAMPLES = builtin_examples()
 RELABELED = (
@@ -88,7 +89,7 @@ def test_relabeling_vertices_changes_no_answer(data):
     assert invariants(relabel(problem, s)) == reference(name)
 
 
-F2, F3, Q = parse_field("F2"), parse_field("F3"), parse_field("Q")
+F2, F3, F5, Q = parse_field("F2"), parse_field("F3"), parse_field("F5"), parse_field("Q")
 
 
 @st.composite
@@ -117,6 +118,14 @@ def test_alternating_betti_sum_is_the_euler_characteristic(K):
     for field in (F2, F3, Q):
         betti = betti_numbers(K, field)
         assert sum((-1) ** d * b for d, b in enumerate(betti)) == euler_characteristic(K)
+
+
+@settings(derandomize=True, deadline=None, max_examples=100)
+@given(small_complexes())
+def test_cleared_betti_numbers_agree_with_cochain_basis_and_dense_oracle(K):
+    for field in (F2, F3, F5, Q):
+        betti = betti_numbers(K, field)
+        assert betti == cohomology_basis(K, field).betti_vector() == oracle_betti(K, field)
 
 
 @settings(derandomize=True, deadline=None, max_examples=50)
