@@ -295,10 +295,7 @@ def regular_action(problem: Problem, config: EngineConfig) -> tuple[SimplicialCo
     G = group_closure(K.vertex_count, [list(g) for g in problem.group_generators],
                       cap=config.group_order_cap)
     validate_action(K, G)
-    R = regularize(K, G)
-    if R.complex.dim != K.dim:
-        raise AssertionError("subdivision must preserve dimension")
-    return K, R
+    return K, regularize(K, G)
 
 
 def _betti_and_certificates(K: SimplicialComplex, name: str, config: EngineConfig) -> tuple:

@@ -238,7 +238,7 @@ def main(argv: list[str] | None = None, out=None) -> int:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_INVALID
     except AssertionError as err:
-        # raised explicitly by the certificate and regularity checks, so -O keeps them
+        # raised explicitly by the certificate and engine self-checks, so -O keeps them
         print(f"error: self-check failed: {err}", file=sys.stderr)
         return EXIT_SELFCHECK
 

@@ -17,14 +17,16 @@ so (B) holds exactly when each such set is one G-orbit, which
 quotient triangulate the orbit space.
 
 The user's action, a complex K and a group G on its vertices, is checked
-once, by `validate_action`.  A round of `regularize` that passes
-`check_regularity` also proves its action simplicial (see there), so the
-actions transported to the subdivisions are not re-validated.  Two
-barycentric subdivisions always suffice; the construction fails loudly if
-that ever breaks, and stops with CapExceeded before a subdivision too large
-to build.  The result, `RegularAction`, holds what the bounds read
-off it: the complex (fixed sets X^H), the group (isotropy groups), and the
-passing round's orbit images, the simplices of X/G, which `orbit_complex`
+once, by `validate_action`.  Subdivision keeps an action simplicial (g maps
+a chain of faces to a chain of faces) and keeps dimension (a k-simplex of
+sd K is a chain of k+1 faces).  By Bredon's lemma (Introduction to Compact
+Transformation Groups, 1972, ch. III §1) sd K satisfies (A), as G keeps
+the dimension of the faces that are its vertices, and sd K satisfies (B)
+when K satisfies (A).  So `regularize` checks rounds 0 and 1 only: the
+second subdivision is regular.  It stops with CapExceeded before a
+subdivision too large to build.  The result, `RegularAction`, holds what
+the bounds read off it: the complex (fixed sets X^H), the group (isotropy
+groups), and its orbit images, the simplices of X/G, which `orbit_complex`
 reads instead of rescanning.
 
 Groups are closed from generators by one BFS, `_close`.  The group layer
@@ -386,7 +388,7 @@ class RegularAction:
 
     `group` acts on `complex`, the input after `subdivision_rounds`
     barycentric subdivisions, and `images` are the orbit images of its
-    passing regularity check: the simplices of X/G.
+    simplices: the simplices of X/G.
     """
 
     complex: SimplicialComplex
@@ -409,24 +411,18 @@ def transport_action(G: FiniteGroup, provenance: dict[int, Simplex]) -> FiniteGr
     return FiniteGroup(n, tuple(sorted(_close(gens, identity_perm(n), compose))), gens)
 
 
-# Two barycentric subdivisions always regularize a finite simplicial action.
-MAX_ROUNDS = 2
-
-
 def regularize(K: SimplicialComplex, G: FiniteGroup) -> RegularAction:
-    """Subdivide (at most MAX_ROUNDS times) until the validated action is regular.
+    """Subdivide until the validated action is regular, at most twice.
 
-    Raises CapExceeded before a subdivision whose predicted size is over
-    complex_core.SIMPLEX_BUDGET.  Exhausting the rounds indicates a bug
-    and fails loudly.  A transported action needs no `validate_action`: the
-    round that passes proves its action simplicial.
+    Rounds 0 and 1 run `check_regularity`; the second subdivision is
+    regular by Bredon's lemma (ch. III §1; module docstring), so its orbit
+    images are read in one pass.  Raises CapExceeded before a subdivision
+    whose predicted size is over complex_core.SIMPLEX_BUDGET.
     """
-    for rounds in range(MAX_ROUNDS + 1):
+    for rounds in (0, 1):
         result = check_regularity(K, G)
         if not isinstance(result, str):
             return RegularAction(K, G, rounds, result)
-        if rounds == MAX_ROUNDS:
-            break
         size = sum(subdivision_f_vector(K.f_vector()))
         if size > complex_core.SIMPLEX_BUDGET:
             raise CapExceeded(
@@ -435,7 +431,9 @@ def regularize(K: SimplicialComplex, G: FiniteGroup) -> RegularAction:
             )
         K, provenance = barycentric_subdivision(K)
         G = transport_action(G, provenance)
-    raise AssertionError(f"action not regular after {MAX_ROUNDS} subdivisions: {result}")
+    orbit = vertex_orbits(G)  # (A) holds, so an image is as long as its simplex
+    images = frozenset(tuple(sorted(map(orbit.__getitem__, s))) for s in K.simplices)
+    return RegularAction(K, G, 2, images)
 
 
 def fixed_subcomplex(R: RegularAction, H: Subgroup) -> SimplicialComplex:
@@ -454,12 +452,12 @@ def fixed_subcomplex(R: RegularAction, H: Subgroup) -> SimplicialComplex:
 def orbit_complex(R: RegularAction) -> SimplicialComplex:
     """Simplicial quotient: vertices are vertex orbits, simplices orbit images.
 
-    The images are the ones the passing regularity check grouped by, so the
-    complex is not scanned again.  They form a complex: a face of an image
-    is the image of a face, (A) keeps images the size of their simplex, and
-    every orbit is the image of one of its vertices.
+    The images are the ones `regularize` read, so the complex is not
+    scanned again.  They form a complex: a face of an image is the image of
+    a face, (A) keeps images the size of their simplex, and every orbit is
+    the image of its vertices, so the 0-simplices count the orbits.
     """
-    return SimplicialComplex(max(vertex_orbits(R.group)) + 1, R.images)
+    return SimplicialComplex(sum(len(s) == 1 for s in R.images), R.images)
 
 
 def isotropy(G: FiniteGroup, v: int) -> Subgroup:

@@ -110,9 +110,12 @@ def parse_problem(data: dict, path: str = "$") -> Problem:
         "exactly one of (vertex_count + maximal_simplices) or associated_space is required",
     )
 
+    _require(path == "$" or "config" not in data, f"{path}.config",
+             "settings belong on the root problem")
     config = data.get("config", {})
     _require(isinstance(config, dict), f"{path}.config", "must be an object")
     description = data.get("description", "")
+    _require(isinstance(description, str), f"{path}.description", "must be a string")
 
     if has_assoc:
         assoc = data["associated_space"]

@@ -612,6 +612,33 @@ def test_hostile_problem_files_exit_invalid(tmp_path, change, message):
     assert message in proc.stderr
 
 
+@pytest.mark.parametrize(
+    "name, mutate, message",
+    [
+        ("klein-bound",
+         lambda d: d["associated_space"]["fiber"].update(config={"bogus": 1, "fields": ["F7"]}),
+         "$.associated_space.fiber.config: settings belong on the root problem"),
+        ("klein-bound",
+         lambda d: d["associated_space"]["base"].update(config={"fields": ["F7"]}),
+         "$.associated_space.base.config: settings belong on the root problem"),
+        ("torus7", lambda d: d.update(description=5), "$.description: must be a string"),
+    ],
+    ids=["config-on-fiber", "config-on-base", "description-not-a-string"],
+)
+def test_unread_problem_fields_are_checked(tmp_path, name, mutate, message):
+    # a fiber's or base's settings would be dropped unread, so they are refused
+    # like assertions on the root of an associated space
+    path = write_example(tmp_path, name, mutate=mutate)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    proc = subprocess.run(
+        [sys.executable, "-m", "eqtc", "analyze", path], env={**os.environ, "PYTHONPATH": src},
+        capture_output=True, text=True, timeout=60,
+    )
+    assert (proc.returncode, proc.stdout) == (EXIT_INVALID, "")
+    assert "Traceback" not in proc.stderr
+    assert message in proc.stderr
+
+
 def test_main_builds_its_parser_once(tmp_path, monkeypatch, capsys):
     # one parser serves every call, so an argparse error must leave it as a
     # new one would be: each call prints what it prints in a fresh process

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 
 import eqtc.complex_core as complex_core
 import eqtc.group_action as group_action
+from eqtc.bounds import EngineConfig
 from eqtc.cli import main
 from eqtc.complex_core import (
     barycentric_subdivision,
@@ -148,6 +149,10 @@ def test_subgroup_cap():
     G = group_closure(4, [[1, 2, 3, 0]])
     with pytest.raises(CapExceeded):
         subgroups(G, "all", cap=2)
+    # the default cap is the engine's
+    G = group_closure(257, [[(v + 1) % 257 for v in range(257)]])
+    with pytest.raises(CapExceeded, match=f"<= {EngineConfig().subgroup_cap}, got 257"):
+        subgroups(G)
 
 
 def _quaternion_regular_representation() -> list[list[int]]:
@@ -417,6 +422,10 @@ def test_check_regularity_agrees_with_transporter_search_oracle():
             results[name, rnd] = (a, b)
     # the hexagon with its rotation, once subdivided, fails (B) alone
     assert results["ngon-rotation-6", 1] == (True, False)
+    # Bredon's lemma: sd K satisfies (A), and (B) too when K satisfies (A)
+    for name in _regularity_inputs():
+        assert results[name, 1][0] and results[name, 2] == (True, True), name
+        assert results[name, 1][1] or not results[name, 0][0], name
     assert any(not a for a, _ in results.values())
     assert any(a and b for a, b in results.values())
 
@@ -488,6 +497,9 @@ def _check_constructions(K, gens) -> None:
         assert oracle_is_complex(fixed)
         vertices = {v for v in range(sd.vertex_count) if all(h[v] == v for h in perms(H))}
         assert fixed == full_subcomplex(sd, vertices)
+    # what regularize reads off Bredon's lemma, and no longer checks, holds
+    assert check_regularity(R.complex, R.group) == R.images
+    assert R.complex.dim == K.dim
     quotient = orbit_complex(R)
     assert oracle_is_complex(quotient)
     assert (quotient.vertex_count, quotient.simplices) == oracle_orbit_complex(R)
@@ -530,6 +542,36 @@ def invariant_actions(draw):
 @given(invariant_actions())
 def test_constructions_are_complexes_on_random_actions(action):
     _check_constructions(*action)
+
+
+@settings(derandomize=True, deadline=None, max_examples=100)
+@given(invariant_actions())
+def test_bredon_lemma_on_random_actions(action):
+    # sd K satisfies (A) for every action, and (B) whenever K satisfies (A)
+    K, gens = action
+    G = group_closure(K.vertex_count, gens)
+    orbit_condition = oracle_regularity(K, G)[0]
+    sd, provenance = barycentric_subdivision(K)
+    a, b, _ = oracle_regularity(sd, transport_action(G, provenance))
+    assert a
+    assert b or not orbit_condition
+
+
+def test_regularize_checks_at_most_two_rounds(monkeypatch):
+    # the second subdivision is regular by the lemma, so it is not checked
+    calls = []
+
+    def counting_check(K, G):
+        calls.append(K.vertex_count)
+        return check_regularity(K, G)
+
+    monkeypatch.setattr(group_action, "check_regularity", counting_check)
+    inputs = _regularity_inputs()
+    for name, checks, rounds in (("ngon-antipodal", 1, 0), ("S2-S4", 2, 1),
+                                 ("torus7-Z7", 2, 2), ("ngon-rotation-5", 2, 2)):
+        calls.clear()
+        assert regular(*inputs[name]).subdivision_rounds == rounds, name
+        assert len(calls) == checks, name
 
 
 def _check_full_and_trivial(K, gens) -> None:
