@@ -28,8 +28,9 @@ from collections.abc import Callable
 from dataclasses import dataclass, field, fields, replace
 from math import ceil, inf, isinf
 
-from eqtc.complex_core import SimplicialComplex, from_maximal_simplices
+from eqtc.complex_core import SimplicialComplex, from_maximal_simplices, subdivision_f_vector
 from eqtc.group_action import (
+    FiniteGroup,
     RegularAction,
     Subgroup,
     fixed_subcomplex,
@@ -289,13 +290,13 @@ def problem_complex(problem: Problem) -> SimplicialComplex:
     return from_maximal_simplices(problem.vertex_count, [list(s) for s in problem.maximal_simplices])
 
 
-def regular_action(problem: Problem, config: EngineConfig) -> tuple[SimplicialComplex, RegularAction]:
-    """K and the regular action of G on a subdivision of it, G closed under the order cap."""
+def validated_action(problem: Problem, config: EngineConfig) -> tuple[SimplicialComplex, FiniteGroup]:
+    """K and the group G, closed under the order cap, after checking that it acts simplicially."""
     K = problem_complex(problem)
     G = group_closure(K.vertex_count, [list(g) for g in problem.group_generators],
                       cap=config.group_order_cap)
     validate_action(K, G)
-    return K, regularize(K, G)
+    return K, G
 
 
 def _betti_and_certificates(K: SimplicialComplex, name: str, config: EngineConfig) -> tuple:
@@ -349,7 +350,8 @@ def _analyze_space(info: SpaceInfo, config: EngineConfig, known: dict) -> None:
 
 def _build_action_context(name: str, problem: Problem, config: EngineConfig) -> ProblemContext:
     ctx = ProblemContext(name=name, problem=problem)
-    K, R = regular_action(problem, config)
+    K, G = validated_action(problem, config)
+    R = regularize(K, G)
     ctx.regular = R
     ctx.equivariant = not R.group.is_trivial
 
@@ -365,7 +367,9 @@ def _build_action_context(name: str, problem: Problem, config: EngineConfig) -> 
         # sets are subcomplexes of the regularized complex
         mode = "up_to_conjugacy" if config.subgroup_mode == "conjugacy" else "all"
         class_list = subgroups(R.group, mode, cap=config.subgroup_cap)
-        fixed_sets = [fixed_subcomplex(R, H) for H in class_list]  # R.complex for the trivial class
+        # K stands for the trivial class's fixed set, R.complex, in the
+        # connectivity test: subdivision keeps connectivity, and K is small
+        fixed_sets = [K if H.is_trivial else fixed_subcomplex(R, H) for H in class_list]
         for pos, (H, fixed) in enumerate(zip(class_list, fixed_sets)):
             key = f"H{pos}"
             display = "G" if H.is_full else key
@@ -850,7 +854,11 @@ def structured_report(fb: FactBase) -> dict:
             entry["bundle_justification"] = ctx.problem.bundle_justification
         if ctx.regular is not None:
             entry["subdivision_rounds"] = ctx.regular.subdivision_rounds
-            entry["regularized_f_vector"] = list(ctx.regular.complex.f_vector())
+            # read off K, so the report does not sort the subdivided complex
+            f = ctx.spaces["X"].complex.f_vector()
+            for _ in range(ctx.regular.subdivision_rounds):
+                f = subdivision_f_vector(f)
+            entry["regularized_f_vector"] = list(f)
         if ctx.equivariant:
             entry["group_order"] = ctx.regular.group.order
             entry["subgroup_classes"] = [

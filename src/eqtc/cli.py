@@ -4,14 +4,15 @@ Subcommands:
   analyze   full pipeline (validate -> regularize -> seed -> saturate -> report)
   examples  write a builtin problem file, or list them
   betti     Betti numbers of the problem's complex over one field
-  fixed     Betti numbers of a fixed subcomplex of the regularized action; `full`
-            is built directly, the trivial group's is read off K, a malformed
-            value is refused at once, and only a class index (sorted by
-            order) lists the classes
+  fixed     Betti numbers of a fixed set X^H of the validated action, built on K
+            or on its first subdivision (`group_action.fixed_set`); `full` is
+            built directly, the trivial group's is K, a malformed value is
+            refused at once, and only a class index (sorted by order) lists
+            the classes
   cupfind   zero-divisor cup-length certificate for the problem's complex
 
-K and the regular action come from the builders `analyze` uses
-(`eqtc.bounds.problem_complex` and `regular_action`).
+K and the validated group come from the constructors `analyze` uses
+(`eqtc.bounds.problem_complex` and `validated_action`).
 
 Exit codes: 0 success, 2 parse/validation error, 3 inconsistent fact base,
 4 enumeration cap exceeded, 5 an internal self-check failed (a bug, not bad input).
@@ -25,11 +26,11 @@ import os
 import re
 import sys
 
-from eqtc.bounds import EngineConfig, analyze_problem, problem_complex, regular_action, report
+from eqtc.bounds import EngineConfig, analyze_problem, problem_complex, report, validated_action
 from eqtc.bounds import zero_divisor_certificate
 from eqtc.complex_core import CapExceeded, ComplexError
 from eqtc.group_action import ActionError, GroupError, Subgroup, check_subgroup_cap
-from eqtc.group_action import fixed_subcomplex, subgroups
+from eqtc.group_action import fixed_set, subgroups
 from eqtc.homology import betti_numbers, parse_field
 from eqtc.linalg import FieldError
 from eqtc.problems import (
@@ -43,7 +44,7 @@ from eqtc.ring import ring_structure
 
 # not called here: perfbench/spans.py wraps them on this module (ROADMAP item 1b)
 from eqtc.complex_core import from_maximal_simplices  # noqa: F401
-from eqtc.group_action import group_closure, regularize, validate_action  # noqa: F401
+from eqtc.group_action import fixed_subcomplex, group_closure, regularize, validate_action  # noqa: F401
 from eqtc.ring import combined_zero_divisors, kunneth_tensor_ring, nilpotency_lower_bound  # noqa: F401
 
 EXIT_OK = 0
@@ -163,8 +164,7 @@ def cmd_betti(args: argparse.Namespace, out) -> int:
 def cmd_fixed(args: argparse.Namespace, out) -> int:
     problem = _require_complex(load_problem(args.path))
     config = _config(problem)
-    K, R = regular_action(problem, config)
-    G = R.group
+    K, G = validated_action(problem, config)
     check_subgroup_cap(G, config.subgroup_cap)
     if args.subgroup == "full":
         H = Subgroup(G, frozenset(range(G.order)))
@@ -178,14 +178,13 @@ def cmd_fixed(args: argparse.Namespace, out) -> int:
     else:  # only an index needs the classes, sorted by order
         classes = subgroups(G, "up_to_conjugacy", cap=config.subgroup_cap)
         # looked up as text, since int() refuses a long enough digit string
-        by_index = {str(i): K for i, K in enumerate(classes)}
+        by_index = {str(i): c for i, c in enumerate(classes)}
         if args.subgroup not in by_index:
             raise ProblemFormatError(
                 f"--subgroup must be 'full', 'trivial', or 0..{len(classes) - 1}"
             )
         H = by_index[args.subgroup]
-    # the trivial group fixes all of R's complex, a subdivision of K: same Betti numbers
-    fixed = K if H.is_trivial else fixed_subcomplex(R, H)
+    fixed = fixed_set(K, H)
     if fixed.is_empty:
         out.write("empty\n")
     else:

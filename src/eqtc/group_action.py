@@ -29,6 +29,12 @@ the bounds read off it: the complex (fixed sets X^H), the group (isotropy
 groups), and its orbit images, the simplices of X/G, which `orbit_complex`
 reads instead of rescanning.
 
+A fixed set needs (A) only, since (A) alone makes it a full subcomplex;
+(B) is for the quotient.  So `fixed_set`, what the `fixed` command
+reads, builds X^H on K when K satisfies (A) and otherwise on sd K, which
+satisfies (A) by the lemma, with no (B) scan, no transported group and at
+most one subdivision.
+
 Groups are closed from generators by one BFS, `_close`.  The group layer
 does no per-element work over every vertex, and no per-subgroup work over
 the whole lattice, beyond one pass for the stabilizers:
@@ -411,6 +417,17 @@ def transport_action(G: FiniteGroup, provenance: dict[int, Simplex]) -> FiniteGr
     return FiniteGroup(n, tuple(sorted(_close(gens, identity_perm(n), compose))), gens)
 
 
+def _subdivide(K: SimplicialComplex, round_: int) -> tuple[SimplicialComplex, dict[int, Simplex]]:
+    """sd K with its provenance, after checking its predicted size against the budget."""
+    size = sum(subdivision_f_vector(K.f_vector()))
+    if size > complex_core.SIMPLEX_BUDGET:
+        raise CapExceeded(
+            f"regularization round {round_} would build {size} simplices, "
+            f"over the budget of {complex_core.SIMPLEX_BUDGET}"
+        )
+    return barycentric_subdivision(K)
+
+
 def regularize(K: SimplicialComplex, G: FiniteGroup) -> RegularAction:
     """Subdivide until the validated action is regular, at most twice.
 
@@ -423,13 +440,7 @@ def regularize(K: SimplicialComplex, G: FiniteGroup) -> RegularAction:
         result = check_regularity(K, G)
         if not isinstance(result, str):
             return RegularAction(K, G, rounds, result)
-        size = sum(subdivision_f_vector(K.f_vector()))
-        if size > complex_core.SIMPLEX_BUDGET:
-            raise CapExceeded(
-                f"regularization round {rounds + 1} would build {size} simplices, "
-                f"over the budget of {complex_core.SIMPLEX_BUDGET}"
-            )
-        K, provenance = barycentric_subdivision(K)
+        K, provenance = _subdivide(K, rounds + 1)
         G = transport_action(G, provenance)
     orbit = vertex_orbits(G)  # (A) holds, so an image is as long as its simplex
     images = frozenset(tuple(sorted(map(orbit.__getitem__, s))) for s in K.simplices)
@@ -449,15 +460,39 @@ def fixed_subcomplex(R: RegularAction, H: Subgroup) -> SimplicialComplex:
     return full_subcomplex(R.complex, vertices) if vertices else empty_complex()
 
 
+def fixed_set(K: SimplicialComplex, H: Subgroup) -> SimplicialComplex:
+    """X^H for a subgroup H of a validated action on K, built on K or on sd K.
+
+    A fixed set needs (A) only (module docstring).  When the action of
+    H.group on K satisfies it, X^H is the full subcomplex of K on the
+    H-fixed vertices.  Otherwise it is built on sd K, which satisfies (A)
+    by Bredon's lemma: the H-fixed vertices of sd K are the H-invariant
+    simplices of K, so no group is transported.  The subdivision's size is
+    checked against the budget before it is built, as in `regularize`.
+    The trivial group fixes K itself.
+    """
+    if H.is_trivial:
+        return K
+    G = H.group
+    orbit = vertex_orbits(G)
+    # (A) is read off the edges: two vertices of a simplex in one orbit span one
+    if all(orbit[s[0]] != orbit[s[1]] for s in K.simplices if len(s) == 2):
+        return full_subcomplex(K, {v for v, stab in enumerate(G.stabilizers) if H.members <= stab})
+    sd, provenance = _subdivide(K, 1)
+    perms = [G.elements[h] for h in H.members]
+    return full_subcomplex(
+        sd, {v for v, s in provenance.items() if all(apply_perm(p, s) == s for p in perms)})
+
+
 def orbit_complex(R: RegularAction) -> SimplicialComplex:
     """Simplicial quotient: vertices are vertex orbits, simplices orbit images.
 
     The images are the ones `regularize` read, so the complex is not
     scanned again.  They form a complex: a face of an image is the image of
     a face, (A) keeps images the size of their simplex, and every orbit is
-    the image of its vertices, so the 0-simplices count the orbits.
+    the image of its vertices, so the orbit labels count the vertices.
     """
-    return SimplicialComplex(sum(len(s) == 1 for s in R.images), R.images)
+    return SimplicialComplex(max(vertex_orbits(R.group)) + 1, R.images)
 
 
 def isotropy(G: FiniteGroup, v: int) -> Subgroup:
@@ -482,10 +517,11 @@ def is_G_connected(fixed_sets: list[SimplicialComplex]) -> GConnectivity:
     """Path-connectivity of the fixed sets of one subgroup per conjugacy class.
 
     `fixed_sets` lists `fixed_subcomplex(R, H)` for each class H, in class
-    order.  Conjugate subgroups have simplicially isomorphic fixed sets, so
-    classes suffice.  An empty fixed set counts as connected (the
-    free-action convention); its class is reported so callers can flag the
-    caveat.
+    order, or any complex with the same components in its place (the
+    engine passes K for the trivial class).  Conjugate subgroups have
+    simplicially isomorphic fixed sets, so classes suffice.  An empty
+    fixed set counts as connected (the free-action convention); its class
+    is reported so callers can flag the caveat.
     """
     empty: list[int] = []
     for pos, fixed in enumerate(fixed_sets):

@@ -27,6 +27,16 @@ ASSERTABLE_SPACES = ("X", "XxX", "orbit")
 SIDES = ("lower", "upper", "equal")
 
 
+# the keys each object may carry; any other key is refused, so that a typo
+# cannot turn into certified intervals for a different problem
+PROBLEM_KEYS = frozenset({
+    "schema_version", "name", "description", "vertex_count", "maximal_simplices",
+    "group_generators", "annotations", "asserted_facts", "associated_space", "config",
+})
+ASSOCIATED_SPACE_KEYS = frozenset({"fiber", "base", "justification"})
+FACT_KEYS = frozenset({"kind", "space", "side", "value", "justification"})
+
+
 class ProblemFormatError(ValueError):
     """Schema violation; the message names the offending key path."""
 
@@ -64,6 +74,12 @@ def _require(cond: bool, path: str, message: str) -> None:
         raise ProblemFormatError(f"{path}: {message}")
 
 
+def _require_known_keys(raw: dict, known: frozenset, path: str) -> None:
+    unknown = sorted(set(raw) - known)
+    if unknown:
+        raise ProblemFormatError(f"{path}.{unknown[0]}: unknown key")
+
+
 def _is_int(v: object) -> bool:
     """A JSON integer: bool is a subclass of int, but true is not 1 here."""
     return isinstance(v, int) and not isinstance(v, bool)
@@ -78,6 +94,7 @@ def _parse_value(raw: object, path: str) -> object:
 
 def _parse_fact(raw: dict, path: str) -> AssertedFact:
     _require(isinstance(raw, dict), path, "asserted fact must be an object")
+    _require_known_keys(raw, FACT_KEYS, path)
     kind = raw.get("kind")
     _require(kind in ASSERTABLE_KINDS, f"{path}.kind", f"must be one of {ASSERTABLE_KINDS}")
     space = raw.get("space", "X")
@@ -96,6 +113,7 @@ def _parse_fact(raw: dict, path: str) -> AssertedFact:
 
 def parse_problem(data: dict, path: str = "$") -> Problem:
     _require(isinstance(data, dict), path, "problem must be a JSON object")
+    _require_known_keys(data, PROBLEM_KEYS, path)
     version = data.get("schema_version", SCHEMA_VERSION if path != "$" else None)
     _require(_is_int(version) and version == SCHEMA_VERSION, f"{path}.schema_version",
              f"must be {SCHEMA_VERSION}")
@@ -120,6 +138,7 @@ def parse_problem(data: dict, path: str = "$") -> Problem:
     if has_assoc:
         assoc = data["associated_space"]
         _require(isinstance(assoc, dict), f"{path}.associated_space", "must be an object")
+        _require_known_keys(assoc, ASSOCIATED_SPACE_KEYS, f"{path}.associated_space")
         for key in ("fiber", "base"):
             _require(key in assoc, f"{path}.associated_space.{key}", "is required")
         fiber = parse_problem(assoc["fiber"], f"{path}.associated_space.fiber")

@@ -37,6 +37,7 @@ import io
 import json
 import sys
 import tempfile
+from itertools import count
 from pathlib import Path
 
 TESTS = Path(__file__).resolve().parent
@@ -52,7 +53,6 @@ SEEDS = (0, 1)
 SLOW_FAMILIES = ("S4-Z3", "T3-3-Z3", "T4-3", "T4-3-ring", "S3-S5", "S4-reflection", "S3-Z6")
 FIELDS = ("F2", "F3", "Q")
 FIXED_FIELDS = ("F2", "Q")
-FIXED_INDEX_LIMIT = 1000  # no corpus group has this many classes; stops a runaway loop
 
 
 def inputs(part: str) -> dict[str, str]:
@@ -94,7 +94,7 @@ def input_lines(label: str, text: str, directory: str) -> dict[str, str]:
     for verb, *flags in commands:
         lines[f"{label}  {' '.join([verb, *flags])}"] = run_command([verb, path, *flags], directory)[0]
     for field in FIXED_FIELDS:
-        for index in range(FIXED_INDEX_LIMIT):
+        for index in count():  # the index past the last class exits 2
             flags = ["--field", field, "--subgroup", str(index)]
             digest, code = run_command(["fixed", path, *flags], directory)
             lines[f"{label}  fixed {' '.join(flags)}"] = digest

@@ -7,7 +7,8 @@ tensor multiplication by its formula, flat all-tuples enumeration for
 longest nonzero products (zero-divisors and basis classes), closure of every small generating set for the
 subgroup lattice, every group element induced simplex by simplex on a
 subdivision, a per-simplex transporter search for regularity, the
-checks a complex once ran on itself, and the quotient by a full rescan.  The
+checks a complex once ran on itself, the quotient by a full rescan, and
+the route `fixed` once took through the regularized action.  The
 package's matrices are lists of sparse columns and its cochains sparse
 vectors; to_rows, to_columns, to_dense and to_sparse convert at the test
 boundary.  The sparse boundary matrices, the cocycle test and the fact-base
@@ -21,8 +22,8 @@ from itertools import product as iproduct
 from random import Random
 
 from eqtc.bounds import RULES, FactBase, Row
-from eqtc.group_action import FiniteGroup
-from eqtc.homology import coboundary_matrix
+from eqtc.group_action import FiniteGroup, Subgroup, fixed_subcomplex, regularize, subgroups
+from eqtc.homology import betti_numbers, coboundary_matrix
 from eqtc.linalg import add_multiple, parse_field
 
 
@@ -391,6 +392,25 @@ def oracle_orbit_complex(R) -> tuple[int, frozenset]:
             raise AssertionError(f"regular action collapses {s}")
         images.add(image)
     return count, frozenset(images)
+
+
+def oracle_fixed_output(K, G, subgroup: str, field) -> str:
+    """What `fixed --subgroup SUBGROUP` prints, by the regularizing route.
+
+    The validated action is regularized (up to two subdivisions), H is taken
+    in the transported group as `full`, `trivial` or a class index, and its
+    fixed set is the full subcomplex of the regular complex on the H-fixed
+    vertices.
+    """
+    R = regularize(K, G)
+    if subgroup == "full":
+        H = Subgroup(R.group, frozenset(range(R.group.order)))
+    elif subgroup == "trivial":
+        H = Subgroup(R.group, frozenset({0}))
+    else:
+        H = subgroups(R.group, "up_to_conjugacy")[int(subgroup)]
+    fixed = fixed_subcomplex(R, H)
+    return "empty\n" if fixed.is_empty else " ".join(map(str, betti_numbers(fixed, field))) + "\n"
 
 
 # ---------------------------------------------------------------------------

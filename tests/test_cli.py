@@ -16,6 +16,7 @@ from pathlib import Path
 
 import pytest
 
+import eqtc.group_action as group_action
 from complexes import perfbench_corpus, projective_plane_six_vertex
 from eqtc.cli import (
     EXIT_CAP,
@@ -266,6 +267,37 @@ def test_fixed_trivial_subgroup_reads_betti_numbers_off_k(tmp_path, monkeypatch)
     path = write_example(tmp_path, "ngon-antipodal",
                          mutate=lambda d: d.update(group_generators=[[1, 0, 2, 3, 4, 5]]))
     assert run(["fixed", path, "--subgroup", "trivial"]) == (EXIT_INVALID, "")
+
+
+def test_fixed_builds_at_most_one_subdivision_and_no_regular_action(tmp_path, monkeypatch):
+    # a fixed set needs condition (A) only: fixed reads it off K when K
+    # satisfies (A), and off sd K otherwise, with no (B) scan and no group
+    # transported to the subdivision
+    for name in ("check_regularity", "transport_action", "regularize"):
+        monkeypatch.setattr(group_action, name, lambda *a, name=name: pytest.fail(f"called {name}"))
+    monkeypatch.setattr("eqtc.cli.regularize", lambda *a: pytest.fail("called regularize"))
+    subdivided = []
+    subdivide = group_action.barycentric_subdivision
+    monkeypatch.setattr(group_action, "barycentric_subdivision",
+                        lambda K: subdivided.append(K) or subdivide(K))
+    # S4 on the boundary of the tetrahedron fails (A) at its first edge
+    gens = [[1, 0, 2, 3], [1, 2, 3, 0]]
+    data = {"schema_version": 1, "name": "S2-S4", "vertex_count": 4,
+            "maximal_simplices": [list(c) for c in combinations(range(4), 3)],
+            "group_generators": gens}
+    s2_s4 = tmp_path / "s2-s4.json"
+    s2_s4.write_text(json.dumps(data), encoding="utf-8")
+    # the antipodal hexagon satisfies (A): no edge joins two antipodes
+    for path, subgroup, want, rounds in (
+        (str(s2_s4), "full", "empty\n", 1),
+        (str(s2_s4), "1", "1 1\n", 1),  # a transposition, a reflection fixing a circle
+        (str(s2_s4), "trivial", "1 0 1\n", 0),
+        (write_example(tmp_path, "ngon-antipodal"), "full", "empty\n", 0),
+        (write_example(tmp_path, "sphere-reflection-n2"), "full", "1 1\n", 1),
+    ):
+        subdivided.clear()
+        assert run(["fixed", path, "--subgroup", subgroup]) == (EXIT_OK, want), (path, subgroup)
+        assert len(subdivided) == rounds, (path, subgroup)
 
 
 def test_fixed_honours_config_caps(tmp_path):
@@ -554,20 +586,44 @@ def test_huge_field_characteristic_exits_invalid_at_once(tmp_path, capsys, spec)
         assert "characteristic of a field F<p> must be below 2^32" in capsys.readouterr().err
 
 
+def write_sphere_with_3_cycle(tmp_path, n: int) -> str:
+    """The boundary of the (n+1)-simplex, an n-sphere, with the 3-cycle (0 1 2)."""
+    data = {"schema_version": 1, "name": f"S{n}-Z3", "vertex_count": n + 2,
+            "maximal_simplices": [list(c) for c in combinations(range(n + 2), n + 1)],
+            "group_generators": [[1, 2, 0] + list(range(3, n + 2))]}
+    path = tmp_path / f"s{n}-z3.json"
+    path.write_text(json.dumps(data), encoding="utf-8")
+    return str(path)
+
+
 def test_oversized_regularization_exits_cap_at_once(tmp_path, capsys):
     # the boundary of the 6-simplex with a 3-cycle is inside every configured
     # cap, but its second subdivision would have 33,156,984 simplices; in-process
-    # under a timer, so a regression fails here instead of filling the memory
-    data = {"schema_version": 1, "name": "S5-Z3", "vertex_count": 7,
-            "maximal_simplices": [list(c) for c in combinations(range(7), 6)],
-            "group_generators": [[1, 2, 0, 3, 4, 5, 6]]}
-    path = tmp_path / "s5-z3.json"
-    path.write_text(json.dumps(data), encoding="utf-8")
-    for verb in ("analyze", "fixed"):
+    # under a timer, so a regression fails here instead of filling the memory.
+    # A fixed set needs one subdivision only (condition (A)), so fixed answers.
+    path = write_sphere_with_3_cycle(tmp_path, 5)
+    with deadline(1.0):
+        code, out = run(["analyze", path])
+    assert (code, out) == (EXIT_CAP, "")
+    assert "round 2 would build 33156984 simplices" in capsys.readouterr().err
+    with deadline(1.0):
+        assert run(["fixed", path]) == (EXIT_OK, "1 0 0 1\n")
+
+
+def test_oversized_first_subdivision_exits_cap_at_once(tmp_path, capsys):
+    # the boundary of the 8-simplex with a 3-cycle fails (A), and its first
+    # subdivision would have 7,087,260 simplices: analyze and fixed both stop
+    # before building it, while the trivial group's fixed set is K itself
+    path = write_sphere_with_3_cycle(tmp_path, 7)
+    for argv in (["analyze", path], ["fixed", path, "--subgroup", "full"]):
         with deadline(1.0):
-            code, out = run([verb, str(path)])
-        assert (code, out) == (EXIT_CAP, "")
-        assert "round 2 would build 33156984 simplices" in capsys.readouterr().err
+            code, out = run(argv)
+        assert (code, out) == (EXIT_CAP, ""), argv
+        assert capsys.readouterr().err == (
+            "error: regularization round 1 would build 7087260 simplices, "
+            "over the budget of 2000000\n"), argv
+    with deadline(1.0):
+        assert run(["fixed", path, "--subgroup", "trivial"]) == (EXIT_OK, "1 0 0 0 0 0 0 1\n")
 
 
 def test_huge_maximal_simplex_exits_cap_at_once(tmp_path, capsys):
@@ -730,6 +786,41 @@ def test_schema_rejections():
                            "maximal_simplices": [[0]], **change})
 
 
+def misspell(obj: dict, key: str) -> None:
+    """Rename `key` to its spelling without the last letter."""
+    obj[key[:-1]] = obj.pop(key)
+
+
+@pytest.mark.parametrize(
+    "name, mutate, key_path",
+    [
+        ("ngon-rotation-6", lambda d: misspell(d, "group_generators"), "$.group_generator"),
+        ("klein-bound", lambda d: misspell(d["associated_space"], "justification"),
+         "$.associated_space.justificatio"),
+        ("klein-bound", lambda d: d["associated_space"]["fiber"].update(_comment="x"),
+         "$.associated_space.fiber._comment"),
+        ("klein-bound", lambda d: misspell(d["associated_space"]["base"], "asserted_facts"),
+         "$.associated_space.base.asserted_fact"),
+        ("sphere-reflection-n2", lambda d: misspell(d["asserted_facts"][0], "justification"),
+         "$.asserted_facts[0].justificatio"),
+    ],
+    ids=["root", "associated-space", "fiber", "base", "asserted-fact"],
+)
+def test_unknown_problem_keys_exit_invalid(tmp_path, capsys, name, mutate, key_path):
+    # an ignored misspelling would change the problem silently (a file
+    # without group_generators is the trivial action), so every object
+    # refuses a key it does not know
+    path = write_example(tmp_path, name, mutate=mutate)
+    for verb in ("analyze", "betti", "fixed", "cupfind"):
+        assert run([verb, path]) == (EXIT_INVALID, ""), verb
+        assert capsys.readouterr().err == f"error: {key_path}: unknown key\n", verb
+
+
+def test_builtins_round_trip_through_the_schema():
+    for name, p in builtin_examples().items():
+        assert parse_problem(problem_to_dict(p)) == p, name
+
+
 def test_schema_infinity_value():
     p = parse_problem(
         {
@@ -755,6 +846,17 @@ def test_associated_space_requires_justification():
             {"schema_version": 1, "name": "x",
              "associated_space": {"fiber": fiber, "base": base}}
         )
+
+
+def test_associated_space_root_takes_no_assertions_or_annotations():
+    # each alone is refused: the root of an associated space is a formal
+    # quantity, and its facts belong on the fiber or base
+    fact = {"kind": "TC", "value": 2, "justification": "j"}
+    for key, value in (("asserted_facts", [fact]), ("annotations", ["metrizable"])):
+        data = problem_to_dict(builtin_examples()["klein-bound"])
+        data[key] = value
+        with pytest.raises(ProblemFormatError, match="belong on the fiber/base problems"):
+            parse_problem(data)
 
 
 def test_commands_reject_associated_space_files(tmp_path):

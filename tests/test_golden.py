@@ -15,11 +15,13 @@ and list the change in CHANGES.md.
 from __future__ import annotations
 
 import io
+import json
 from pathlib import Path
 
 import pytest
 
 from eqtc.cli import EXIT_INCONSISTENT, EXIT_OK, main
+from eqtc.problems import builtin_examples, problem_to_dict
 
 GOLDEN = Path(__file__).with_name("golden")
 CASES = sorted(p.name[: -len(".problem.json")] for p in GOLDEN.glob("*.problem.json"))
@@ -33,6 +35,13 @@ def test_report_matches_golden(case, fmt, suffix):
     assert code in (EXIT_OK, EXIT_INCONSISTENT)
     expected = (GOLDEN / f"{case}.{suffix}").read_text(encoding="utf-8")
     assert buf.getvalue() == expected
+
+
+def test_builtins_are_their_golden_problem_files():
+    # `examples NAME` writes the builtin, so a golden input is what a user gets
+    for name, problem in builtin_examples().items():
+        golden = json.loads((GOLDEN / f"{name}.problem.json").read_text(encoding="utf-8"))
+        assert problem_to_dict(problem) == golden, name
 
 
 def test_golden_set_is_complete():

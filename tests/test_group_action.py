@@ -4,7 +4,7 @@ import io
 import json
 import random
 import tempfile
-from contextlib import redirect_stderr
+from contextlib import contextmanager, redirect_stderr
 from pathlib import Path
 
 import pytest
@@ -44,7 +44,9 @@ from eqtc.homology import betti_numbers, parse_field
 from eqtc.problems import builtin_examples
 
 from complexes import boundary_sphere, cycle_complex, perfbench_corpus, solid_simplex
+from manifest import SLOW_FAMILIES
 from oracles import (
+    oracle_fixed_output,
     oracle_is_complex,
     oracle_orbit_complex,
     oracle_regularity,
@@ -574,16 +576,9 @@ def test_regularize_checks_at_most_two_rounds(monkeypatch):
         assert len(calls) == checks, name
 
 
-def _check_full_and_trivial(K, gens) -> None:
-    """`fixed --subgroup full|trivial` builds G and 1 without listing the
-    classes; they must be the last and the first class `subgroups` lists, in
-    the fixed set and in what `fixed` prints for the matching class index."""
-    R = regular(K, gens)
-    G, classes = R.group, subgroups(R.group, "up_to_conjugacy")
-    whole, trivial = Subgroup(G, frozenset(range(G.order))), Subgroup(G, frozenset({0}))
-    assert (classes[-1].members, classes[0].members) == (whole.members, trivial.members)
-    assert fixed_subcomplex(R, whole) == fixed_subcomplex(R, classes[-1])
-    assert fixed_subcomplex(R, trivial) == fixed_subcomplex(R, classes[0])
+@contextmanager
+def fixed_command(K, gens):
+    """`fixed` on a problem file of the action: (subgroup, field) -> (code, stdout, stderr)."""
     data = {"schema_version": 1, "name": "action", "vertex_count": K.vertex_count,
             "maximal_simplices": sorted(map(list, K.simplices)),
             "group_generators": [list(g) for g in gens]}
@@ -597,9 +592,55 @@ def _check_full_and_trivial(K, gens) -> None:
                 code = main(["fixed", str(path), "--subgroup", subgroup, "--field", field], out=out)
             return code, out.getvalue(), err.getvalue()
 
+        yield fixed
+
+
+def _check_full_and_trivial(K, gens) -> None:
+    """`fixed --subgroup full|trivial` builds G and 1 without listing the
+    classes; they must be the last and the first class `subgroups` lists, in
+    the fixed set and in what `fixed` prints for the matching class index."""
+    R = regular(K, gens)
+    G, classes = R.group, subgroups(R.group, "up_to_conjugacy")
+    whole, trivial = Subgroup(G, frozenset(range(G.order))), Subgroup(G, frozenset({0}))
+    assert (classes[-1].members, classes[0].members) == (whole.members, trivial.members)
+    assert fixed_subcomplex(R, whole) == fixed_subcomplex(R, classes[-1])
+    assert fixed_subcomplex(R, trivial) == fixed_subcomplex(R, classes[0])
+    with fixed_command(K, gens) as fixed:
         for field in ("Q", "F2"):
             assert fixed("full", field) == fixed(str(len(classes) - 1), field)
             assert fixed("trivial", field) == fixed("0", field)
+
+
+def _check_fixed_against_oracle(K, gens) -> None:
+    """`fixed` prints what the regularizing route of tests/oracles.py gives,
+    for G, 1 and every class index, over F2 and Q.  The classes are listed
+    on K's group, as `fixed` lists them."""
+    G = group_closure(K.vertex_count, gens)
+    validate_action(K, G)
+    indices = map(str, range(len(subgroups(G, "up_to_conjugacy"))))
+    with fixed_command(K, gens) as fixed:
+        for subgroup in ("full", "trivial", *indices):
+            for name in ("F2", "Q"):
+                want = oracle_fixed_output(K, G, subgroup, parse_field(name))
+                assert fixed(subgroup, name) == (0, want, ""), (subgroup, name)
+
+
+def test_fixed_matches_the_regularizing_route_on_builtins_and_corpus():
+    inputs = list(_regularity_inputs().values())
+    corpus = perfbench_corpus()
+    for family in sorted(set(corpus.FAMILIES) - set(SLOW_FAMILIES)):
+        for seed in (0, 1):
+            data = corpus.build(family, seed)
+            K = from_maximal_simplices(data["vertex_count"], data["maximal_simplices"])
+            inputs.append((K, data.get("group_generators", [])))
+    for K, gens in inputs:
+        _check_fixed_against_oracle(K, gens)
+
+
+@settings(derandomize=True, deadline=None, max_examples=100)
+@given(invariant_actions())
+def test_fixed_matches_the_regularizing_route_on_random_actions(action):
+    _check_fixed_against_oracle(*action)
 
 
 def test_full_and_trivial_are_the_last_and_first_class_on_builtins():
@@ -611,6 +652,16 @@ def test_full_and_trivial_are_the_last_and_first_class_on_builtins():
 @given(invariant_actions())
 def test_full_and_trivial_are_the_last_and_first_class_on_random_actions(action):
     _check_full_and_trivial(*action)
+
+
+def test_condition_b_failure_counts_the_simplices_no_element_reaches():
+    # the half-turn of a square satisfies (A), but the edges (0 1) and (1 2)
+    # share an orbit image and lie in different G-orbits: 2 of the 8
+    # simplices are missed, and the count names them
+    K, G = cycle_complex(4), group_closure(4, [[2, 3, 0, 1]])
+    validate_action(K, G)
+    assert check_regularity(K, G) == (
+        "2 simplices are reachable vertexwise but by no single element")
 
 
 def test_weak_condition_fails_before_subdivision():
