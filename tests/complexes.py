@@ -5,12 +5,14 @@ outside input, so a fixture is a complex exactly when the program would
 accept it from a problem file.  `test_complex_core.py` checks that
 `torus_seven_vertex` and `boundary_sphere` equal the triangulations of the
 builtin examples.  `perfbench_corpus` loads the benchmark's seeded problem
-files, which reach the program as any problem file does.
+files, which reach the program as any problem file does, and
+`schema_faults` breaks a problem file in one place at a time.
 """
 
 from __future__ import annotations
 
 import importlib.util
+import json
 import sys
 from itertools import combinations
 from pathlib import Path
@@ -114,3 +116,81 @@ def perfbench_corpus():
     module = sys.modules[spec.name] = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
+
+
+def schema_faults(data: dict) -> dict[str, dict]:
+    """`PATH:FAULT` -> a copy of the problem file `data` with that one fault.
+
+    At every object of the file (the problem, its associated space, the
+    fiber and the base, each asserted fact): an unknown key, each key's value
+    replaced by one of another JSON type, each required key removed, and a
+    bad item or value wherever the schema restricts one.  The schema is
+    written out here by hand, apart from the program's own tables.
+    """
+    faults: dict[str, dict] = {}
+
+    def fault(path: tuple, label: str, edit) -> None:
+        copy = json.loads(json.dumps(data))
+        obj = copy
+        for step in path:
+            obj = obj[step]
+        edit(obj)
+        where = "".join(f"[{s}]" if isinstance(s, int) else f".{s}" for s in path)
+        faults[f"${where}:{label}"] = copy
+
+    def put(key, value):
+        return lambda obj: obj.__setitem__(key, value)
+
+    def drop(key):
+        return lambda obj: obj.pop(key)
+
+    def each_key(path: tuple, obj: dict, required: tuple[str, ...]) -> None:
+        fault(path, "unknown key", put("_comment", "x"))
+        for key, value in obj.items():
+            fault(path, f"{key} of another type", put(key, 7 if isinstance(value, str) else "7"))
+        for key in required:
+            if key in obj:
+                fault(path, f"{key} missing", drop(key))
+
+    def problem(path: tuple, obj: dict) -> None:
+        root = path == ()
+        each_key(path, obj, ("schema_version",) * root
+                 + ("vertex_count", "maximal_simplices", "associated_space"))
+        fault(path, "config of another type" if root else "config off the root",
+              put("config", [] if root else {}))
+        if "schema_version" in obj:
+            fault(path, "schema_version 2", put("schema_version", 2))
+            fault(path, "schema_version true", put("schema_version", True))
+        if "vertex_count" in obj:
+            fault(path, "vertex_count 0", put("vertex_count", 0))
+            fault(path, "vertex_count true", put("vertex_count", True))
+            fault(path, "maximal_simplices empty", put("maximal_simplices", []))
+            fault(path + ("maximal_simplices",), "empty simplex", put(0, []))
+            fault(path + ("maximal_simplices", 0), "vertex true", put(0, True))
+        if obj.get("group_generators"):
+            fault(path + ("group_generators", 0), "image of another type", put(0, "0"))
+            fault(path + ("group_generators", 0), "one image too many", lambda g: g.append(0))
+        if obj.get("annotations"):
+            fault(path + ("annotations",), "unknown annotation", put(0, "hyperbolic"))
+        for i, fact in enumerate(obj.get("asserted_facts", ())):
+            fault(path + ("asserted_facts",), f"fact {i} of another type", put(i, "x"))
+            asserted_fact(path + ("asserted_facts", i), fact)
+        if "associated_space" in obj:
+            fault(path, "annotations beside associated_space", put("annotations", ["metrizable"]))
+            fault(path, "asserted_facts beside associated_space", put("asserted_facts", []))
+            associated_space(path + ("associated_space",), obj["associated_space"])
+
+    def associated_space(path: tuple, obj: dict) -> None:
+        each_key(path, obj, ("fiber", "base", "justification"))
+        fault(path, "justification empty", put("justification", ""))
+        problem(path + ("fiber",), obj["fiber"])
+        problem(path + ("base",), obj["base"])
+
+    def asserted_fact(path: tuple, obj: dict) -> None:
+        each_key(path, obj, ("kind", "value", "justification"))
+        for key, value in (("kind", "cat_H"), ("space", "Y"), ("side", "both"), ("value", 0),
+                           ("value", True), ("value", 1.5), ("justification", "")):
+            fault(path, f"{key} {json.dumps(value)}", put(key, value))
+
+    problem((), data)
+    return faults

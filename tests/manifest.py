@@ -18,9 +18,18 @@ The matrix, on every builtin and every corpus family at seeds 0 and 1:
   cupfind   over F2, F3 and Q;
   fixed     over F2 and Q, with full, trivial and class indices 0, 1, ...
             up to the first index that does not exit 0 (the out-of-range
-            refusal included).
+            refusal included);
+and on every builtin `examples NAME`, the file it writes.
 
-The fast part (builtins and the fast families) is checked by
+Hostile inputs run one command each: `analyze` on S5-Z3 and S7-Z3 (the
+boundaries of the 6- and 8-simplex with a 3-cycle, over the simplex
+budget), on every single-fault copy (`complexes.schema_faults`) of three
+builtins that cover each object of the schema, and on a file of 200,000
+nested `[`; `betti` on a `{"a":` nested 3,000 deep.  An exception that
+escapes `main` hashes as exit code 1 with the line the interpreter would
+print last.
+
+The fast part (builtins, hostile inputs and the fast families) is checked by
 tests/test_manifest.py in Tier-1; the slow families by
 `python tests/manifest.py --part slow`.  Without --record the script
 compares and exits 1 on any difference, printing the lines that differ.
@@ -37,15 +46,16 @@ import io
 import json
 import sys
 import tempfile
+import traceback
 from itertools import count
 from pathlib import Path
 
 TESTS = Path(__file__).resolve().parent
 sys.path[:0] = [str(TESTS), str(TESTS.parent / "src")]
 
-from complexes import perfbench_corpus  # noqa: E402
+from complexes import perfbench_corpus, schema_faults  # noqa: E402
 from eqtc.cli import main  # noqa: E402
-from eqtc.problems import builtin_examples, dumps_problem  # noqa: E402
+from eqtc.problems import builtin_examples, dumps_problem, problem_to_dict  # noqa: E402
 
 MANIFEST = TESTS / "outputs.sha256"
 SEEDS = (0, 1)
@@ -53,6 +63,23 @@ SEEDS = (0, 1)
 SLOW_FAMILIES = ("S4-Z3", "T3-3-Z3", "T4-3", "T4-3-ring", "S3-S5", "S4-reflection", "S3-Z6")
 FIELDS = ("F2", "F3", "Q")
 FIXED_FIELDS = ("F2", "Q")
+# the builtins whose single-fault copies are hostile inputs: a complex with
+# generators and annotations, one with an asserted fact, an associated space
+FAULTED_BUILTINS = ("ngon-rotation-6", "sphere-reflection-n2", "klein-bound")
+
+
+def hostile_inputs() -> dict[str, tuple[str, list[str]]]:
+    """Input label -> (problem file text, the one command run on it)."""
+    corpus = perfbench_corpus()
+    out = {f"hostile:{name}": (json.dumps(corpus.sphere_problem(name, n, [[1, 2, 0, *range(3, n + 2)]])),
+                               ["analyze"]) for name, n in (("S5-Z3", 5), ("S7-Z3", 7))}
+    out["hostile:deep-array"] = ("[" * 200_000, ["analyze"])
+    out["hostile:deep-object"] = ('{"a":' * 3_000, ["betti"])
+    builtins = builtin_examples()
+    for name in FAULTED_BUILTINS:
+        for fault, data in schema_faults(problem_to_dict(builtins[name])).items():
+            out[f"fault:{name}{fault}"] = (json.dumps(data), ["analyze"])
+    return out
 
 
 def inputs(part: str) -> dict[str, str]:
@@ -62,6 +89,7 @@ def inputs(part: str) -> dict[str, str]:
     if part in ("fast", "all"):
         out.update((f"builtin:{name}", dumps_problem(p))
                    for name, p in sorted(builtin_examples().items()))
+        out.update((label, text) for label, (text, _) in hostile_inputs().items())
     families = sorted(corpus.FAMILIES)
     chosen = {"fast": [f for f in families if f not in SLOW_FAMILIES],
               "slow": [f for f in families if f in SLOW_FAMILIES],
@@ -76,15 +104,22 @@ def run_command(argv: list[str], directory: str) -> tuple[str, int]:
     """The hash of one in-process call, and its exit code."""
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = main(argv, out=out)
+        try:
+            code = main(argv, out=out)
+        except Exception as exc:  # uncaught, it would end the process with exit code 1
+            err.write(traceback.format_exception_only(type(exc), exc)[-1])
+            code = 1
     text = "\0".join((str(code), out.getvalue(), err.getvalue())).replace(directory, "<dir>")
     return hashlib.sha256(text.encode("utf-8")).hexdigest(), code
 
 
-def input_lines(label: str, text: str, directory: str) -> dict[str, str]:
+def input_lines(label: str, text: str, directory: str, hostile: dict) -> dict[str, str]:
     """`INPUT  VERB FLAGS...` -> hash, for every command of the matrix on one input."""
     path = str(Path(directory) / "problem.json")
     Path(path).write_text(text, encoding="utf-8")
+    if label in hostile:
+        verb, *flags = hostile[label][1]
+        return {f"{label}  {' '.join([verb, *flags])}": run_command([verb, path, *flags], directory)[0]}
     commands = [["analyze", "--format", "json"], ["analyze", "--format", "text"],
                 ["analyze", "--format", "json", "--subgroups", "all"]]
     commands += [[verb, "--field", field] for verb in ("betti", "cupfind") for field in FIELDS]
@@ -93,6 +128,8 @@ def input_lines(label: str, text: str, directory: str) -> dict[str, str]:
     lines = {}
     for verb, *flags in commands:
         lines[f"{label}  {' '.join([verb, *flags])}"] = run_command([verb, path, *flags], directory)[0]
+    if label.startswith("builtin:"):  # the file `examples NAME` writes
+        lines[f"{label}  examples"] = run_command(["examples", label.split(":", 1)[1]], directory)[0]
     for field in FIXED_FIELDS:
         for index in count():  # the index past the last class exits 2
             flags = ["--field", field, "--subgroup", str(index)]
@@ -106,9 +143,10 @@ def input_lines(label: str, text: str, directory: str) -> dict[str, str]:
 def compute(part: str) -> dict[str, str]:
     """Every line of the part: `INPUT  VERB FLAGS...` -> hash."""
     lines: dict[str, str] = {}
+    hostile = hostile_inputs()
     with tempfile.TemporaryDirectory() as directory:
         for label, text in inputs(part).items():
-            lines.update(input_lines(label, text, directory))
+            lines.update(input_lines(label, text, directory, hostile))
     return lines
 
 
