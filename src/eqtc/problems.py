@@ -5,6 +5,11 @@ maximal_simplices, group_generators as image arrays), or an associated-space
 declaration tying a fiber problem to a base problem.  Assertions and
 annotations are user-certified facts the engine may consume; everything is
 plain JSON, schema_version 1.
+
+The schema is declared once: PROBLEM, ASSOCIATED_SPACE and FACT map each
+key of their object to a Key (its check, message and default).
+`parse_problem` walks these tables, with the few checks that span keys
+beside them, and `problem_to_dict` writes each object in table order.
 """
 
 from __future__ import annotations
@@ -12,6 +17,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from math import inf
+from typing import Callable, NamedTuple
 
 SCHEMA_VERSION = 1
 
@@ -25,16 +31,6 @@ ANNOTATIONS = (
 ASSERTABLE_KINDS = ("cat", "TC", "cat_G", "TC_G")
 ASSERTABLE_SPACES = ("X", "XxX", "orbit")
 SIDES = ("lower", "upper", "equal")
-
-
-# the keys each object may carry; any other key is refused, so that a typo
-# cannot turn into certified intervals for a different problem
-PROBLEM_KEYS = frozenset({
-    "schema_version", "name", "description", "vertex_count", "maximal_simplices",
-    "group_generators", "annotations", "asserted_facts", "associated_space", "config",
-})
-ASSOCIATED_SPACE_KEYS = frozenset({"fiber", "base", "justification"})
-FACT_KEYS = frozenset({"kind", "space", "side", "value", "justification"})
 
 
 class ProblemFormatError(ValueError):
@@ -69,15 +65,23 @@ class Problem:
         return self.fiber is not None
 
 
-def _require(cond: bool, path: str, message: str) -> None:
-    if not cond:
-        raise ProblemFormatError(f"{path}: {message}")
+REQUIRED = object()  # the default of a key that has none
 
 
-def _require_known_keys(raw: dict, known: frozenset, path: str) -> None:
-    unknown = sorted(set(raw) - known)
-    if unknown:
-        raise ProblemFormatError(f"{path}.{unknown[0]}: unknown key")
+class Key(NamedTuple):
+    """One key of an object: the check its value must pass, the message when it
+    does not, its default, for a list the check and message of each item, and
+    how a value that passes is read, a function of (value, key path)."""
+
+    check: Callable[[object], bool]
+    message: str
+    default: object = REQUIRED
+    items: tuple = ()
+    read: Callable[[object, str], object] | None = None
+
+
+def _is(kind: type) -> Callable[[object], bool]:
+    return lambda v: isinstance(v, kind)
 
 
 def _is_int(v: object) -> bool:
@@ -85,184 +89,150 @@ def _is_int(v: object) -> bool:
     return isinstance(v, int) and not isinstance(v, bool)
 
 
-def _parse_value(raw: object, path: str) -> object:
-    if raw == "infinity":
-        return inf
-    _require(_is_int(raw) and raw >= 1, path, "value must be an integer >= 1 or \"infinity\"")
-    return raw
+def _is_ints(v: object) -> bool:
+    return isinstance(v, list) and all(map(_is_int, v))
 
 
-def _parse_fact(raw: dict, path: str) -> AssertedFact:
-    _require(isinstance(raw, dict), path, "asserted fact must be an object")
-    _require_known_keys(raw, FACT_KEYS, path)
-    kind = raw.get("kind")
-    _require(kind in ASSERTABLE_KINDS, f"{path}.kind", f"must be one of {ASSERTABLE_KINDS}")
-    space = raw.get("space", "X")
-    _require(space in ASSERTABLE_SPACES, f"{path}.space", f"must be one of {ASSERTABLE_SPACES}")
-    side = raw.get("side", "equal")
-    _require(side in SIDES, f"{path}.side", f"must be one of {SIDES}")
-    value = _parse_value(raw.get("value"), f"{path}.value")
-    justification = raw.get("justification", "")
-    _require(
-        isinstance(justification, str) and justification != "",
-        f"{path}.justification",
-        "asserted facts must carry a justification string",
-    )
-    return AssertedFact(kind, space, side, value, justification)
+def _is_text(v: object) -> bool:
+    return isinstance(v, str) and v != ""
+
+
+def _tuples(v: list, _: str) -> tuple:
+    return tuple(map(tuple, v))
+
+
+# Each object's keys, in the order they are read and written.  Any other key
+# is refused, so that a typo cannot turn into certified intervals for a
+# different problem.
+FACT = {
+    "kind": Key(lambda v: v in ASSERTABLE_KINDS, f"must be one of {ASSERTABLE_KINDS}"),
+    "space": Key(lambda v: v in ASSERTABLE_SPACES, f"must be one of {ASSERTABLE_SPACES}", "X"),
+    "side": Key(lambda v: v in SIDES, f"must be one of {SIDES}", "equal"),
+    "value": Key(lambda v: v == "infinity" or _is_int(v) and v >= 1,
+                 'value must be an integer >= 1 or "infinity"',
+                 read=lambda v, _: inf if v == "infinity" else v),
+    "justification": Key(_is_text, "asserted facts must carry a justification string"),
+}
+ASSOCIATED_SPACE = {
+    "fiber": Key(lambda v: v is not REQUIRED, "is required", read=lambda v, p: parse_problem(v, p)),
+    "base": Key(lambda v: v is not REQUIRED, "is required", read=lambda v, p: parse_problem(v, p)),
+    "justification": Key(_is_text, "the numerable-principal-bundle hypothesis must be certified in words"),
+}
+# the keys of a problem that is a complex with an action, not an associated space
+_COMPLEX = {
+    "vertex_count": Key(lambda v: _is_int(v) and v >= 1, "must be a positive integer"),
+    "maximal_simplices": Key(
+        lambda v: isinstance(v, list) and v != [], "must be a nonempty list",
+        items=(lambda s: _is_ints(s) and s != [], "must be a nonempty list of integers"),
+        read=_tuples),
+    "group_generators": Key(_is(list), "must be a list", [],
+                            (_is_ints, "must be a list of integers (the image array)"), _tuples),
+    "annotations": Key(_is(list), "must be a list", [],
+                       (lambda a: a in ANNOTATIONS, f"must be one of {ANNOTATIONS}"),
+                       lambda v, _: tuple(v)),
+    "asserted_facts": Key(
+        _is(list), "must be a list", [], (_is(dict), "asserted fact must be an object"),
+        lambda v, p: tuple(AssertedFact(**_object(f, FACT, f"{p}[{i}]")) for i, f in enumerate(v))),
+}
+PROBLEM = {
+    "schema_version": Key(lambda v: _is_int(v) and v == SCHEMA_VERSION, f"must be {SCHEMA_VERSION}",
+                          SCHEMA_VERSION),
+    "name": Key(_is(str), "must be a string", ""),
+    "description": Key(_is(str), "must be a string", ""),
+    "associated_space": Key(_is(dict), "must be an object",
+                            read=lambda v, p: _object(v, ASSOCIATED_SPACE, p)),
+    **_COMPLEX,
+    "config": Key(_is(dict), "must be an object", {}, read=lambda v, _: dict(v)),
+}
+PROBLEM_KEYS, ASSOCIATED_SPACE_KEYS, FACT_KEYS = map(frozenset, (PROBLEM, ASSOCIATED_SPACE, FACT))
+
+
+def _require(cond: bool, path: str, message: str) -> None:
+    if not cond:
+        raise ProblemFormatError(f"{path}: {message}")
+
+
+def _read(value: object, key: Key, path: str) -> object:
+    if not key.check(value):
+        raise ProblemFormatError(f"{path}: {key.message}")
+    if key.items:  # a list: the path of an item is built only for one at fault
+        check, message = key.items
+        for i, item in enumerate(value):
+            if not check(item):
+                raise ProblemFormatError(f"{path}[{i}]: {message}")
+    return key.read(value, path) if key.read else value
+
+
+def _object(raw: dict, table: dict, path: str, cross=None) -> dict:
+    """Each key of the table -> its value in raw, read, or its default; `cross`
+    checks what spans keys and returns the keys to leave unread."""
+    unknown = sorted(raw.keys() - table.keys())
+    if unknown:
+        raise ProblemFormatError(f"{path}.{unknown[0]}: unknown key")
+    skip = cross(raw, path) if cross else ()
+    return {key: _read(raw.get(key, spec.default), spec, f"{path}.{key}")
+            for key, spec in table.items() if key not in skip}
+
+
+def _problem_shape(data: dict, path: str) -> dict | tuple:
+    """The checks that span a problem's keys; the keys of the shape it does not take."""
+    assoc = "associated_space" in data
+    _require(assoc != ("vertex_count" in data or "maximal_simplices" in data), path,
+             "exactly one of (vertex_count + maximal_simplices) or associated_space is required")
+    _require(path != "$" or "schema_version" in data, f"{path}.schema_version",
+             PROBLEM["schema_version"].message)
+    _require(path == "$" or "config" not in data, f"{path}.config",
+             "settings belong on the root problem")
+    _require(not (assoc and data.keys() & {"asserted_facts", "annotations"}), path,
+             "assertions and annotations belong on the fiber/base problems")
+    return _COMPLEX if assoc else ("associated_space",)
 
 
 def parse_problem(data: dict, path: str = "$") -> Problem:
     _require(isinstance(data, dict), path, "problem must be a JSON object")
-    _require_known_keys(data, PROBLEM_KEYS, path)
-    version = data.get("schema_version", SCHEMA_VERSION if path != "$" else None)
-    _require(_is_int(version) and version == SCHEMA_VERSION, f"{path}.schema_version",
-             f"must be {SCHEMA_VERSION}")
-    name = data.get("name", "")
-    _require(isinstance(name, str), f"{path}.name", "must be a string")
+    values = _object(data, PROBLEM, path, _problem_shape)
+    vc = values.get("vertex_count")
+    for i, g in enumerate(values.get("group_generators", ())):
+        _require(len(g) == vc, f"{path}.group_generators[{i}]", f"image array must have length {vc}")
+    del values["schema_version"]
+    assoc = values.pop("associated_space", None)
+    if assoc:
+        values.update(fiber=assoc["fiber"], base=assoc["base"],
+                      bundle_justification=assoc["justification"])
+    return Problem(**values)
 
-    has_complex = "vertex_count" in data or "maximal_simplices" in data
-    has_assoc = "associated_space" in data
-    _require(
-        has_complex != has_assoc,
-        path,
-        "exactly one of (vertex_count + maximal_simplices) or associated_space is required",
-    )
 
-    _require(path == "$" or "config" not in data, f"{path}.config",
-             "settings belong on the root problem")
-    config = data.get("config", {})
-    _require(isinstance(config, dict), f"{path}.config", "must be an object")
-    description = data.get("description", "")
-    _require(isinstance(description, str), f"{path}.description", "must be a string")
+def _json(v: object) -> object:
+    if isinstance(v, Problem):
+        return problem_to_dict(v, top=False)
+    if isinstance(v, AssertedFact):
+        return _write(vars(v), FACT)
+    if isinstance(v, tuple):
+        return list(map(_json, v))
+    return "infinity" if v == inf else v
 
-    if has_assoc:
-        assoc = data["associated_space"]
-        _require(isinstance(assoc, dict), f"{path}.associated_space", "must be an object")
-        _require_known_keys(assoc, ASSOCIATED_SPACE_KEYS, f"{path}.associated_space")
-        for key in ("fiber", "base"):
-            _require(key in assoc, f"{path}.associated_space.{key}", "is required")
-        fiber = parse_problem(assoc["fiber"], f"{path}.associated_space.fiber")
-        base = parse_problem(assoc["base"], f"{path}.associated_space.base")
-        justification = assoc.get("justification", "")
-        _require(
-            isinstance(justification, str) and justification != "",
-            f"{path}.associated_space.justification",
-            "the numerable-principal-bundle hypothesis must be certified in words",
-        )
-        _require(
-            "asserted_facts" not in data and "annotations" not in data,
-            path,
-            "assertions and annotations belong on the fiber/base problems",
-        )
-        return Problem(
-            name=name,
-            fiber=fiber,
-            base=base,
-            bundle_justification=justification,
-            config=config,
-            description=description,
-        )
 
-    vc = data.get("vertex_count")
-    _require(_is_int(vc) and vc >= 1, f"{path}.vertex_count", "must be a positive integer")
-    maximal = data.get("maximal_simplices")
-    _require(
-        isinstance(maximal, list) and maximal,
-        f"{path}.maximal_simplices",
-        "must be a nonempty list",
-    )
-    simplices = []
-    for i, s in enumerate(maximal):
-        _require(
-            isinstance(s, list) and s and all(map(_is_int, s)),
-            f"{path}.maximal_simplices[{i}]",
-            "must be a nonempty list of integers",
-        )
-        simplices.append(tuple(s))
-
-    raw_generators = data.get("group_generators", [])
-    _require(isinstance(raw_generators, list), f"{path}.group_generators", "must be a list")
-    generators = []
-    for i, g in enumerate(raw_generators):
-        _require(
-            isinstance(g, list) and all(map(_is_int, g)),
-            f"{path}.group_generators[{i}]",
-            "must be a list of integers (the image array)",
-        )
-        _require(
-            len(g) == vc,
-            f"{path}.group_generators[{i}]",
-            f"image array must have length {vc}",
-        )
-        generators.append(tuple(g))
-
-    annotations = data.get("annotations", [])
-    _require(isinstance(annotations, list), f"{path}.annotations", "must be a list")
-    for i, a in enumerate(annotations):
-        _require(a in ANNOTATIONS, f"{path}.annotations[{i}]", f"must be one of {ANNOTATIONS}")
-
-    raw_facts = data.get("asserted_facts", [])
-    _require(isinstance(raw_facts, list), f"{path}.asserted_facts", "must be a list")
-    facts = tuple(
-        _parse_fact(raw, f"{path}.asserted_facts[{i}]") for i, raw in enumerate(raw_facts)
-    )
-
-    return Problem(
-        name=name,
-        vertex_count=vc,
-        maximal_simplices=tuple(simplices),
-        group_generators=tuple(generators),
-        annotations=tuple(annotations),
-        asserted_facts=facts,
-        config=config,
-        description=description,
-    )
+def _write(values: dict, table: dict) -> dict:
+    """The table's keys with their values as JSON, in table order, empty ones left out."""
+    return {key: v for key in table if (v := _json(values[key])) not in (None, "", [], {})}
 
 
 def problem_to_dict(p: Problem, top: bool = True) -> dict:
-    out: dict = {}
-    if top:
-        out["schema_version"] = SCHEMA_VERSION
-    out["name"] = p.name
-    if p.description:
-        out["description"] = p.description
-    if p.is_associated_space:
-        out["associated_space"] = {
-            "fiber": problem_to_dict(p.fiber, top=False),
-            "base": problem_to_dict(p.base, top=False),
-            "justification": p.bundle_justification,
-        }
-    else:
-        out["vertex_count"] = p.vertex_count
-        out["maximal_simplices"] = [list(s) for s in p.maximal_simplices]
-        if p.group_generators:
-            out["group_generators"] = [list(g) for g in p.group_generators]
-        if p.annotations:
-            out["annotations"] = list(p.annotations)
-        if p.asserted_facts:
-            out["asserted_facts"] = [
-                {
-                    "kind": f.kind,
-                    "space": f.space,
-                    "side": f.side,
-                    "value": "infinity" if f.value == inf else f.value,
-                    "justification": f.justification,
-                }
-                for f in p.asserted_facts
-            ]
-    if p.config:
-        out["config"] = dict(p.config)
-    return out
+    assoc = {"fiber": p.fiber, "base": p.base, "justification": p.bundle_justification}
+    return _write({**vars(p), "schema_version": SCHEMA_VERSION if top else None,
+                   "associated_space": p.fiber and _write(assoc, ASSOCIATED_SPACE),
+                   "config": dict(p.config)}, PROBLEM)
 
 
 def loads_problem(text: str) -> Problem:
     try:
-        data = json.loads(text)
+        return parse_problem(json.loads(text))
     except json.JSONDecodeError as err:
         raise ProblemFormatError(
             f"invalid JSON at line {err.lineno} column {err.colno}: {err.msg}"
         ) from err
-    return parse_problem(data)
+    except RecursionError:  # json and the parser recurse once per level of nesting
+        raise ProblemFormatError("the file nests deeper than the reader's recursion limit") from None
 
 
 def load_problem(path: str) -> Problem:

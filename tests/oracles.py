@@ -8,7 +8,8 @@ longest nonzero products (zero-divisors and basis classes), closure of every sma
 subgroup lattice, every group element induced simplex by simplex on a
 subdivision, a per-simplex transporter search for regularity, the
 checks a complex once ran on itself, the quotient by a full rescan, and
-the route `fixed` once took through the regularized action.  The
+the route `fixed` once took through the regularized action, and the
+problem-file parser as a chain of hand-written checks.  The
 package's matrices are lists of sparse columns and its cochains sparse
 vectors; to_rows, to_columns, to_dense and to_sparse convert at the test
 boundary.  The sparse boundary matrices, the cocycle test and the fact-base
@@ -18,6 +19,7 @@ helpers at the end are test helpers the program itself does not need.
 from __future__ import annotations
 
 from itertools import combinations
+from math import inf
 from itertools import product as iproduct
 from random import Random
 
@@ -25,6 +27,16 @@ from eqtc.bounds import RULES, FactBase, Row
 from eqtc.group_action import FiniteGroup, Subgroup, fixed_subcomplex, regularize, subgroups
 from eqtc.homology import betti_numbers, coboundary_matrix
 from eqtc.linalg import add_multiple, parse_field
+from eqtc.problems import (
+    ANNOTATIONS,
+    ASSERTABLE_KINDS,
+    ASSERTABLE_SPACES,
+    SCHEMA_VERSION,
+    SIDES,
+    AssertedFact,
+    Problem,
+    ProblemFormatError,
+)
 
 
 # field arithmetic the package itself never needs: ints mod p, Fractions over Q
@@ -411,6 +423,169 @@ def oracle_fixed_output(K, G, subgroup: str, field) -> str:
         H = subgroups(R.group, "up_to_conjugacy")[int(subgroup)]
     fixed = fixed_subcomplex(R, H)
     return "empty\n" if fixed.is_empty else " ".join(map(str, betti_numbers(fixed, field))) + "\n"
+
+
+# ---------------------------------------------------------------------------
+# the problem-file parser as it was written before the schema became tables:
+# a hand-written chain of checks, one per key, in the order they ran
+
+
+_ORACLE_PROBLEM_KEYS = frozenset({
+    "schema_version", "name", "description", "vertex_count", "maximal_simplices",
+    "group_generators", "annotations", "asserted_facts", "associated_space", "config",
+})
+_ORACLE_ASSOCIATED_SPACE_KEYS = frozenset({"fiber", "base", "justification"})
+_ORACLE_FACT_KEYS = frozenset({"kind", "space", "side", "value", "justification"})
+
+
+def _oracle_require(cond: bool, path: str, message: str) -> None:
+    if not cond:
+        raise ProblemFormatError(f"{path}: {message}")
+
+
+def _oracle_require_known_keys(raw: dict, known: frozenset, path: str) -> None:
+    unknown = sorted(set(raw) - known)
+    if unknown:
+        raise ProblemFormatError(f"{path}.{unknown[0]}: unknown key")
+
+
+def _oracle_is_int(v: object) -> bool:
+    """A JSON integer: bool is a subclass of int, but true is not 1 here."""
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
+def _oracle_parse_value(raw: object, path: str) -> object:
+    if raw == "infinity":
+        return inf
+    _oracle_require(_oracle_is_int(raw) and raw >= 1, path, "value must be an integer >= 1 or \"infinity\"")
+    return raw
+
+
+def _oracle_parse_fact(raw: dict, path: str) -> AssertedFact:
+    _oracle_require(isinstance(raw, dict), path, "asserted fact must be an object")
+    _oracle_require_known_keys(raw, _ORACLE_FACT_KEYS, path)
+    kind = raw.get("kind")
+    _oracle_require(kind in ASSERTABLE_KINDS, f"{path}.kind", f"must be one of {ASSERTABLE_KINDS}")
+    space = raw.get("space", "X")
+    _oracle_require(space in ASSERTABLE_SPACES, f"{path}.space", f"must be one of {ASSERTABLE_SPACES}")
+    side = raw.get("side", "equal")
+    _oracle_require(side in SIDES, f"{path}.side", f"must be one of {SIDES}")
+    value = _oracle_parse_value(raw.get("value"), f"{path}.value")
+    justification = raw.get("justification", "")
+    _oracle_require(
+        isinstance(justification, str) and justification != "",
+        f"{path}.justification",
+        "asserted facts must carry a justification string",
+    )
+    return AssertedFact(kind, space, side, value, justification)
+
+
+def oracle_parse_problem(data: dict, path: str = "$") -> Problem:
+    _oracle_require(isinstance(data, dict), path, "problem must be a JSON object")
+    _oracle_require_known_keys(data, _ORACLE_PROBLEM_KEYS, path)
+    version = data.get("schema_version", SCHEMA_VERSION if path != "$" else None)
+    _oracle_require(_oracle_is_int(version) and version == SCHEMA_VERSION, f"{path}.schema_version",
+             f"must be {SCHEMA_VERSION}")
+    name = data.get("name", "")
+    _oracle_require(isinstance(name, str), f"{path}.name", "must be a string")
+
+    has_complex = "vertex_count" in data or "maximal_simplices" in data
+    has_assoc = "associated_space" in data
+    _oracle_require(
+        has_complex != has_assoc,
+        path,
+        "exactly one of (vertex_count + maximal_simplices) or associated_space is required",
+    )
+
+    _oracle_require(path == "$" or "config" not in data, f"{path}.config",
+             "settings belong on the root problem")
+    config = data.get("config", {})
+    _oracle_require(isinstance(config, dict), f"{path}.config", "must be an object")
+    description = data.get("description", "")
+    _oracle_require(isinstance(description, str), f"{path}.description", "must be a string")
+
+    if has_assoc:
+        assoc = data["associated_space"]
+        _oracle_require(isinstance(assoc, dict), f"{path}.associated_space", "must be an object")
+        _oracle_require_known_keys(assoc, _ORACLE_ASSOCIATED_SPACE_KEYS, f"{path}.associated_space")
+        for key in ("fiber", "base"):
+            _oracle_require(key in assoc, f"{path}.associated_space.{key}", "is required")
+        fiber = oracle_parse_problem(assoc["fiber"], f"{path}.associated_space.fiber")
+        base = oracle_parse_problem(assoc["base"], f"{path}.associated_space.base")
+        justification = assoc.get("justification", "")
+        _oracle_require(
+            isinstance(justification, str) and justification != "",
+            f"{path}.associated_space.justification",
+            "the numerable-principal-bundle hypothesis must be certified in words",
+        )
+        _oracle_require(
+            "asserted_facts" not in data and "annotations" not in data,
+            path,
+            "assertions and annotations belong on the fiber/base problems",
+        )
+        return Problem(
+            name=name,
+            fiber=fiber,
+            base=base,
+            bundle_justification=justification,
+            config=config,
+            description=description,
+        )
+
+    vc = data.get("vertex_count")
+    _oracle_require(_oracle_is_int(vc) and vc >= 1, f"{path}.vertex_count", "must be a positive integer")
+    maximal = data.get("maximal_simplices")
+    _oracle_require(
+        isinstance(maximal, list) and maximal,
+        f"{path}.maximal_simplices",
+        "must be a nonempty list",
+    )
+    simplices = []
+    for i, s in enumerate(maximal):
+        _oracle_require(
+            isinstance(s, list) and s and all(map(_oracle_is_int, s)),
+            f"{path}.maximal_simplices[{i}]",
+            "must be a nonempty list of integers",
+        )
+        simplices.append(tuple(s))
+
+    raw_generators = data.get("group_generators", [])
+    _oracle_require(isinstance(raw_generators, list), f"{path}.group_generators", "must be a list")
+    generators = []
+    for i, g in enumerate(raw_generators):
+        _oracle_require(
+            isinstance(g, list) and all(map(_oracle_is_int, g)),
+            f"{path}.group_generators[{i}]",
+            "must be a list of integers (the image array)",
+        )
+        _oracle_require(
+            len(g) == vc,
+            f"{path}.group_generators[{i}]",
+            f"image array must have length {vc}",
+        )
+        generators.append(tuple(g))
+
+    annotations = data.get("annotations", [])
+    _oracle_require(isinstance(annotations, list), f"{path}.annotations", "must be a list")
+    for i, a in enumerate(annotations):
+        _oracle_require(a in ANNOTATIONS, f"{path}.annotations[{i}]", f"must be one of {ANNOTATIONS}")
+
+    raw_facts = data.get("asserted_facts", [])
+    _oracle_require(isinstance(raw_facts, list), f"{path}.asserted_facts", "must be a list")
+    facts = tuple(
+        _oracle_parse_fact(raw, f"{path}.asserted_facts[{i}]") for i, raw in enumerate(raw_facts)
+    )
+
+    return Problem(
+        name=name,
+        vertex_count=vc,
+        maximal_simplices=tuple(simplices),
+        group_generators=tuple(generators),
+        annotations=tuple(annotations),
+        asserted_facts=facts,
+        config=config,
+        description=description,
+    )
 
 
 # ---------------------------------------------------------------------------
