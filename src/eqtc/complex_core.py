@@ -56,10 +56,11 @@ class SimplicialComplex:
     def is_empty(self) -> bool:
         return not self.simplices
 
-    @property
+    @cached_property
     def dim(self) -> int:
-        """Maximal simplex dimension; -1 for the empty complex."""
-        return len(self.by_dim) - 1
+        """Maximal simplex dimension; -1 for the empty complex.  Read off the
+        simplex sizes, so a complex whose listing is never needed is not sorted."""
+        return max(map(len, self.simplices), default=0) - 1
 
     @cached_property
     def by_dim(self) -> list[list[Simplex]]:
@@ -123,7 +124,8 @@ class SimplicialComplex:
                 a = parent[a]
             return a
 
-        for edge in self.simplices_of_dim(1):
+        # the edges in any order, unsorted: each root is its component's least vertex
+        for edge in (s for s in self.simplices if len(s) == 2):
             ra, rb = find(edge[0]), find(edge[1])
             if ra != rb:
                 parent[max(ra, rb)] = min(ra, rb)
