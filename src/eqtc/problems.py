@@ -287,8 +287,8 @@ def _ngon_rotation(m: int) -> Problem:
 
 
 def _torus7() -> Problem:
-    tris = [tuple(sorted((i % 7, (i + 1) % 7, (i + 3) % 7))) for i in range(7)]
-    tris += [tuple(sorted((i % 7, (i + 2) % 7, (i + 3) % 7))) for i in range(7)]
+    tris = [tuple(sorted((i, (i + 1) % 7, (i + 3) % 7))) for i in range(7)]
+    tris += [tuple(sorted((i, (i + 2) % 7, (i + 3) % 7))) for i in range(7)]
     return Problem(
         name="torus7",
         description="Minimal 7-vertex triangulation of the torus, trivial group.",

@@ -5,8 +5,8 @@
 Each mutant makes one edit to the AST of src/eqtc/MODULE.py: it flips a
 comparison, swaps `and` and `or`, drops a `not`, swaps `+`, `-` or `*`,
 adds 1 to an integer constant, or negates an `if` test.  The mutants are
-written into a copy of src/, tests/ and perfbench/ in a temporary
-directory, never into the checkout.  Each runs against the module's own
+written into a copy of src/, tests/, perfbench/ and README.md (which a
+test reads) in a temporary directory, never into the checkout.  Each runs against the module's own
 test file, tests/test_MODULE.py (all of Tier-1 when there is none); a
 mutant that survives is run against all of Tier-1.  A mutant is killed
 when a test fails, when a run takes three times as long as the unmutated
@@ -113,6 +113,7 @@ def main(argv: list[str] | None = None) -> int:
         for part in ("src", "tests", "perfbench"):
             shutil.copytree(ROOT / part, copy / part,
                             ignore=shutil.ignore_patterns("__pycache__", ".hypothesis"))
+        shutil.copy(ROOT / "README.md", copy / "README.md")
         target = copy / relative
         target.write_text(ast.unparse(ast.parse(source)), encoding="utf-8")
         start = time.monotonic()

@@ -19,7 +19,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import manifest
 from complexes import perfbench_corpus, schema_faults
 from eqtc.cli import EXIT_INVALID, main
 from eqtc.problems import (
@@ -164,11 +163,6 @@ def test_deeply_nested_associated_spaces_are_refused_in_a_fresh_process(tmp_path
     assert proc.returncode == EXIT_INVALID and "Traceback" not in proc.stderr, proc.stderr
 
 
-def test_key_sets_are_the_tables_keys():
-    assert (PROBLEM_KEYS, ASSOCIATED_SPACE_KEYS, FACT_KEYS) == tuple(
-        frozenset(table) for table in (PROBLEM, ASSOCIATED_SPACE, FACT))
-
-
 def test_readme_names_each_tables_keys():
     # the sentence lists each object's keys in table order, the ones with no
     # default in bold
@@ -179,19 +173,3 @@ def test_readme_names_each_tables_keys():
     assert listed == [(list(table), [k for k, key in table.items() if key.default is REQUIRED])
                       for table in (PROBLEM, ASSOCIATED_SPACE, FACT)]
 
-
-def test_problem_to_dict_writes_table_order_and_leaves_out_empty_values():
-    klein = problem_to_dict(builtin_examples()["klein-bound"])
-    assert list(klein) == ["schema_version", "name", "description", "associated_space"]
-    assert list(klein["associated_space"]) == list(ASSOCIATED_SPACE)
-    fiber = klein["associated_space"]["fiber"]
-    assert list(fiber) == ["name", "description", "vertex_count", "maximal_simplices",
-                           "group_generators", "asserted_facts"]
-    assert list(fiber["asserted_facts"][0]) == list(FACT)
-
-
-def test_examples_write_the_files_the_manifest_records():
-    recorded = manifest.read_manifest()
-    for name in BUILTINS:
-        digest, code = manifest.run_command(["examples", name], str(ROOT))
-        assert (code, digest) == (0, recorded[f"builtin:{name}  examples"]), name
