@@ -116,7 +116,8 @@ FACT = {
 ASSOCIATED_SPACE = {
     "fiber": Key(lambda v: v is not REQUIRED, "is required", read=lambda v, p: parse_problem(v, p)),
     "base": Key(lambda v: v is not REQUIRED, "is required", read=lambda v, p: parse_problem(v, p)),
-    "justification": Key(_is_text, "the numerable-principal-bundle hypothesis must be certified in words"),
+    "justification": Key(
+        _is_text, "the numerable-principal-bundle hypothesis must be certified in words"),
 }
 # the keys of a problem that is a complex with an action, not an associated space
 _COMPLEX = {
@@ -193,7 +194,8 @@ def parse_problem(data: dict, path: str = "$") -> Problem:
     values = _object(data, PROBLEM, path, _problem_shape)
     vc = values.get("vertex_count")
     for i, g in enumerate(values.get("group_generators", ())):
-        _require(len(g) == vc, f"{path}.group_generators[{i}]", f"image array must have length {vc}")
+        _require(len(g) == vc, f"{path}.group_generators[{i}]",
+                 f"image array must have length {vc}")
     del values["schema_version"]
     assoc = values.pop("associated_space", None)
     if assoc:
@@ -232,7 +234,8 @@ def loads_problem(text: str) -> Problem:
             f"invalid JSON at line {err.lineno} column {err.colno}: {err.msg}"
         ) from err
     except RecursionError:  # json and the parser recurse once per level of nesting
-        raise ProblemFormatError("the file nests deeper than the reader's recursion limit") from None
+        raise ProblemFormatError(
+            "the file nests deeper than the reader's recursion limit") from None
 
 
 def load_problem(path: str) -> Problem:

@@ -71,8 +71,10 @@ FAULTED_BUILTINS = ("ngon-rotation-6", "sphere-reflection-n2", "klein-bound")
 def hostile_inputs() -> dict[str, tuple[str, list[str]]]:
     """Input label -> (problem file text, the one command run on it)."""
     corpus = perfbench_corpus()
-    out = {f"hostile:{name}": (json.dumps(corpus.sphere_problem(name, n, [[1, 2, 0, *range(3, n + 2)]])),
-                               ["analyze"]) for name, n in (("S5-Z3", 5), ("S7-Z3", 7))}
+    out = {}
+    for name, n in (("S5-Z3", 5), ("S7-Z3", 7)):  # the 3-cycle (0 1 2) on the n-sphere
+        cycle = [1, 2, 0, *range(3, n + 2)]
+        out[f"hostile:{name}"] = (json.dumps(corpus.sphere_problem(name, n, [cycle])), ["analyze"])
     out["hostile:deep-array"] = ("[" * 200_000, ["analyze"])
     out["hostile:deep-object"] = ('{"a":' * 3_000, ["betti"])
     builtins = builtin_examples()

@@ -6,13 +6,13 @@ Each mutant makes one edit to the AST of src/eqtc/MODULE.py: it flips a
 comparison, swaps `and` and `or`, drops a `not`, swaps `+`, `-` or `*`,
 adds 1 to an integer constant, or negates an `if` test.  The mutants are
 written into a copy of src/, tests/, perfbench/ and README.md (which a
-test reads) in a temporary directory, never into the checkout.  Each runs against the module's own
-test file, tests/test_MODULE.py (all of Tier-1 when there is none); a
-mutant that survives is run against all of Tier-1.  A mutant is killed
-when a test fails, when a run takes three times as long as the unmutated
-Tier-1, or when it runs out of memory.  The script prints each
-survivor's file:line and then the score, killed/total.  It exits 1 only
-when the unmutated copy fails Tier-1.
+test reads) in a temporary directory, never into the checkout.  Each runs
+against the module's own test file, tests/test_MODULE.py (all of Tier-1
+when there is none); a mutant that survives is run against all of Tier-1.
+A mutant is killed when a test fails, when a run takes three times as
+long as the unmutated Tier-1, or when it runs out of memory.  The script
+prints each survivor's file:line and then the score, killed/total.  It
+exits 1 only when the unmutated copy fails Tier-1.
 
 The method is from DeMillo, Lipton and Sayward, "Hints on test data
 selection", IEEE Computer 11(4), 1978.
