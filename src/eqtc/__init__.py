@@ -18,6 +18,7 @@ from eqtc.bounds import (
     seed_facts,
 )
 from eqtc.complex_core import (
+    DeltaComplex,
     SimplicialComplex,
     barycentric_subdivision,
     from_maximal_simplices,
@@ -58,6 +59,7 @@ __all__ = [
     "saturate",
     "seed_facts",
     "SimplicialComplex",
+    "DeltaComplex",
     "barycentric_subdivision",
     "from_maximal_simplices",
     "full_subcomplex",

@@ -28,7 +28,12 @@ from collections.abc import Callable
 from dataclasses import dataclass, field, fields, replace
 from math import ceil, inf, isinf
 
-from eqtc.complex_core import SimplicialComplex, from_maximal_simplices, subdivision_f_vector
+from eqtc.complex_core import (
+    CellComplex,
+    SimplicialComplex,
+    from_maximal_simplices,
+    subdivision_f_vector,
+)
 from eqtc.group_action import (
     FiniteGroup,
     RegularAction,
@@ -177,7 +182,7 @@ RULE_STATEMENTS: dict[str, str] = {
 class SpaceInfo:
     key: str
     display: str
-    complex: SimplicialComplex | None  # None for formal spaces
+    complex: CellComplex | None  # None for formal spaces; X/G is a DeltaComplex
     empty: bool = False
     dim: int | None = None
     connected: bool | None = None
@@ -299,7 +304,7 @@ def validated_action(problem: Problem, config: EngineConfig) -> tuple[Simplicial
     return K, G
 
 
-def _betti_and_certificates(K: SimplicialComplex, name: str, config: EngineConfig) -> tuple:
+def _betti_and_certificates(K: CellComplex, name: str, config: EngineConfig) -> tuple:
     """K's Betti numbers over one field and, for a connected K, its R1 and R2 certificates.
 
     The ring is dropped once they are read off it.
@@ -324,9 +329,10 @@ def zero_divisor_certificate(ring, depth_cap: int | None) -> ProductCertificate:
 def _analyze_space(info: SpaceInfo, config: EngineConfig, known: dict) -> None:
     """Dimension, connectivity and, under the size limit, one ring per field.
 
-    known maps a complex's simplices to its Betti numbers and certificates by
-    field name, so complexes that coincide (such as the fixed sets of several
-    classes) share one ring computation and one product search per field.
+    known maps a complex's simplices (a Δ-complex's cells) to its Betti
+    numbers and certificates by field name, so complexes that coincide (such
+    as the fixed sets of several classes) share one ring computation and one
+    product search per field.
     """
     K = info.complex
     if K is None or info.empty:
@@ -363,8 +369,8 @@ def _build_action_context(name: str, problem: Problem, config: EngineConfig) -> 
     )
 
     if ctx.equivariant:
-        # subgroups are enumerated on the transported group, so their fixed
-        # sets are subcomplexes of the regularized complex
+        # subgroups are enumerated on the group acting on K or sd K, so their
+        # fixed sets are subcomplexes of the regularized complex
         mode = "up_to_conjugacy" if config.subgroup_mode == "conjugacy" else "all"
         class_list = subgroups(R.group, mode, cap=config.subgroup_cap)
         # K stands for the trivial class's fixed set, R.complex, in the
@@ -401,7 +407,11 @@ def _build_action_context(name: str, problem: Problem, config: EngineConfig) -> 
         for cls in ctx.classes:
             for conj in cls.subgroup.conjugates:
                 class_of.setdefault(conj, cls.key)
-        stabilizers = {isotropy(R.group, v).members for v in range(R.complex.vertex_count)}
+        # the isotropy group of a point inside a simplex, (A) holding, is the
+        # intersection of its vertices' stabilizers: one simplex per set of them
+        vertex_stabilizers = R.group.stabilizers.__getitem__
+        kinds = {frozenset(map(vertex_stabilizers, s)): s for s in R.complex.simplices}
+        stabilizers = {isotropy(R.group, *s).members for s in kinds.values()}
         ctx.isotropy_classes = tuple(sorted({class_of[s] for s in stabilizers}))
 
         if "free_action" in problem.annotations and ctx.fixed_vertex:

@@ -18,8 +18,10 @@ from __future__ import annotations
 from array import array
 from collections import defaultdict
 from dataclasses import dataclass
+from collections.abc import Collection, Iterable, Sized
 from functools import cached_property
 from itertools import combinations
+from typing import Protocol
 
 Simplex = tuple[int, ...]
 
@@ -40,13 +42,90 @@ class CapExceeded(RuntimeError):
 SIMPLEX_BUDGET = 2_000_000
 
 
+class CellComplex(Protocol):
+    """What `homology`, `ring` and `bounds` read from a complex, simplicial or Δ.
+
+    A cell of dimension n has n+1 ordered vertices and n+1 faces, the i-th
+    dropping vertex i; cells are numbered per dimension, and a cochain is
+    indexed by those numbers.
+    """
+
+    vertex_count: int
+
+    @property
+    def is_empty(self) -> bool: ...
+    @property
+    def dim(self) -> int: ...
+    @property
+    def simplices(self) -> Collection:  # its length, and a key equal only for equal complexes
+        ...
+    @property
+    def face_positions(self) -> list[list[array]]: ...
+    @property
+    def component_labels(self) -> list[int]: ...
+    def simplices_of_dim(self, d: int) -> Sized: ...  # only its length is read
+    def cup_faces(self, p: int, q: int) -> tuple[array, array]: ...
+    def f_vector(self) -> tuple[int, ...]: ...
+    def connected_components(self) -> int: ...
+    def is_connected(self) -> bool: ...
+
+
+class _Cells:
+    """What both kinds of complex share: components from the edges, and
+    the memo of `cup_faces`."""
+
+    vertex_count: int
+
+    def _edges(self) -> Iterable[tuple[int, int]]:
+        raise NotImplementedError
+
+    @cached_property
+    def _cup_faces(self) -> dict[tuple[int, int], tuple[array, array]]:
+        return {}
+
+    @cached_property
+    def component_labels(self) -> list[int]:
+        """Vertex -> component id (0-based, ordered by smallest member vertex)."""
+        parent = list(range(self.vertex_count))
+
+        def find(a: int) -> int:
+            while parent[a] != a:
+                parent[a] = parent[parent[a]]
+                a = parent[a]
+            return a
+
+        # the edges in any order: each root is its component's least vertex
+        for a, b in self._edges():
+            ra, rb = find(a), find(b)
+            if ra != rb:
+                parent[max(ra, rb)] = min(ra, rb)
+        labels, next_id = {}, 0
+        out = []
+        for v in range(self.vertex_count):
+            r = find(v)
+            if r not in labels:
+                labels[r] = next_id
+                next_id += 1
+            out.append(labels[r])
+        return out
+
+    def connected_components(self) -> int:
+        if self.is_empty:
+            return 0
+        return max(self.component_labels) + 1
+
+    def is_connected(self) -> bool:
+        return self.connected_components() == 1
+
+
 @dataclass(frozen=True)
-class SimplicialComplex:
+class SimplicialComplex(_Cells):
     """Downward-closed set of sorted vertex tuples covering a contiguous vertex range.
 
-    A plain value: the constructions of this module and `orbit_complex`
-    build only closed, covering families, and `from_maximal_simplices`
-    checks the outside input that all of them start from.
+    A plain value: the constructions of this module build only closed,
+    covering families, and `from_maximal_simplices` checks the outside
+    input that all of them start from.  Its cells are its simplices in
+    sorted order, with their vertices in increasing order.
     """
 
     vertex_count: int
@@ -96,10 +175,6 @@ class SimplicialComplex:
                         for i in range(n + 1)])
         return out
 
-    @cached_property
-    def _cup_faces(self) -> dict[tuple[int, int], tuple[array, array]]:
-        return {}
-
     def cup_faces(self, p: int, q: int) -> tuple[array, array]:
         """Positions of the front p-face (v_0..v_p) and the back q-face
         (v_p..v_{p+q}) of each sorted (p+q)-simplex, the faces a cup product
@@ -113,39 +188,75 @@ class SimplicialComplex:
     def f_vector(self) -> tuple[int, ...]:
         return tuple(len(level) for level in self.by_dim)
 
-    @cached_property
-    def component_labels(self) -> list[int]:
-        """Vertex -> component id (0-based, ordered by smallest member vertex)."""
-        parent = list(range(self.vertex_count))
+    def _edges(self) -> Iterable[tuple[int, int]]:
+        return (s for s in self.simplices if len(s) == 2)  # unsorted
 
-        def find(a: int) -> int:
-            while parent[a] != a:
-                parent[a] = parent[parent[a]]
-                a = parent[a]
-            return a
 
-        # the edges in any order, unsorted: each root is its component's least vertex
-        for edge in (s for s in self.simplices if len(s) == 2):
-            ra, rb = find(edge[0]), find(edge[1])
-            if ra != rb:
-                parent[max(ra, rb)] = min(ra, rb)
-        labels, next_id = {}, 0
-        out = []
-        for v in range(self.vertex_count):
-            r = find(v)
-            if r not in labels:
-                labels[r] = next_id
-                next_id += 1
-            out.append(labels[r])
-        return out
+@dataclass(frozen=True, eq=False)
+class DeltaComplex(_Cells):
+    """A Δ-complex (semi-simplicial set) held as its face-position arrays.
 
-    def connected_components(self) -> int:
+    `faces[n - 1][i][j]` is the position among the (n-1)-cells of the face
+    of n-cell j that drops its vertex i; the vertices are the cells
+    0..vertex_count-1 of dimension 0.  Its cochains, coboundaries and cup
+    products are the simplicial formulas on these arrays (Hatcher,
+    Algebraic Topology, §2.1 and §3.2), so `homology` and `ring` read it
+    as they read a SimplicialComplex.  Nothing is checked: `orbit_complex`
+    and `of` build only consistent arrays.
+    """
+
+    vertex_count: int
+    faces: tuple[tuple[array, ...], ...]
+
+    @staticmethod
+    def of(K: SimplicialComplex) -> "DeltaComplex":
+        """K as a Δ-complex: its sorted simplices, vertices in increasing order."""
+        return DeltaComplex(K.vertex_count, tuple(map(tuple, K.face_positions[1:])))
+
+    @property
+    def is_empty(self) -> bool:
+        return self.vertex_count == 0
+
+    @property
+    def dim(self) -> int:
+        return len(self.faces) if self.vertex_count else -1
+
+    def f_vector(self) -> tuple[int, ...]:
         if self.is_empty:
-            return 0
-        return max(self.component_labels) + 1
+            return ()
+        return (self.vertex_count,) + tuple(len(f[0]) for f in self.faces)
 
-    def is_connected(self) -> bool:
-        return self.connected_components() == 1
+    def simplices_of_dim(self, d: int) -> range:
+        return range(self.f_vector()[d] if 0 <= d <= self.dim else 0)
+
+    @property
+    def face_positions(self) -> list[list[array]]:
+        return [[], *map(list, self.faces)]
+
+    @cached_property
+    def simplices(self) -> tuple[tuple[int, ...], ...]:
+        """Each cell as the positions of its faces, a vertex as (): a tuple
+        never equals a SimplicialComplex's frozenset, and an equal tuple
+        means equal arrays."""
+        return ((),) * self.vertex_count + tuple(t for f in self.faces for t in zip(*f))
+
+    def cup_faces(self, p: int, q: int) -> tuple[array, array]:
+        """Positions of the front p-face and the back q-face of each
+        (p+q)-cell: the front drops its last vertex q times, the back its
+        first vertex p times; empty when p+q exceeds dim."""
+        if (p, q) not in self._cup_faces:
+            n = p + q
+            front = back = array("l", self.simplices_of_dim(n))
+            if n <= self.dim:
+                for m in range(n, p, -1):
+                    front = array("l", map(self.faces[m - 1][m].__getitem__, front))
+                for m in range(n, q, -1):
+                    back = array("l", map(self.faces[m - 1][0].__getitem__, back))
+            self._cup_faces[p, q] = (front, back)
+        return self._cup_faces[p, q]
+
+    def _edges(self) -> Iterable[tuple[int, int]]:
+        return zip(*self.faces[0]) if self.faces else ()
 
 
 def from_maximal_simplices(vertex_count: int, maximal: list[list[int]]) -> SimplicialComplex:

@@ -1,39 +1,33 @@
 """Finite simplicial group actions: subgroups, regularization, fixed sets, quotients.
 
-Regularity here means the two classical conditions that make the quotient
-construction honest:
+Regularity here is condition (A): no simplex contains two distinct vertices
+of the same orbit.  It is read off the edges, since two vertices of a
+simplex span an edge of it.  Under (A):
 
-  (A) no simplex contains two distinct vertices of the same orbit, and
-  (B) whenever (v_0..v_n) is a simplex and per-vertex images (g_0 v_0 ..
-      g_n v_n) span a simplex, a single group element realizes all the
-      images at once.
-
-(A) implies the weaker "setwise-fixed implies pointwise-fixed" property, so
-fixed sets are full subcomplexes: if g.s = s, then g(v) lies in s and in the
-orbit of v, and v is the only vertex of s in that orbit.  Under (A) the
-simplices with one orbit image are the per-vertex images of any one of them,
-so (B) holds exactly when each such set is one G-orbit, which
-`check_regularity` compares.  Together (A) and (B) make the vertex-orbit
-quotient triangulate the orbit space.
+- an element that maps a simplex to itself fixes it pointwise: if g.s = s,
+  then g(v) lies in s and in the orbit of v, and v is the only vertex of s
+  in that orbit.  So a fixed set X^H is the full subcomplex on the H-fixed
+  vertices, and the isotropy group of a point inside a simplex is the
+  intersection of its vertices' stabilizers;
+- ordering each simplex's vertices by vertex orbit is a total order that G
+  keeps, so the orbit space is the Δ-complex whose n-cells are the G-orbits
+  of n-simplices, the i-th face of the orbit of s being the orbit of the
+  i-th face of s in that order (Bredon, Introduction to Compact
+  Transformation Groups, 1972, ch. III §1; Hatcher, Algebraic Topology,
+  §2.1).  Cohomology and cup products of a Δ-complex are the simplicial
+  formulas, so no second condition is needed to make X/G simplicial.
 
 The user's action, a complex K and a group G on its vertices, is checked
 once, by `validate_action`.  Subdivision keeps an action simplicial (g maps
 a chain of faces to a chain of faces) and keeps dimension (a k-simplex of
-sd K is a chain of k+1 faces).  By Bredon's lemma (Introduction to Compact
-Transformation Groups, 1972, ch. III §1) sd K satisfies (A), as G keeps
-the dimension of the faces that are its vertices, and sd K satisfies (B)
-when K satisfies (A).  So `regularize` checks rounds 0 and 1 only: the
-second subdivision is regular.  It stops with CapExceeded before a
-subdivision too large to build.  The result, `RegularAction`, holds what
-the bounds read off it: the complex (fixed sets X^H), the group (isotropy
-groups), and its orbit images, the simplices of X/G, which `orbit_complex`
-reads instead of rescanning.
-
-A fixed set needs (A) only, since (A) alone makes it a full subcomplex;
-(B) is for the quotient.  So `fixed_set`, what the `fixed` command
-reads, builds X^H on K when K satisfies (A) and otherwise on sd K, which
-satisfies (A) by the lemma, with no (B) scan, no transported group and at
-most one subdivision.
+sd K is a chain of k+1 faces), and by Bredon's lemma sd K satisfies (A),
+as G keeps the dimension of the faces that are its vertices.  So
+`regularize` checks (A) on K and otherwise subdivides once, after checking
+the subdivision's predicted size against the budget.  The result,
+`RegularAction`, holds what the bounds read off it: the complex (fixed sets
+X^H and X/G) and the group (subgroups and isotropy).  `fixed_set`, what the
+`fixed` command reads, builds X^H on K or on sd K the same way, with no
+transported group.
 
 Groups are closed from generators by one BFS, `_close`.  The group layer
 does no per-element work over every vertex, and no per-subgroup work over
@@ -47,12 +41,15 @@ the whole lattice, beyond one pass for the stabilizers:
   conjugations, by SUBGROUP_WORK_BUDGET.
 - `transport_action` induces only the generators and closes their images.
 - `FiniteGroup.stabilizers` are computed once, in one pass over the
-  elements: `isotropy` reads them, and `fixed_subcomplex` keeps the
+  elements: `isotropy` intersects them, and `fixed_subcomplex` keeps the
   vertices whose stabilizer contains the subgroup.
+- `orbit_complex` applies every element to one simplex per orbit.
 """
 
 from __future__ import annotations
 
+from array import array
+from collections import defaultdict
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import compress
@@ -61,6 +58,7 @@ from operator import eq
 from eqtc import complex_core
 from eqtc.complex_core import (
     CapExceeded,
+    DeltaComplex,
     SimplicialComplex,
     Simplex,
     barycentric_subdivision,
@@ -354,53 +352,23 @@ def vertex_orbits(G: FiniteGroup) -> list[int]:
     return orbit
 
 
-def check_regularity(K: SimplicialComplex, G: FiniteGroup) -> frozenset[Simplex] | str:
-    """(A) simplex by simplex, then (B) by comparing orbits, on any action.
-
-    Under (A), (B) holds exactly when the simplices sharing an orbit image
-    form one G-orbit (module docstring).  Each g.s has the orbit image of
-    s, so when every G-orbit of a first simplex per image lies in K, the
-    orbits lie in their images' sets, and they fill them exactly when their
-    sizes add up to |K|.  Every simplex t is then some g0.s, and h.t =
-    (h g0).s, so a pass also proves the action simplicial, without
-    `validate_action`.  A pass returns the orbit images, the simplices of
-    X/G; a failure returns its message.
-    """
-    if G.is_trivial:  # every simplex is its own orbit and its own image
-        return K.simplices
+def check_regularity(K: SimplicialComplex, G: FiniteGroup) -> bool:
+    """Whether the action satisfies (A), read off the edges: two vertices of
+    a simplex in one orbit span an edge of it."""
+    if G.is_trivial:  # every orbit is one vertex
+        return True
     orbit = vertex_orbits(G)
-    first: dict[Simplex, Simplex] = {}  # orbit image -> its first simplex
-    for level in K.by_dim:  # the sorted listing that subdivision and connectivity share
-        for s in level:
-            image = tuple(sorted({orbit[v] for v in s}))
-            if len(image) != len(s):
-                return f"simplex {s} has two vertices in one orbit"
-            first.setdefault(image, s)
-    covered = 0
-    for s in first.values():
-        g_orbit = {apply_perm(g, s) for g in G.elements}
-        if not g_orbit <= K.simplices:
-            return f"image {min(g_orbit - K.simplices)} of {s} is not a simplex"
-        covered += len(g_orbit)
-    if covered != len(K.simplices):
-        missed = len(K.simplices) - covered
-        return f"{missed} simplices are reachable vertexwise but by no single element"
-    return frozenset(first)
+    return all(orbit[s[0]] != orbit[s[1]] for s in K.simplices if len(s) == 2)
 
 
 @dataclass(frozen=True)
 class RegularAction:
-    """A simplicial action satisfying the regularity conditions.
-
-    `group` acts on `complex`, the input after `subdivision_rounds`
-    barycentric subdivisions, and `images` are the orbit images of its
-    simplices: the simplices of X/G.
-    """
+    """A simplicial action satisfying (A): `group` acts on `complex`, the
+    input after `subdivision_rounds` (0 or 1) barycentric subdivisions."""
 
     complex: SimplicialComplex
     group: FiniteGroup
     subdivision_rounds: int
-    images: frozenset[Simplex]
 
 
 def transport_action(G: FiniteGroup, provenance: dict[int, Simplex]) -> FiniteGroup:
@@ -417,34 +385,25 @@ def transport_action(G: FiniteGroup, provenance: dict[int, Simplex]) -> FiniteGr
     return FiniteGroup(n, tuple(sorted(_close(gens, identity_perm(n), compose))), gens)
 
 
-def _subdivide(K: SimplicialComplex, round_: int) -> tuple[SimplicialComplex, dict[int, Simplex]]:
+def _subdivide(K: SimplicialComplex) -> tuple[SimplicialComplex, dict[int, Simplex]]:
     """sd K with its provenance, after checking its predicted size against the budget."""
     size = sum(subdivision_f_vector(K.f_vector()))
     if size > complex_core.SIMPLEX_BUDGET:
         raise CapExceeded(
-            f"regularization round {round_} would build {size} simplices, "
+            f"regularization round 1 would build {size} simplices, "
             f"over the budget of {complex_core.SIMPLEX_BUDGET}"
         )
     return barycentric_subdivision(K)
 
 
 def regularize(K: SimplicialComplex, G: FiniteGroup) -> RegularAction:
-    """Subdivide until the validated action is regular, at most twice.
-
-    Rounds 0 and 1 run `check_regularity`; the second subdivision is
-    regular by Bredon's lemma (ch. III §1; module docstring), so its orbit
-    images are read in one pass.  Raises CapExceeded before a subdivision
-    whose predicted size is over complex_core.SIMPLEX_BUDGET.
-    """
-    for rounds in (0, 1):
-        result = check_regularity(K, G)
-        if not isinstance(result, str):
-            return RegularAction(K, G, rounds, result)
-        K, provenance = _subdivide(K, rounds + 1)
-        G = transport_action(G, provenance)
-    orbit = vertex_orbits(G)  # (A) holds, so an image is as long as its simplex
-    images = frozenset(tuple(sorted(map(orbit.__getitem__, s))) for s in K.simplices)
-    return RegularAction(K, G, 2, images)
+    """The validated action on K if it satisfies (A), else on sd K, which
+    does by Bredon's lemma (module docstring).  Raises CapExceeded before a
+    subdivision whose predicted size is over complex_core.SIMPLEX_BUDGET."""
+    if check_regularity(K, G):
+        return RegularAction(K, G, 0)
+    sd, provenance = _subdivide(K)
+    return RegularAction(sd, transport_action(G, provenance), 1)
 
 
 def fixed_subcomplex(R: RegularAction, H: Subgroup) -> SimplicialComplex:
@@ -474,32 +433,67 @@ def fixed_set(K: SimplicialComplex, H: Subgroup) -> SimplicialComplex:
     if H.is_trivial:
         return K
     G = H.group
-    orbit = vertex_orbits(G)
-    # (A) is read off the edges: two vertices of a simplex in one orbit span one
-    if all(orbit[s[0]] != orbit[s[1]] for s in K.simplices if len(s) == 2):
+    if check_regularity(K, G):
         return full_subcomplex(K, {v for v, stab in enumerate(G.stabilizers) if H.members <= stab})
-    sd, provenance = _subdivide(K, 1)
+    sd, provenance = _subdivide(K)
     perms = [G.elements[h] for h in H.members]
     return full_subcomplex(
         sd, {v for v, s in provenance.items() if all(apply_perm(p, s) == s for p in perms)})
 
 
-def orbit_complex(R: RegularAction) -> SimplicialComplex:
-    """Simplicial quotient: vertices are vertex orbits, simplices orbit images.
+def orbit_complex(R: RegularAction) -> DeltaComplex:
+    """X/G as the Δ-complex of simplex orbits (module docstring).
 
-    The images are the ones `regularize` read, so the complex is not
-    scanned again.  They form a complex: a face of an image is the image of
-    a face, (A) keeps images the size of their simplex, and every orbit is
-    the image of its vertices, so the orbit labels count the vertices.
+    Each simplex is written with its vertices in orbit order, which every
+    element keeps, so a face drops one position and an image needs no
+    sort.  The simplices of one dimension are grouped by their vertex
+    orbits, a union of G-orbits.  A group is one orbit when its size is
+    that of the orbit of its first simplex, |G| over its `isotropy`; only
+    the others are split by applying every element.  The cells are ordered by
+    their vertex orbits (numbered as in `vertex_orbits`), then by their
+    least member, so the order does not depend on set iteration.  Where no
+    two orbits share their vertex orbits, as under condition (B), this is
+    the simplicial complex on the vertex orbits, with its sorted simplices.
     """
-    return SimplicialComplex(max(vertex_orbits(R.group)) + 1, R.images)
+    G, orbits = R.group, vertex_orbits(R.group)
+    orbit = orbits.__getitem__
+    levels: dict[int, list[Simplex]] = defaultdict(list)
+    for s in R.complex.simplices:
+        levels[len(s)].append(tuple(sorted(s, key=orbit)))
+    found: dict[Simplex, int] = {}  # simplex -> its cell's position in its dimension
+    faces: list[tuple[array, ...]] = []
+    for n in range(len(levels)):
+        by_image: dict[Simplex, list[Simplex]] = defaultdict(list)
+        for s in levels[n + 1]:
+            by_image[tuple(map(orbit, s))].append(s)
+        cells: list[tuple[Simplex, Simplex, object]] = []  # (vertex orbits, least member, members)
+        for image, group in by_image.items():
+            if len(group) * isotropy(G, *group[0]).order == G.order:  # one orbit
+                cells.append((image, min(group), group))
+                continue
+            rest = set(group)
+            while rest:
+                first = rest.pop()
+                members = {tuple(map(g.__getitem__, first)) for g in G.elements}
+                rest -= members
+                cells.append((image, min(members), members))
+        cells.sort(key=lambda cell: cell[:2])
+        below, found = found, {}
+        for position, (_, _, members) in enumerate(cells):
+            found.update(dict.fromkeys(members, position))
+        if n:  # face i drops vertex i
+            faces.append(tuple(array("l", [below[s[:i] + s[i + 1 :]] for _, s, _ in cells])
+                               for i in range(n + 1)))
+    return DeltaComplex(max(orbits, default=-1) + 1, tuple(faces))
 
 
-def isotropy(G: FiniteGroup, v: int) -> Subgroup:
-    """Stabilizer subgroup of a vertex."""
-    if v < 0 or v >= G.degree:
-        raise ActionError(f"vertex {v} out of range")
-    return Subgroup(G, G.stabilizers[v])
+def isotropy(G: FiniteGroup, *simplex: int) -> Subgroup:
+    """The isotropy group of a point inside the simplex on these vertices
+    (one or more): under (A), the intersection of their stabilizers."""
+    for v in simplex:
+        if v < 0 or v >= G.degree:
+            raise ActionError(f"vertex {v} out of range")
+    return Subgroup(G, frozenset.intersection(*(G.stabilizers[v] for v in simplex)))
 
 
 def has_fixed_vertex(R: RegularAction) -> bool:

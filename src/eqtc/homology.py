@@ -1,6 +1,8 @@
 """Coboundary matrices, Betti numbers, and cohomology bases.
 
-Signs come from the global vertex order of each complex, so the coboundary
+A complex is read through `complex_core.CellComplex`, so a simplicial
+complex and the Δ-complex of an orbit space are reduced alike.  Signs come
+from the vertex order of each cell, so the coboundary
 operators (and later the cup product) are consistent across the whole
 package.  Matrices are lists of sparse columns and cochains are sparse
 vectors, as in eqtc.linalg: a d-cochain maps the position of a sorted
@@ -15,7 +17,7 @@ delta_{d-1} and leaves its pivot rows out of delta_d.
 
 from __future__ import annotations
 
-from eqtc.complex_core import SimplicialComplex
+from eqtc.complex_core import CellComplex
 from eqtc.linalg import (
     Field,
     FieldError,
@@ -35,7 +37,7 @@ __all__ = [
 ]
 
 
-def coboundary_matrix(K: SimplicialComplex, field: Field, d: int) -> list[dict]:
+def coboundary_matrix(K: CellComplex, field: Field, d: int) -> list[dict]:
     """Coboundary from d-cochains to (d+1)-cochains, the transposed boundary.
 
     (delta a)(tau) = sum_i (-1)^i a(tau with its i-th vertex dropped), so
@@ -53,7 +55,7 @@ def coboundary_matrix(K: SimplicialComplex, field: Field, d: int) -> list[dict]:
     return cols
 
 
-def betti_numbers(K: SimplicialComplex, field: Field) -> tuple[int, ...]:
+def betti_numbers(K: CellComplex, field: Field) -> tuple[int, ...]:
     """Betti numbers b_0..b_dim over the given field, reduced with clearing.
 
     In ascending degree, the pivot rows of delta_{d-1} are the lowest rows
@@ -94,7 +96,7 @@ class CochainBasis:
     Representatives, cocycles and coordinates are sparse dicts.
     """
 
-    def __init__(self, K: SimplicialComplex, field: Field):
+    def __init__(self, K: CellComplex, field: Field):
         if K.is_empty:
             raise FieldError("cohomology of the empty complex is undefined")
         self.complex = K
@@ -137,5 +139,5 @@ class CochainBasis:
         return {i - skip: c for i, c in sorted(solver.solve(cocycle).items()) if i >= skip}
 
 
-def cohomology_basis(K: SimplicialComplex, field: Field) -> CochainBasis:
+def cohomology_basis(K: CellComplex, field: Field) -> CochainBasis:
     return CochainBasis(K, field)

@@ -15,7 +15,9 @@ beside them, and `problem_to_dict` writes each object in table order.
 from __future__ import annotations
 
 import json
+import re
 from dataclasses import dataclass, field
+from itertools import accumulate, repeat
 from math import inf
 from typing import Callable, NamedTuple
 
@@ -186,6 +188,8 @@ def _problem_shape(data: dict, path: str) -> dict | tuple:
              "settings belong on the root problem")
     _require(not (assoc and data.keys() & {"asserted_facts", "annotations"}), path,
              "assertions and annotations belong on the fiber/base problems")
+    _require(not (assoc and "group_generators" in data), f"{path}.group_generators",
+             "the group acts on the fiber/base problems")
     return _COMPLEX if assoc else ("associated_space",)
 
 
@@ -226,16 +230,27 @@ def problem_to_dict(p: Problem, top: bool = True) -> dict:
                    "config": dict(p.config)}, PROBLEM)
 
 
+# Levels of JSON nesting a problem file may use; a builtin uses 5.  json and
+# parse_problem recurse once or a few times per level, so a limit the reader
+# counts itself, far below the interpreter's, refuses a deep file with the
+# same message on every interpreter and stack size.
+MAX_NESTING = 100
+_STRING = re.compile(r'"(?:[^"\\]|\\.)*"')
+_NUMBERS_AND_WORDS = str.maketrans("", "", "0123456789+-.eE,: \t\n\rtruefalsn")
+_STEP = {"[": 1, "{": 1, "]": -1, "}": -1}
+
+
 def loads_problem(text: str) -> Problem:
+    # outside strings, what is left of valid JSON is its brackets
+    brackets = _STRING.sub("", text).translate(_NUMBERS_AND_WORDS)
+    if max(accumulate(map(_STEP.get, brackets, repeat(0))), default=0) > MAX_NESTING:
+        raise ProblemFormatError("the file nests deeper than the reader's recursion limit")
     try:
         return parse_problem(json.loads(text))
     except json.JSONDecodeError as err:
         raise ProblemFormatError(
             f"invalid JSON at line {err.lineno} column {err.colno}: {err.msg}"
         ) from err
-    except RecursionError:  # json and the parser recurse once per level of nesting
-        raise ProblemFormatError(
-            "the file nests deeper than the reader's recursion limit") from None
 
 
 def load_problem(path: str) -> Problem:

@@ -24,13 +24,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from eqtc.complex_core import SimplicialComplex
+from eqtc.complex_core import CellComplex
 from eqtc.homology import CochainBasis, cohomology_basis
 from eqtc.linalg import Field, add_multiple, column_space_basis, nullspace
 
 
 def cup_product_cochain(
-    K: SimplicialComplex, field: Field, a: dict, b: dict, p: int, q: int
+    K: CellComplex, field: Field, a: dict, b: dict, p: int, q: int
 ) -> dict:
     """Cochain-level cup product of a (degree p) and b (degree q).
 
@@ -57,7 +57,7 @@ Element = dict[int, object]  # global basis index -> field scalar
 class CohomologyRing:
     """Graded basis with structure constants a_i . a_j = sum_k c[i,j][k] a_k."""
 
-    complex: SimplicialComplex
+    complex: CellComplex
     field: Field
     basis: CochainBasis
     degrees: list[int]
@@ -85,7 +85,7 @@ class CohomologyRing:
         return out
 
 
-def ring_structure(K: SimplicialComplex, field: Field) -> CohomologyRing:
+def ring_structure(K: CellComplex, field: Field) -> CohomologyRing:
     """Cohomology ring of K: basis representatives with projected cup products.
 
     Asserts graded commutativity of the structure constants and that the

@@ -178,6 +178,8 @@ def schema_faults(data: dict) -> dict[str, dict]:
         if "associated_space" in obj:
             fault(path, "annotations beside associated_space", put("annotations", ["metrizable"]))
             fault(path, "asserted_facts beside associated_space", put("asserted_facts", []))
+            fault(path, "group_generators beside associated_space",
+                  put("group_generators", "garbage"))
             associated_space(path + ("associated_space",), obj["associated_space"])
 
     def associated_space(path: tuple, obj: dict) -> None:

@@ -7,9 +7,10 @@ tensor multiplication by its formula, flat all-tuples enumeration for
 longest nonzero products (zero-divisors and basis classes), closure of every small generating set for the
 subgroup lattice, every group element induced simplex by simplex on a
 subdivision, a per-simplex transporter search for regularity, the
-checks a complex once ran on itself, the quotient by a full rescan, and
-the route `fixed` once took through the regularized action, and the
-problem-file parser as a chain of hand-written checks.  The
+checks a complex once ran on itself, the quotient by a full rescan, the
+two-round regularization the engine once ran (conditions (A) and (B), K″
+and the simplicial quotient K″/G) with the route `fixed` once took through
+it, and the problem-file parser as a chain of hand-written checks.  The
 package's matrices are lists of sparse columns and its cochains sparse
 vectors; to_rows, to_columns, to_dense and to_sparse convert at the test
 boundary.  The sparse boundary matrices, the cocycle test and the fact-base
@@ -24,7 +25,15 @@ from itertools import product as iproduct
 from random import Random
 
 from eqtc.bounds import RULES, FactBase, Row
-from eqtc.group_action import FiniteGroup, Subgroup, fixed_subcomplex, regularize, subgroups
+from eqtc.complex_core import SimplicialComplex, barycentric_subdivision, full_subcomplex
+from eqtc.group_action import (
+    FiniteGroup,
+    Subgroup,
+    apply_perm,
+    subgroups,
+    transport_action,
+    vertex_orbits,
+)
 from eqtc.homology import betti_numbers, coboundary_matrix
 from eqtc.linalg import add_multiple, parse_field
 from eqtc.problems import (
@@ -385,6 +394,67 @@ def oracle_is_complex(K) -> bool:
     return n >= 0 and {v for s in simplices for v in s} == set(range(n))
 
 
+def oracle_check_regularity(K, G) -> frozenset | str:
+    """(A) simplex by simplex, then (B) by comparing orbits: the orbit images,
+    the simplices of X/G, or a failure message.
+
+    Under (A), (B) holds exactly when the simplices sharing an orbit image
+    form one G-orbit.  Each g.s has the orbit image of s, so when every
+    G-orbit of a first simplex per image lies in K, the orbits fill their
+    images' sets exactly when their sizes add up to |K|.
+    """
+    if G.is_trivial:
+        return K.simplices
+    orbit = vertex_orbits(G)
+    first: dict = {}  # orbit image -> its first simplex
+    for level in K.by_dim:
+        for s in level:
+            image = tuple(sorted({orbit[v] for v in s}))
+            if len(image) != len(s):
+                return f"simplex {s} has two vertices in one orbit"
+            first.setdefault(image, s)
+    covered = 0
+    for s in first.values():
+        g_orbit = {apply_perm(g, s) for g in G.elements}
+        if not g_orbit <= K.simplices:
+            return f"image {min(g_orbit - K.simplices)} of {s} is not a simplex"
+        covered += len(g_orbit)
+    if covered != len(K.simplices):
+        missed = len(K.simplices) - covered
+        return f"{missed} simplices are reachable vertexwise but by no single element"
+    return frozenset(first)
+
+
+def oracle_regularize(K, G):
+    """The two-round route: (complex, group, rounds, orbit images).
+
+    Rounds 0 and 1 run the (A) and (B) scan; the second subdivision is
+    regular by Bredon's lemma, so its images are read in one pass.
+    """
+    for rounds in (0, 1):
+        result = oracle_check_regularity(K, G)
+        if not isinstance(result, str):
+            return K, G, rounds, result
+        K, provenance = barycentric_subdivision(K)
+        G = transport_action(G, provenance)
+    orbit = vertex_orbits(G)
+    return K, G, 2, frozenset(tuple(sorted(orbit[v] for v in s)) for s in K.simplices)
+
+
+def oracle_quotient(K, G) -> SimplicialComplex:
+    """X/G as the two-round route built it: the simplicial complex of orbit images."""
+    _, group, _, images = oracle_regularize(K, G)
+    return SimplicialComplex(max(vertex_orbits(group)) + 1, images)
+
+
+def oracle_isotropy(K, G) -> set[frozenset]:
+    """The vertex stabilizers of the two-round route's complex, each as the
+    set of its elements acting on K's vertices."""
+    _, group, _, _ = oracle_regularize(K, G)
+    n = K.vertex_count
+    return {frozenset(group.elements[i][:n] for i in stab) for stab in group.stabilizers}
+
+
 def oracle_orbit_complex(R) -> tuple[int, frozenset]:
     """X/G by rescanning the regularized complex: (orbit count, orbit images).
 
@@ -407,21 +477,22 @@ def oracle_orbit_complex(R) -> tuple[int, frozenset]:
 
 
 def oracle_fixed_output(K, G, subgroup: str, field) -> str:
-    """What `fixed --subgroup SUBGROUP` prints, by the regularizing route.
+    """What `fixed --subgroup SUBGROUP` prints, by the two-round route.
 
     The validated action is regularized (up to two subdivisions), H is taken
     in the transported group as `full`, `trivial` or a class index, and its
     fixed set is the full subcomplex of the regular complex on the H-fixed
     vertices.
     """
-    R = regularize(K, G)
+    L, group, _, _ = oracle_regularize(K, G)
     if subgroup == "full":
-        H = Subgroup(R.group, frozenset(range(R.group.order)))
+        H = Subgroup(group, frozenset(range(group.order)))
     elif subgroup == "trivial":
-        H = Subgroup(R.group, frozenset({0}))
+        H = Subgroup(group, frozenset({0}))
     else:
-        H = subgroups(R.group, "up_to_conjugacy")[int(subgroup)]
-    fixed = fixed_subcomplex(R, H)
+        H = subgroups(group, "up_to_conjugacy")[int(subgroup)]
+    vertices = {v for v, stab in enumerate(group.stabilizers) if H.members <= stab}
+    fixed = full_subcomplex(L, vertices) if vertices else SimplicialComplex(0, frozenset())
     return "empty\n" if fixed.is_empty else " ".join(map(str, betti_numbers(fixed, field))) + "\n"
 
 
@@ -523,6 +594,8 @@ def oracle_parse_problem(data: dict, path: str = "$") -> Problem:
             path,
             "assertions and annotations belong on the fiber/base problems",
         )
+        _oracle_require("group_generators" not in data, f"{path}.group_generators",
+                        "the group acts on the fiber/base problems")
         return Problem(
             name=name,
             fiber=fiber,

@@ -7,6 +7,7 @@ import eqtc
 PUBLIC = [
     "CochainBasis",
     "CohomologyRing",
+    "DeltaComplex",
     "EngineConfig",
     "FactBase",
     "FiniteGroup",

@@ -250,7 +250,7 @@ def test_fixed_full_and_trivial_need_no_subgroup_enumeration(tmp_path, capsys):
 
 def test_fixed_trivial_subgroup_reads_betti_numbers_off_k(tmp_path, monkeypatch):
     # the trivial group fixes all of the subdivided complex, which has K's
-    # Betti numbers; S3-Z3 is regular only after two subdivision rounds
+    # Betti numbers; S3-Z3 satisfies (A) only after a subdivision
     data = perfbench_corpus().build("S3-Z3", 0)
     path = tmp_path / "s3-z3.json"
     path.write_text(json.dumps(data), encoding="utf-8")
@@ -271,9 +271,9 @@ def test_fixed_trivial_subgroup_reads_betti_numbers_off_k(tmp_path, monkeypatch)
 
 def test_fixed_builds_at_most_one_subdivision_and_no_regular_action(tmp_path, monkeypatch):
     # a fixed set needs condition (A) only: fixed reads it off K when K
-    # satisfies (A), and off sd K otherwise, with no (B) scan and no group
-    # transported to the subdivision
-    for name in ("check_regularity", "transport_action", "regularize"):
+    # satisfies (A) (check_regularity), and off sd K otherwise, with no
+    # group transported to the subdivision
+    for name in ("transport_action", "regularize"):
         monkeypatch.setattr(group_action, name, lambda *a, name=name: pytest.fail(f"called {name}"))
     monkeypatch.setattr("eqtc.cli.regularize", lambda *a: pytest.fail("called regularize"))
     subdivided = []
@@ -598,14 +598,19 @@ def write_sphere_with_3_cycle(tmp_path, n: int) -> str:
 
 def test_oversized_regularization_exits_cap_at_once(tmp_path, capsys):
     # the boundary of the 6-simplex with a 3-cycle is inside every configured
-    # cap, but its second subdivision would have 33,156,984 simplices; in-process
-    # under a timer, so a regression fails here instead of filling the memory.
-    # A fixed set needs one subdivision only (condition (A)), so fixed answers.
+    # cap; a second subdivision would have 33,156,984 simplices, but one
+    # satisfies (A), so analyze finishes, in-process under a timer, and the
+    # ring cap skips its X/G of 16,124 cells.  The boundary of the 8-simplex,
+    # whose first subdivision is over the budget, still exits 4 (below).
     path = write_sphere_with_3_cycle(tmp_path, 5)
-    with deadline(1.0):
-        code, out = run(["analyze", path])
-    assert (code, out) == (EXIT_CAP, "")
-    assert "round 2 would build 33156984 simplices" in capsys.readouterr().err
+    with deadline(2.0):
+        code, out = run(["analyze", path, "--format", "json"])
+    assert code == EXIT_OK
+    context = json.loads(out)["contexts"][0]
+    orbit = next(s for s in context["spaces"] if s["key"] == "orbit")
+    assert (context["subdivision_rounds"], orbit["simplex_count"]) == (1, 16124)
+    assert orbit["skip_reason"].startswith("cohomology skipped: 16124 simplices")
+    assert capsys.readouterr().err == ""
     with deadline(1.0):
         assert run(["fixed", path]) == (EXIT_OK, "1 0 0 1\n")
 

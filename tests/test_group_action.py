@@ -46,6 +46,7 @@ from eqtc.problems import builtin_examples
 from complexes import boundary_sphere, cycle_complex, perfbench_corpus, solid_simplex
 from manifest import SLOW_FAMILIES
 from oracles import (
+    oracle_check_regularity,
     oracle_fixed_output,
     oracle_is_complex,
     oracle_orbit_complex,
@@ -65,7 +66,7 @@ def regular(K, gens, cap=10_000):
 
 
 def passes(result) -> bool:
-    """Whether a check_regularity result is a pass (the orbit images), not a failure message."""
+    """Whether an oracle_check_regularity result is a pass (the orbit images), not a failure message."""
     return not isinstance(result, str)
 
 
@@ -247,9 +248,9 @@ def test_cayley_table_agrees_on_transported_groups():
     t2 = perfbench_corpus().build("T2-4-Z4xZ4", 0)
     cases = {
         "S2-S4": (boundary_sphere(2), SMALL_GROUPS["S4"][1], 1, 3),
-        "S2-A4": (boundary_sphere(2), SMALL_GROUPS["A4"][1], 2, 2),
+        "S2-A4": (boundary_sphere(2), SMALL_GROUPS["A4"][1], 1, 2),
         "T2-4-Z4xZ4": (from_maximal_simplices(t2["vertex_count"], t2["maximal_simplices"]),
-                       t2["group_generators"], 2, 1),
+                       t2["group_generators"], 1, 1),
     }
     for name, (K, gens, rounds, base_length) in cases.items():
         R = regular(K, gens)
@@ -332,12 +333,12 @@ def test_subgroup_conjugates_is_the_conjugacy_class():
 def test_regularize_trivial_group_is_immediate():
     R = regular(solid_simplex(3), [])
     assert R.subdivision_rounds == 0
-    assert check_regularity(R.complex, R.group) == R.images
+    assert check_regularity(R.complex, R.group)
 
 
 def test_regularize_trivial_group_keeps_the_simplices_uncopied():
     K = boundary_sphere(3)
-    assert regularize(K, group_closure(K.vertex_count, [])).images is K.simplices
+    assert regularize(K, group_closure(K.vertex_count, [])).complex is K
 
 
 def test_regularize_hexagon_antipodal_is_immediate():
@@ -348,20 +349,17 @@ def test_regularize_hexagon_antipodal_is_immediate():
 def test_regularize_sphere_reflection():
     K = boundary_sphere(2)
     R = regular(K, [[1, 0, 2, 3]])
-    assert 1 <= R.subdivision_rounds <= 2
-    assert check_regularity(R.complex, R.group) == R.images
+    assert not check_regularity(K, R.group) and R.subdivision_rounds == 1
+    assert check_regularity(R.complex, R.group)
     assert R.complex.dim == K.dim == 2
 
 
 def test_regularize_stops_before_a_subdivision_over_the_budget(monkeypatch):
-    # a 3-cycle on the tetrahedron boundary needs two rounds, of 74 and 434 simplices
+    # a 3-cycle on the tetrahedron boundary needs one round, of 74 simplices
     # (the complexes are built first: the budget also bounds their closures)
     K, hexagon = boundary_sphere(2), cycle_complex(6)
-    monkeypatch.setattr(complex_core, "SIMPLEX_BUDGET", 434)
-    assert len(regular(K, [[1, 2, 0, 3]]).complex.simplices) == 434
-    monkeypatch.setattr(complex_core, "SIMPLEX_BUDGET", 433)
-    with pytest.raises(CapExceeded, match="round 2 would build 434 simplices"):
-        regular(K, [[1, 2, 0, 3]])
+    monkeypatch.setattr(complex_core, "SIMPLEX_BUDGET", 74)
+    assert len(regular(K, [[1, 2, 0, 3]]).complex.simplices) == 74
     monkeypatch.setattr(complex_core, "SIMPLEX_BUDGET", 73)
     with pytest.raises(CapExceeded, match="round 1 would build 74 simplices"):
         regular(K, [[1, 2, 0, 3]])
@@ -409,11 +407,14 @@ def _regularity_inputs():
 
 
 def test_check_regularity_agrees_with_transporter_search_oracle():
+    # check_regularity is (A); the (A) and (B) scan of the two-round route,
+    # which the differential tests of the quotient read, is checked here too
     results = {}
     for name, (K, gens) in _regularity_inputs().items():
         for rnd, (L, G) in enumerate(_rounds(K, gens)):
             a, b, weak = oracle_regularity(L, G)
-            result = check_regularity(L, G)
+            assert check_regularity(L, G) == a, (name, rnd)
+            result = oracle_check_regularity(L, G)
             # (A) fails exactly with this message; (B) is checked only once (A) holds
             orbit_condition = passes(result) or not result.endswith("has two vertices in one orbit")
             transporter_condition = passes(result) or not orbit_condition
@@ -440,10 +441,13 @@ def _is_simplicial(K, G) -> bool:
 
 def test_check_regularity_rejects_a_non_simplicial_action():
     # the swap maps the edge (0, 3) to (1, 2), which is not a simplex, while
-    # the two edges share one orbit image, so counting alone reads "regular"
+    # the two edges share one orbit image, so counting alone reads "regular".
+    # (A) holds, so only validate_action, which every action meets first,
+    # refuses it in the program; the two-round scan of the oracle does too
     K = from_maximal_simplices(4, [[0, 3], [1, 3], [2]])
     G = group_closure(4, [[1, 0, 3, 2]])
-    assert check_regularity(K, G) == "image (1, 2) of (0, 3) is not a simplex"
+    assert check_regularity(K, G)
+    assert oracle_check_regularity(K, G) == "image (1, 2) of (0, 3) is not a simplex"
     with pytest.raises(ActionError):
         validate_action(K, G)
 
@@ -452,7 +456,7 @@ def test_check_regularity_reports_a_non_simplex_image_without_raising():
     # the G-orbit of (0, 2) holds (1, 3), which is not a simplex, and no other
     # simplex shares its orbit image: a search for an unreached simplex finds none
     K = from_maximal_simplices(4, [[0, 2], [1], [3]])
-    result = check_regularity(K, group_closure(4, [[1, 0, 3, 2]]))
+    result = oracle_check_regularity(K, group_closure(4, [[1, 0, 3, 2]]))
     assert result == "image (1, 3) of (0, 2) is not a simplex"
 
 
@@ -470,18 +474,21 @@ def unvalidated_actions(draw):
 @settings(derandomize=True, deadline=None, max_examples=300)
 @given(unvalidated_actions())
 def test_check_regularity_passes_only_simplicial_regular_actions(action):
-    # a pass proves the action simplicial, which is why regularize does not
-    # validate the actions it transports
+    # check_regularity reads (A) off the edges, on any action; a pass of the
+    # oracle's (A) and (B) scan proves the action simplicial
     K, G = action
-    assert passes(check_regularity(K, G)) == (_is_simplicial(K, G) and all(oracle_regularity(K, G)))
+    assert check_regularity(K, G) == oracle_regularity(K, G)[0]
+    assert passes(oracle_check_regularity(K, G)) == (
+        _is_simplicial(K, G) and all(oracle_regularity(K, G)))
 
 
 def _check_constructions(K, gens) -> None:
     """Every complex regularization builds is a complex, each transported group
     is the one induced element by element, each isotropy group is the
     stabilizer found by scanning the elements, each fixed set is the full
-    subcomplex on the vertices every element of H fixes, and X/G is the
-    rescan's."""
+    subcomplex on the vertices every element of H fixes, and X/G has one
+    cell per G-orbit of simplices: the rescan's simplicial complex where
+    (B) holds."""
     assert oracle_is_complex(K)
     R = regular(K, gens)
     sd, G = K, group_closure(K.vertex_count, gens)
@@ -499,13 +506,17 @@ def _check_constructions(K, gens) -> None:
         assert oracle_is_complex(fixed)
         vertices = {v for v in range(sd.vertex_count) if all(h[v] == v for h in perms(H))}
         assert fixed == full_subcomplex(sd, vertices)
-    # what regularize reads off Bredon's lemma, and no longer checks, holds
-    assert check_regularity(R.complex, R.group) == R.images
+    # what regularize reads off Bredon's lemma, and does not check, holds
+    assert check_regularity(R.complex, R.group) and R.subdivision_rounds <= 1
     assert R.complex.dim == K.dim
     quotient = orbit_complex(R)
-    assert oracle_is_complex(quotient)
-    assert (quotient.vertex_count, quotient.simplices) == oracle_orbit_complex(R)
-    assert max(vertex_orbits(R.group)) + 1 == quotient.vertex_count
+    count, images = oracle_orbit_complex(R)
+    orbits = {frozenset(apply_perm(g, s) for g in G.elements) for s in sd.simplices}
+    assert quotient.vertex_count == count == max(vertex_orbits(R.group)) + 1
+    assert sum(quotient.f_vector()) == len(orbits) and quotient.dim == sd.dim
+    if passes(oracle_check_regularity(R.complex, R.group)):
+        simplicial = complex_core.SimplicialComplex(count, images)
+        assert quotient.face_positions == simplicial.face_positions
 
 
 def test_constructions_are_complexes_on_builtins_and_corpus():
@@ -559,8 +570,8 @@ def test_bredon_lemma_on_random_actions(action):
     assert b or not orbit_condition
 
 
-def test_regularize_checks_at_most_two_rounds(monkeypatch):
-    # the second subdivision is regular by the lemma, so it is not checked
+def test_regularize_checks_once_and_subdivides_at_most_once(monkeypatch):
+    # sd K satisfies (A) by the lemma, so it is not checked
     calls = []
 
     def counting_check(K, G):
@@ -569,8 +580,9 @@ def test_regularize_checks_at_most_two_rounds(monkeypatch):
 
     monkeypatch.setattr(group_action, "check_regularity", counting_check)
     inputs = _regularity_inputs()
-    for name, checks, rounds in (("ngon-antipodal", 1, 0), ("S2-S4", 2, 1),
-                                 ("torus7-Z7", 2, 2), ("ngon-rotation-5", 2, 2)):
+    for name, checks, rounds in (("ngon-antipodal", 1, 0), ("S2-S4", 1, 1),
+                                 ("torus7-Z7", 1, 1), ("ngon-rotation-5", 1, 1),
+                                 ("ngon-rotation-6", 1, 1)):
         calls.clear()
         assert regular(*inputs[name]).subdivision_rounds == rounds, name
         assert len(calls) == checks, name
@@ -657,17 +669,23 @@ def test_full_and_trivial_are_the_last_and_first_class_on_random_actions(action)
 def test_condition_b_failure_counts_the_simplices_no_element_reaches():
     # the half-turn of a square satisfies (A), but the edges (0 1) and (1 2)
     # share an orbit image and lie in different G-orbits: 2 of the 8
-    # simplices are missed, and the count names them
+    # simplices are missed, and the oracle's (B) scan counts them.  The
+    # program needs (A) only: X/G is the circle of two vertices and two
+    # edges, which the simplicial complex of orbit images collapses to one
     K, G = cycle_complex(4), group_closure(4, [[2, 3, 0, 1]])
     validate_action(K, G)
-    assert check_regularity(K, G) == (
+    assert oracle_check_regularity(K, G) == (
         "2 simplices are reachable vertexwise but by no single element")
+    R = regularize(K, G)
+    assert R.subdivision_rounds == 0
+    assert orbit_complex(R).f_vector() == (2, 2)
+    assert betti_numbers(orbit_complex(R), Q) == (1, 1)
 
 
 def test_weak_condition_fails_before_subdivision():
     K, G = boundary_sphere(2), group_closure(4, [[1, 0, 2, 3]])
     validate_action(K, G)
-    assert not passes(check_regularity(K, G))
+    assert not check_regularity(K, G)
 
 
 def test_fixed_subcomplex_of_sphere_reflection_is_equator():
@@ -710,7 +728,7 @@ def test_orbit_complex_hexagon_antipodal_is_triangle():
 def test_orbit_complex_hexagon_full_rotation_is_circle():
     # quotient of the circle by a finite rotation group is again a circle
     R = regular(cycle_complex(6), [[1, 2, 3, 4, 5, 0]])
-    assert R.subdivision_rounds == 2
+    assert R.subdivision_rounds == 1
     assert betti_numbers(orbit_complex(R), Q) == (1, 1)
 
 

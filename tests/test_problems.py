@@ -149,6 +149,16 @@ def test_deep_json_is_refused(tmp_path, capsys, text, verb):
     assert capsys.readouterr().err == "error: the file nests deeper than the reader's recursion limit\n"
 
 
+def test_group_generators_on_an_associated_space_root_are_refused(tmp_path, capsys):
+    # the group acts on the fiber and the base; a root key nothing reads is refused
+    data = {**BUILTINS["klein-bound"], "group_generators": "garbage"}
+    path = tmp_path / "klein-bound.json"
+    path.write_text(json.dumps(data), encoding="utf-8")
+    assert main(["analyze", str(path)], out=io.StringIO()) == EXIT_INVALID
+    assert capsys.readouterr().err == (
+        "error: $.group_generators: the group acts on the fiber/base problems\n")
+
+
 def test_deeply_nested_associated_spaces_are_refused_in_a_fresh_process(tmp_path):
     # valid JSON, nested within json's limit, that the parser itself recurses on
     data = BUILTINS["torus7"]
