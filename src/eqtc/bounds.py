@@ -182,7 +182,7 @@ RULE_STATEMENTS: dict[str, str] = {
 class SpaceInfo:
     key: str
     display: str
-    complex: CellComplex | None  # None for formal spaces; X/G is a DeltaComplex
+    complex: CellComplex | None  # None for formal spaces; a DeltaComplex for X/G
     empty: bool = False
     dim: int | None = None
     connected: bool | None = None

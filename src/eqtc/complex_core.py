@@ -1,7 +1,9 @@
-"""Finite abstract simplicial complexes and their combinatorial constructions.
+"""Finite complexes, read through their face arrays, and their constructions.
 
-A simplex is a strictly increasing tuple of vertex ids; a complex is a
-downward-closed family of simplices that covers the vertices
+`CellComplex` is the one cell model, which `homology`, `ring` and `bounds`
+read for a simplicial complex and an orbit space's Δ-complex alike.  A
+simplex is a strictly increasing tuple of vertex ids; a SimplicialComplex
+is a downward-closed family of simplices that covers the vertices
 0..vertex_count-1.  All values are immutable; constructions return new
 complexes (the subdivision with its provenance map), so references stay
 stable for provenance tracking.
@@ -18,10 +20,9 @@ from __future__ import annotations
 from array import array
 from collections import defaultdict
 from dataclasses import dataclass
-from collections.abc import Collection, Iterable, Sized
+from collections.abc import Collection, Iterable, Sequence, Sized
 from functools import cached_property
 from itertools import combinations
-from typing import Protocol
 
 Simplex = tuple[int, ...]
 
@@ -42,46 +43,64 @@ class CapExceeded(RuntimeError):
 SIMPLEX_BUDGET = 2_000_000
 
 
-class CellComplex(Protocol):
-    """What `homology`, `ring` and `bounds` read from a complex, simplicial or Δ.
+class CellComplex:
+    """A complex read through its face arrays: what `homology`, `ring` and
+    `bounds` read, for a simplicial complex and a Δ-complex alike.
 
     A cell of dimension n has n+1 ordered vertices and n+1 faces, the i-th
-    dropping vertex i; cells are numbered per dimension, and a cochain is
-    indexed by those numbers.
+    dropping vertex i.  Cells are numbered per dimension, and a cochain is
+    indexed by those numbers: `faces[n - 1][i][j]` is the position among
+    the (n-1)-cells of the face of n-cell j that drops its vertex i, and
+    the vertices are the cells 0..vertex_count-1 of dimension 0.  The
+    coboundary and the cup product are the simplicial formulas on these
+    arrays (Hatcher, Algebraic Topology, §2.1 and §3.2).  `simplices` is
+    the memo key of `bounds`: its length is the cell count, and it is equal
+    only for equal complexes.
     """
 
     vertex_count: int
+    faces: Sequence[Sequence[array]]
+    simplices: Collection
 
     @property
-    def is_empty(self) -> bool: ...
-    @property
-    def dim(self) -> int: ...
-    @property
-    def simplices(self) -> Collection:  # its length, and a key equal only for equal complexes
-        ...
-    @property
-    def face_positions(self) -> list[list[array]]: ...
-    @property
-    def component_labels(self) -> list[int]: ...
-    def simplices_of_dim(self, d: int) -> Sized: ...  # only its length is read
-    def cup_faces(self, p: int, q: int) -> tuple[array, array]: ...
-    def f_vector(self) -> tuple[int, ...]: ...
-    def connected_components(self) -> int: ...
-    def is_connected(self) -> bool: ...
+    def is_empty(self) -> bool:
+        return self.vertex_count == 0
 
+    @property
+    def dim(self) -> int:
+        return len(self.faces) if self.vertex_count else -1
 
-class _Cells:
-    """What both kinds of complex share: components from the edges, and
-    the memo of `cup_faces`."""
+    def f_vector(self) -> tuple[int, ...]:
+        if self.is_empty:
+            return ()
+        return (self.vertex_count,) + tuple(len(f[0]) for f in self.faces)
 
-    vertex_count: int
-
-    def _edges(self) -> Iterable[tuple[int, int]]:
-        raise NotImplementedError
+    def simplices_of_dim(self, d: int) -> Sized:
+        """The cells of dimension d; only its length is read."""
+        return range(self.f_vector()[d] if 0 <= d <= self.dim else 0)
 
     @cached_property
     def _cup_faces(self) -> dict[tuple[int, int], tuple[array, array]]:
         return {}
+
+    def cup_faces(self, p: int, q: int) -> tuple[array, array]:
+        """Positions of the front p-face (v_0..v_p) and the back q-face
+        (v_p..v_{p+q}) of each (p+q)-cell, the faces a cup product reads,
+        found once for every field: the front drops its last vertex q
+        times, the back its first vertex p times; empty when p+q exceeds dim."""
+        if (p, q) not in self._cup_faces:
+            n = p + q
+            front = back = array("l", range(len(self.simplices_of_dim(n))))
+            if n <= self.dim:
+                for m in range(n, p, -1):
+                    front = array("l", map(self.faces[m - 1][m].__getitem__, front))
+                for m in range(n, q, -1):
+                    back = array("l", map(self.faces[m - 1][0].__getitem__, back))
+            self._cup_faces[p, q] = (front, back)
+        return self._cup_faces[p, q]
+
+    def _edges(self) -> Iterable[tuple[int, int]]:
+        return zip(*self.faces[0]) if self.faces else ()
 
     @cached_property
     def component_labels(self) -> list[int]:
@@ -119,13 +138,17 @@ class _Cells:
 
 
 @dataclass(frozen=True)
-class SimplicialComplex(_Cells):
+class SimplicialComplex(CellComplex):
     """Downward-closed set of sorted vertex tuples covering a contiguous vertex range.
 
     A plain value: the constructions of this module build only closed,
     covering families, and `from_maximal_simplices` checks the outside
     input that all of them start from.  Its cells are its simplices in
-    sorted order, with their vertices in increasing order.
+    sorted order, with their vertices in increasing order.  `dim` and the
+    components are read off the simplices, and `f_vector` off their sorted
+    listing, never off the face arrays: `bounds` reads a complex's dim and
+    connectivity before its ring cap, so a complex over the cap must never
+    build them.
     """
 
     vertex_count: int
@@ -159,31 +182,15 @@ class SimplicialComplex(_Cells):
         return self.by_dim[d]
 
     @cached_property
-    def index_of(self) -> list[dict[Simplex, int]]:
-        """Per dimension, position of each simplex in the sorted listing."""
-        return [{s: i for i, s in enumerate(level)} for level in self.by_dim]
-
-    @cached_property
-    def face_positions(self) -> list[list[array]]:
-        """Per dimension n and i in 0..n, the position among the sorted
-        (n-1)-simplices of the face that drops vertex i of each sorted
-        n-simplex: the coboundary over the integers, for every field."""
-        out: list[list[array]] = [[]]
+    def faces(self) -> list[list[array]]:
+        """The face arrays of the sorted simplices: the coboundary over the
+        integers, for every field."""
+        out: list[list[array]] = []
         for n in range(1, len(self.by_dim)):
-            index, level = self.index_of[n - 1], self.by_dim[n]
-            out.append([array("l", [index[s[:i] + s[i + 1 :]] for s in level])
+            index = {s: i for i, s in enumerate(self.by_dim[n - 1])}
+            out.append([array("l", [index[s[:i] + s[i + 1 :]] for s in self.by_dim[n]])
                         for i in range(n + 1)])
         return out
-
-    def cup_faces(self, p: int, q: int) -> tuple[array, array]:
-        """Positions of the front p-face (v_0..v_p) and the back q-face
-        (v_p..v_{p+q}) of each sorted (p+q)-simplex, the faces a cup product
-        reads, found once for every field; empty when p+q exceeds dim."""
-        if (p, q) not in self._cup_faces:
-            top = self.simplices_of_dim(p + q)
-            self._cup_faces[p, q] = (array("l", [self.index_of[p][s[: p + 1]] for s in top]),
-                                     array("l", [self.index_of[q][s[p:]] for s in top]))
-        return self._cup_faces[p, q]
 
     def f_vector(self) -> tuple[int, ...]:
         return tuple(len(level) for level in self.by_dim)
@@ -193,45 +200,14 @@ class SimplicialComplex(_Cells):
 
 
 @dataclass(frozen=True, eq=False)
-class DeltaComplex(_Cells):
-    """A Δ-complex (semi-simplicial set) held as its face-position arrays.
+class DeltaComplex(CellComplex):
+    """A Δ-complex (semi-simplicial set) held as its face arrays.
 
-    `faces[n - 1][i][j]` is the position among the (n-1)-cells of the face
-    of n-cell j that drops its vertex i; the vertices are the cells
-    0..vertex_count-1 of dimension 0.  Its cochains, coboundaries and cup
-    products are the simplicial formulas on these arrays (Hatcher,
-    Algebraic Topology, §2.1 and §3.2), so `homology` and `ring` read it
-    as they read a SimplicialComplex.  Nothing is checked: `orbit_complex`
-    and `of` build only consistent arrays.
+    Nothing is checked: `orbit_complex` builds only consistent arrays.
     """
 
     vertex_count: int
     faces: tuple[tuple[array, ...], ...]
-
-    @staticmethod
-    def of(K: SimplicialComplex) -> "DeltaComplex":
-        """K as a Δ-complex: its sorted simplices, vertices in increasing order."""
-        return DeltaComplex(K.vertex_count, tuple(map(tuple, K.face_positions[1:])))
-
-    @property
-    def is_empty(self) -> bool:
-        return self.vertex_count == 0
-
-    @property
-    def dim(self) -> int:
-        return len(self.faces) if self.vertex_count else -1
-
-    def f_vector(self) -> tuple[int, ...]:
-        if self.is_empty:
-            return ()
-        return (self.vertex_count,) + tuple(len(f[0]) for f in self.faces)
-
-    def simplices_of_dim(self, d: int) -> range:
-        return range(self.f_vector()[d] if 0 <= d <= self.dim else 0)
-
-    @property
-    def face_positions(self) -> list[list[array]]:
-        return [[], *map(list, self.faces)]
 
     @cached_property
     def simplices(self) -> tuple[tuple[int, ...], ...]:
@@ -239,24 +215,6 @@ class DeltaComplex(_Cells):
         never equals a SimplicialComplex's frozenset, and an equal tuple
         means equal arrays."""
         return ((),) * self.vertex_count + tuple(t for f in self.faces for t in zip(*f))
-
-    def cup_faces(self, p: int, q: int) -> tuple[array, array]:
-        """Positions of the front p-face and the back q-face of each
-        (p+q)-cell: the front drops its last vertex q times, the back its
-        first vertex p times; empty when p+q exceeds dim."""
-        if (p, q) not in self._cup_faces:
-            n = p + q
-            front = back = array("l", self.simplices_of_dim(n))
-            if n <= self.dim:
-                for m in range(n, p, -1):
-                    front = array("l", map(self.faces[m - 1][m].__getitem__, front))
-                for m in range(n, q, -1):
-                    back = array("l", map(self.faces[m - 1][0].__getitem__, back))
-            self._cup_faces[p, q] = (front, back)
-        return self._cup_faces[p, q]
-
-    def _edges(self) -> Iterable[tuple[int, int]]:
-        return zip(*self.faces[0]) if self.faces else ()
 
 
 def from_maximal_simplices(vertex_count: int, maximal: list[list[int]]) -> SimplicialComplex:

@@ -1,14 +1,14 @@
 """Coboundary matrices, Betti numbers, and cohomology bases.
 
-A complex is read through `complex_core.CellComplex`, so a simplicial
-complex and the Δ-complex of an orbit space are reduced alike.  Signs come
-from the vertex order of each cell, so the coboundary
+A complex is read through its face arrays (`complex_core.CellComplex`),
+so a simplicial complex and the Δ-complex of an orbit space are reduced
+alike.  Signs come from the vertex order of each cell, so the coboundary
 operators (and later the cup product) are consistent across the whole
 package.  Matrices are lists of sparse columns and cochains are sparse
-vectors, as in eqtc.linalg: a d-cochain maps the position of a sorted
-d-simplex to a nonzero scalar.  The coboundary delta_d has one column per
-sorted d-simplex, holding (-1)^i at each coface that drops the simplex as
-its i-th face.  The complex finds those faces once for every field, so
+vectors, as in eqtc.linalg: a d-cochain maps the position of a d-cell to
+a nonzero scalar.  The coboundary delta_d has one column per d-cell,
+holding (-1)^i at each coface that drops the cell as its i-th face.
+Those positions are `K.faces[d]`, found once for every field, so
 betti_numbers and each field's CochainBasis fill delta_d without hashing
 a face, and all elimination and every sparse sum go through eqtc.linalg.
 Both reduce with clearing: betti_numbers has rank fill the pivot table of
@@ -42,13 +42,13 @@ def coboundary_matrix(K: CellComplex, field: Field, d: int) -> list[dict]:
 
     (delta a)(tau) = sum_i (-1)^i a(tau with its i-th vertex dropped), so
     column j holds those signs in the rows of the cofaces of simplex j,
-    filled from K.face_positions; over Q the signs are ints, which equal
+    filled from K.faces[d]; over Q the signs are ints, which equal
     the Fractions.  In the top degree every column is empty.
     """
     cols: list[dict] = [{} for _ in K.simplices_of_dim(d)]
     rows = range(len(K.simplices_of_dim(d + 1)))
     minus = field.char - 1 if field.char else -1
-    for i, positions in enumerate(K.face_positions[d + 1] if cols and rows else ()):
+    for i, positions in enumerate(K.faces[d] if cols and rows else ()):
         sign = minus if i % 2 else 1
         for r, j in zip(rows, positions):
             cols[j][r] = sign

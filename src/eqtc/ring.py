@@ -1,10 +1,11 @@
 """Cohomology rings, Kunneth tensor rings, zero-divisors, and cup-length search.
 
 The cup product on cochains uses the front-face/back-face formula on the
-globally sorted vertex order:
+vertex order of each cell:
 
     (a.b)(v_0..v_{p+q}) = a(v_0..v_p) * b(v_p..v_{p+q})
 
+(the faces are `CellComplex.cup_faces`, composed from the face arrays),
 which satisfies the Leibniz rule on the nose, so products of cocycles
 project to well-defined classes.  The ring of the product space is modelled
 as the graded tensor square of the cohomology ring (exact over a field),
@@ -15,7 +16,7 @@ a search capped at that length finds the certificate among the candidates.
 
 Cochains, ring elements and tensor elements share the sparse format of
 eqtc.linalg: a dict from index to nonzero scalar, with {} as zero.  A
-cochain is indexed by the sorted simplices of its degree, a ring element
+cochain is indexed by the cells of its degree, a ring element
 by basis classes (degree by degree, each at the offset of its degree), and
 a tensor element by pairs of them.  Every sum goes through add_multiple.
 """

@@ -2,7 +2,8 @@
 
 These deliberately re-derive results with different code paths than the
 package: dense Gauss-Jordan on lists of rows for ranks, kernels, pivot
-columns and cohomology representatives, the cup product on dense cochains,
+columns and cohomology representatives, the cup product on dense cochains
+and its front and back faces by slicing each simplex,
 tensor multiplication by its formula, flat all-tuples enumeration for
 longest nonzero products (zero-divisors and basis classes), closure of every small generating set for the
 subgroup lattice, every group element induced simplex by simplex on a
@@ -19,6 +20,7 @@ helpers at the end are test helpers the program itself does not need.
 
 from __future__ import annotations
 
+from array import array
 from itertools import combinations
 from math import inf
 from itertools import product as iproduct
@@ -117,9 +119,19 @@ def boundary_matrix(K, field, d: int) -> list[dict]:
     gets (-1)^i in the row of its position among the (d-1)-simplices.
     """
     cols = K.simplices_of_dim(d)
-    index = K.index_of[d - 1] if cols else {}
+    index = {s: i for i, s in enumerate(K.simplices_of_dim(d - 1))}
     signs = (field.one, field.neg(field.one))
     return [{index[s[:i] + s[i + 1 :]]: signs[i % 2] for i in range(len(s))} for s in cols]
+
+
+def oracle_cup_faces(K, p: int, q: int) -> tuple[array, array]:
+    """Positions of the front p-face (v_0..v_p) and the back q-face
+    (v_p..v_{p+q}) of each sorted (p+q)-simplex, found by slicing the
+    simplex and looking the slices up; empty when p+q exceeds dim."""
+    top = K.simplices_of_dim(p + q)
+    index = {s: i for d in (p, q) for i, s in enumerate(K.simplices_of_dim(d))}
+    return (array("l", [index[s[: p + 1]] for s in top]),
+            array("l", [index[s[p:]] for s in top]))
 
 
 def boundary_matrices(K, field) -> list[list[dict]]:

@@ -516,7 +516,7 @@ def _check_constructions(K, gens) -> None:
     assert sum(quotient.f_vector()) == len(orbits) and quotient.dim == sd.dim
     if passes(oracle_check_regularity(R.complex, R.group)):
         simplicial = complex_core.SimplicialComplex(count, images)
-        assert quotient.face_positions == simplicial.face_positions
+        assert list(map(list, quotient.faces)) == simplicial.faces
 
 
 def test_constructions_are_complexes_on_builtins_and_corpus():

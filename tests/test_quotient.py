@@ -6,9 +6,9 @@ is the two-round route it replaced (tests/oracles.py): an (A) and (B)
 scan, a second subdivision where (B) fails, and the simplicial complex
 K″/G of orbit images.  Both triangulate X/G, so their Betti numbers and
 their R1 and R2 lengths agree over every field.  The same holds for every
-simplicial complex read as a Δ-complex, which must give the very same
-arrays.  `analyze` and `fixed` read X^H the same way, so they print the
-same Betti numbers.
+simplicial complex read as a Δ-complex, and the cup faces of both must
+equal those found by slicing each simplex.  `analyze` and `fixed` read
+X^H the same way, so they print the same Betti numbers.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ from eqtc.problems import builtin_examples, dumps_problem, parse_problem
 from eqtc.ring import ring_structure
 
 from complexes import boundary_sphere, perfbench_corpus, solid_simplex
-from oracles import oracle_isotropy, oracle_quotient, oracle_regularize
+from oracles import oracle_cup_faces, oracle_isotropy, oracle_quotient, oracle_regularize
 from test_group_action import _regularity_inputs, invariant_actions
 
 FIELDS = ("F2", "F3", "Q")
@@ -90,18 +90,26 @@ def test_delta_quotient_matches_the_two_round_route_on_random_actions(action):
 
 
 def check_delta_view(K) -> None:
-    """K read as a Δ-complex: the same arrays, Betti numbers and rings."""
-    D = DeltaComplex.of(K)
+    """K's face arrays and cup faces against faces found by slicing each
+    simplex, and K read as a Δ-complex: the same cup faces, components and,
+    up to 1,000 simplices, Betti numbers and rings."""
+    D = DeltaComplex(K.vertex_count, K.faces)
     assert (D.vertex_count, D.dim, D.f_vector(), D.is_empty) == (
         K.vertex_count, K.dim, K.f_vector(), K.is_empty)
-    assert D.face_positions == K.face_positions
+    for n, level in enumerate(K.faces, 1):
+        for i, positions in enumerate(level):
+            assert [K.simplices_of_dim(n - 1)[j] for j in positions] == [
+                s[:i] + s[i + 1 :] for s in K.simplices_of_dim(n)], (n, i)
+    for p in range(K.dim + 3):
+        for q in range(K.dim + 3 - p):
+            want = oracle_cup_faces(K, p, q)
+            assert K.cup_faces(p, q) == want and D.cup_faces(p, q) == want, (p, q)
     assert (D.component_labels, D.connected_components()) == (
         K.component_labels, K.connected_components())
-    for p in range(K.dim + 2):
-        for q in range(K.dim + 2 - p):
-            assert D.cup_faces(p, q) == K.cup_faces(p, q), (p, q)
     # a memo key of either kind never equals one of the other
     assert len(D.simplices) == len(K.simplices) and D.simplices != K.simplices
+    if len(K.simplices) > 1_000:
+        return
     for name in FIELDS:
         field = parse_field(name)
         assert betti_numbers(D, field) == betti_numbers(K, field)
@@ -111,8 +119,10 @@ def check_delta_view(K) -> None:
 
 
 def test_simplicial_complexes_read_as_delta_complexes():
+    # every builtin and every corpus family at seeds 0 and 1, the heavy ones too
     complexes = [solid_simplex(3), boundary_sphere(3)]
-    complexes += [K for K, _ in actions().values() if len(K.simplices) <= 1_000]
+    complexes += [K for K, _ in actions().values()]
+    complexes += [K for K, _ in corpus_actions(HEAVY).values()]
     for K in complexes:
         check_delta_view(K)
 
