@@ -184,11 +184,12 @@ def cmd_fixed(args: argparse.Namespace, out) -> int:
                 f"--subgroup must be 'full', 'trivial', or 0..{len(classes) - 1}"
             )
         H = by_index[args.subgroup]
+    field = parse_field(args.field)  # refused even where X^H is empty and no field is read
     fixed = fixed_set(K, H)
     if fixed.is_empty:
         out.write("empty\n")
     else:
-        values = betti_numbers(fixed, parse_field(args.field))
+        values = betti_numbers(fixed, field)
         out.write(" ".join(map(str, values)) + "\n")
     return EXIT_OK
 

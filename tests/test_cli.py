@@ -431,6 +431,17 @@ def test_fixed_empty_for_free_rotation(tmp_path):
     assert out.strip() == "empty"
 
 
+def test_fixed_refuses_a_bad_field_where_the_fixed_set_is_empty(tmp_path, capsys):
+    # the rotation fixes no vertex, so X^G is empty and no Betti number is
+    # read; the field is refused all the same, as for the trivial subgroup
+    path = write_example(tmp_path, "ngon-rotation-3")
+    for field, message in (("F4", "4 is not prime"), ("bogus", "unknown field 'bogus'")):
+        for subgroup in ("full", "trivial"):
+            code, out = run(["fixed", path, "--subgroup", subgroup, "--field", field])
+            assert (code, out) == (EXIT_INVALID, ""), (field, subgroup)
+            assert message in capsys.readouterr().err, (field, subgroup)
+
+
 def test_cupfind_torus(tmp_path):
     path = write_example(tmp_path, "torus7")
     code, out = run(["cupfind", path, "--field", "F2"])
