@@ -184,6 +184,7 @@ def test_full_subcomplex_empty_selection():
     assert sub.is_empty
     assert sub.connected_components() == 0
     assert sub.vertex_count == 0
+    assert (sub.dim, sub.f_vector(), sub.faces) == (-1, (), [])
 
 
 def test_euler_and_components_builtins():
