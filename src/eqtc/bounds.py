@@ -679,7 +679,8 @@ def _isotropy_links(ctx: ProblemContext) -> list[Link]:
         # cat_H(X), folding the trivial class to cat(X) and the full one to cat_G(X)
         H = c.subgroup
         cat_h = CAT_X if H.is_trivial else CAT_G if H.is_full else Quantity("cat_G", "X", key)
-        out.append(Link("le", cat_h, TC_G, (f"isotropy subgroup {c.display} occurs at a vertex",)))
+        out.append(Link("le", cat_h, TC_G,
+                        (f"subgroup {c.display} is the isotropy group of a point",)))
     return out
 
 
@@ -947,7 +948,7 @@ def _context_lines(ctx: dict) -> list[str]:
         lines.append(f"  fixed vertex: {'yes' if ctx['has_fixed_vertex'] else 'no'}")
         display = {c["key"]: c["display"] for c in ctx["subgroup_classes"]}
         iso = ", ".join(display[k] for k in ctx["isotropy_classes"])
-        lines.append(f"  isotropy subgroup classes at vertices: {iso}")
+        lines.append(f"  isotropy subgroup classes of points: {iso}")
     if ctx["annotations"]:
         lines.append(f"  annotations: {', '.join(ctx['annotations'])}")
     for space in ctx["spaces"]:
