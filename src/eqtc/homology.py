@@ -11,8 +11,8 @@ holding (-1)^i at each coface that drops the cell as its i-th face.
 Those positions are `K.faces[d]`, found once for every field, so
 betti_numbers and each field's CochainBasis fill delta_d without hashing
 a face, and all elimination and every sparse sum go through eqtc.linalg.
-Both reduce with clearing: betti_numbers has rank fill the pivot table of
-delta_{d-1} and leaves its pivot rows out of delta_d.
+Both reduce each delta_d once, with clearing: the pass fills the pivot
+table of delta_d, and its pivot rows are left out of delta_{d+1}.
 """
 
 from __future__ import annotations
@@ -42,8 +42,8 @@ def coboundary_matrix(K: CellComplex, field: Field, d: int) -> list[dict]:
 
     (delta a)(tau) = sum_i (-1)^i a(tau with its i-th vertex dropped), so
     column j holds those signs in the rows of the cofaces of simplex j,
-    filled from K.faces[d]; over Q the signs are ints, which equal
-    the Fractions.  In the top degree every column is empty.
+    filled from K.faces[d]; the signs are ints over Q too, as linalg keeps
+    integral rationals.  In the top degree every column is empty.
     """
     cols: list[dict] = [{} for _ in K.simplices_of_dim(d)]
     rows = range(len(K.simplices_of_dim(d + 1)))
@@ -82,17 +82,18 @@ def betti_numbers(K: CellComplex, field: Field) -> tuple[int, ...]:
 class CochainBasis:
     """Representative cocycles per degree plus coordinate projection.
 
-    One pass over the degrees reads each coboundary matrix delta_d once and
-    keeps only the representatives of degree d and its independent columns
-    (the coboundary basis of degree d+1).  Degree 0 is represented by the
-    component indicators.  In degree d >= 1 one solver reduces the
-    coboundary basis, and delta_d is reduced with clearing (Chen & Kerber
-    2011): a coboundary with lowest row r is a cocycle, so column r of
-    delta_d depends on earlier columns and is left out.  The rest reduce as
-    among all columns, and each of their kernel vectors ends off the pivot
-    rows, so it adds a class: these are the representatives.  Appended to
-    the same solver, they enter its table unreduced, and it reads the
-    basis coordinates of any cocycle.
+    Each coboundary matrix delta_d is reduced once, in one pass over its
+    columns, with clearing (Chen & Kerber 2011): the pass in degree d-1
+    left a table of reduced coboundaries, keyed by their lowest rows, and a
+    coboundary with lowest row r is a cocycle, so column r of delta_d
+    depends on earlier columns and is left out.  The rest reduce as among
+    all columns, and each of their kernel vectors ends off the pivot rows,
+    so it adds a class: these are the representatives of degree d >= 1.
+    Degree 0 is represented by the component indicators.  The same pass
+    fills the table of degree d+1.  Degree d's solver starts from the table
+    of degree d-1, without its masks, as it reads class coordinates only;
+    the representatives enter it unreduced, and it reads the basis
+    coordinates of any cocycle.
     Representatives, cocycles and coordinates are sparse dicts.
     """
 
@@ -102,29 +103,26 @@ class CochainBasis:
         self.complex = K
         self.field = field
         self.representatives: dict[int, list[dict]] = {}
+        # (solver, rank delta_{d-1}): the solver's class columns start there
         self._solvers: dict[int, tuple[LinearSolver, int]] = {}
-        cobound: list[dict] = []  # coboundary basis in degree d
+        table: dict = {}  # the reduced coboundaries of degree d, see linalg._reduce_columns
         for d in range(K.dim + 1):
             delta = coboundary_matrix(K, field, d)
-            solver = LinearSolver(cobound, field)
+            upper: dict = {}  # filled with the reduced coboundaries of degree d+1
             if d == 0:
-                pivots = column_space_basis(delta, field)
+                column_space_basis(delta, field, upper)
                 # canonical representatives: component indicator cochains
                 labels = K.component_labels
                 reps = [{v: field.one for v, label in enumerate(labels) if label == comp}
                         for comp in range(K.connected_components())]
             else:
-                # clearing: the columns at the solver's pivot rows reduce to zero
-                kept = [c for c in range(len(delta)) if c not in solver.table]
+                # clearing: the columns at the pivot rows of the table reduce to zero
+                kept = [c for c in range(len(delta)) if c not in table]
                 reps = [{kept[i]: a for i, a in v.items()}
-                        for v in nullspace([delta[c] for c in kept], field)]
-                # each kernel vector ends in its own column; the rest are pivots
-                free = {max(v) for v in reps}
-                pivots = [c for c in kept if c not in free]
-            solver.append(reps)
+                        for v in nullspace([delta[c] for c in kept], field, upper)]
             self.representatives[d] = reps
-            self._solvers[d] = (solver, len(cobound))
-            cobound = [delta[c] for c in pivots]
+            self._solvers[d] = (LinearSolver(reps, field, table), len(table))
+            table = upper
 
     def betti(self, d: int) -> int:
         return len(self.representatives.get(d, []))
@@ -135,8 +133,8 @@ class CochainBasis:
     def project(self, d: int, cocycle: dict) -> dict:
         """Coordinates {basis index: coefficient} of a cocycle in the chosen basis."""
         solver, skip = self._solvers[d]
-        # the solution's first skip entries write the rest as a sum of coboundaries
-        return {i - skip: c for i, c in sorted(solver.solve(cocycle).items()) if i >= skip}
+        # the solution has no entries on the coboundaries, only on the classes after them
+        return {i - skip: c for i, c in sorted(solver.solve(cocycle).items())}
 
 
 def cohomology_basis(K: CellComplex, field: Field) -> CochainBasis:

@@ -1,22 +1,22 @@
 """Exact linear algebra over prime fields and the rationals.
 
 No floating point anywhere: prime-field elements are ints reduced mod p,
-rationals are fractions.Fraction.  A vector is a sparse dict (index ->
-nonzero scalar), and a matrix is a list of such columns: coboundary
-matrices are more than 99% zeros.
+and a rational is an int where integral, a fractions.Fraction otherwise
+(see _compact).  A vector is a sparse dict (index -> nonzero scalar), and
+a matrix is a list of such columns: coboundary matrices are more than 99%
+zeros.
 
 All elimination goes through one left-to-right column reduction,
 _reduce_columns: each column is reduced against a pivot table keyed by the
 lowest row of the columns before it, and may carry a mask of the column
-operations.  rank counts its pivots (and fills a pivot table it is given,
-so a caller can read the pivot rows), column_space_basis lists them,
-nullspace returns the masks of the columns that reduce to zero, and
-LinearSolver keeps the table and the masks, continues the pass on columns
-appended later, and solves against them.
+operations.  rank counts its pivots, column_space_basis lists them, and
+nullspace returns the masks of the columns that reduce to zero; each fills
+a pivot table it is given.  LinearSolver can start from such a table,
+continues the pass on columns appended later, and solves against them.
 
 Every field's coboundary comes from the complex's one set of faces, so
-its entries are +-1, ints over Q too (see _compact), and a pivot whose
-lowest entry is +-1 is its own inverse: it is inverted without a division.
+its entries are +-1, ints over Q too, and a pivot whose lowest entry is
++-1 is its own inverse: it is inverted without a division.
 """
 
 from __future__ import annotations
@@ -59,15 +59,15 @@ class PrimeField:
 
 
 class RationalField:
-    """Exact rational arithmetic via Fraction."""
+    """Exact rational arithmetic: ints where integral, Fractions otherwise."""
 
     def __init__(self):
         self.name = "Q"
         self.char = 0
-        self.one = Fraction(1)
+        self.one = 1
 
     def of_int(self, n: int):
-        return Fraction(n)
+        return n
 
     def mul(self, a, b):
         return a * b
@@ -78,7 +78,7 @@ class RationalField:
     def inv(self, a):
         if a == 0:
             raise ZeroDivisionError("inverse of zero")
-        return 1 / Fraction(a)
+        return _compact(1 / Fraction(a))
 
     def __repr__(self):
         return self.name
@@ -120,6 +120,8 @@ def add_multiple(y: dict, a, x: dict, field: Field) -> None:
         c = get(r, 0) + a * b
         if p:
             c %= p
+        elif c.__class__ is not int:
+            c = _compact(c)
         if c:
             y[r] = c
         else:
@@ -127,14 +129,9 @@ def add_multiple(y: dict, a, x: dict, field: Field) -> None:
 
 
 def _compact(a):
-    # integral rationals as ints: coboundaries are +-1 ints in every field,
-    # and int arithmetic is many times faster than Fraction's
+    # a rational as an int where it is integral: a product or sum of
+    # Fractions can be, and int arithmetic is many times faster than Fraction's
     return a.numerator if a.denominator == 1 else a
-
-
-def _exact(v: dict, field: Field) -> dict:
-    """v with field elements again: Fractions over Q, where _compact made ints."""
-    return v if field.char else {k: Fraction(a) for k, a in v.items()}
 
 
 def _reduce(v: dict, mask: dict | None, table: dict, field: Field):
@@ -153,7 +150,7 @@ def _reduce(v: dict, mask: dict | None, table: dict, field: Field):
         column, column_mask, inv = pivot
         a = -v[low] * inv % p if p else _compact(-v[low] * inv)
         add_multiple(v, a, column, field)
-        if mask is not None:
+        if mask is not None and column_mask is not None:
             add_multiple(mask, a, column_mask, field)
     return None
 
@@ -163,15 +160,16 @@ def _reduce_columns(mat: list[dict], field: Field, masks: bool = False,
     """The one elimination: a left-to-right pass over the columns of mat.
 
     Returns (pivot columns, pivot table, kernel masks).  The table maps the
-    lowest row of each reduced pivot column to (reduced column, mask,
-    inverse of its lowest entry).  Column j is a pivot exactly when it is
-    independent of columns 0..j-1.  With masks=True, each column carries a
+    lowest row of each reduced pivot column to (reduced column, mask or
+    None, inverse of its lowest entry).  Column j is a pivot exactly when
+    it is independent of columns 0..j-1.  With masks=True, each column carries a
     mask m with mat * m equal to its reduced column, starting from {j: 1};
     only pivot columns are ever added, so the mask of a column that
     reduces to zero is the kernel vector with a 1 on its own column and
     support in the earlier pivot columns.  Those are returned in order.
     Given the table of an earlier pass over start columns, it continues
-    that pass.  The input columns are not changed.
+    that pass; a pivot with no mask adds nothing to the masks.  The input
+    columns are not changed.
     """
     table = {} if table is None else table
     p = field.char
@@ -179,14 +177,14 @@ def _reduce_columns(mat: list[dict], field: Field, masks: bool = False,
     pivots: list[int] = []
     kernel: list[dict] = []
     for j, column in enumerate(mat, start):
-        v = dict(column) if p else {r: _compact(a) for r, a in column.items()}
+        v = dict(column)
         mask = {j: 1} if masks else None
         low = _reduce(v, mask, table, field)
         if low is None:
             kernel.append(mask)
         else:
-            lead = _compact(v[low])  # most coboundary pivots are +-1: no division
-            table[low] = (v, mask, lead if lead in units else _compact(field.inv(lead)))
+            lead = v[low]  # most coboundary pivots are +-1: no division
+            table[low] = (v, mask, lead if lead in units else field.inv(lead))
             pivots.append(j)
     return pivots, table, kernel
 
@@ -196,20 +194,21 @@ def rank(mat: list[dict], field: Field, table: dict | None = None) -> int:
     return len(_reduce_columns(mat, field, table=table)[0])
 
 
-def nullspace(mat: list[dict], field: Field) -> list[dict]:
+def nullspace(mat: list[dict], field: Field, table: dict | None = None) -> list[dict]:
     """Basis of the kernel of mat, one sparse vector per dependent column.
 
     Each vector is 1 on its own column, which is its largest index, and
     is otherwise supported on earlier independent columns: the kernel
     basis read off the reduced row echelon form.  The columns that no
-    vector ends in are exactly what column_space_basis returns.
+    vector ends in are exactly what column_space_basis returns.  A given
+    table is filled as in rank.
     """
-    return [_exact(m, field) for m in _reduce_columns(mat, field, masks=True)[2]]
+    return _reduce_columns(mat, field, True, table)[2]
 
 
-def column_space_basis(mat: list[dict], field: Field) -> list[int]:
-    """Indices of the leftmost independent columns."""
-    return _reduce_columns(mat, field)[0]
+def column_space_basis(mat: list[dict], field: Field, table: dict | None = None) -> list[int]:
+    """Indices of the leftmost independent columns; a given table is filled as in rank."""
+    return _reduce_columns(mat, field, table=table)[0]
 
 
 class LinearSolver:
@@ -218,11 +217,14 @@ class LinearSolver:
     Reduces the columns of M once, with masks, one table entry each, and
     append continues the pass on more columns.  Each solve reduces v
     against the pivot table; the masks of the pivots it used add up to x.
+    Given the pivot table of an earlier pass over columns C, it starts from
+    their reduced columns without masks: it solves [C | M] x = v with M's
+    columns numbered from len(table), and x has no entries on C.
     """
 
-    def __init__(self, mat: list[dict], field: Field):
+    def __init__(self, mat: list[dict], field: Field, table: dict | None = None):
         self.field = field
-        self.table: dict = {}  # keyed by the pivot rows, see _reduce_columns
+        self.table = {low: (v, None, inv) for low, (v, _, inv) in (table or {}).items()}
         self.append(mat)
 
     def append(self, mat: list[dict]) -> None:
@@ -232,8 +234,8 @@ class LinearSolver:
         """The unique sparse x with M x = v; raises FieldError if there is none."""
         field = self.field
         # reducing -v to zero adds up M x = v in the mask
-        w = {r: field.neg(_compact(a)) for r, a in v.items()}
+        w = {r: field.neg(a) for r, a in v.items()}
         x: dict = {}
         if _reduce(w, x, self.table, field) is not None:
             raise FieldError("inconsistent linear system")
-        return _exact(x, field)
+        return x

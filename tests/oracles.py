@@ -2,7 +2,8 @@
 
 These deliberately re-derive results with different code paths than the
 package: dense Gauss-Jordan on lists of rows for ranks, kernels, pivot
-columns and cohomology representatives, the cup product on dense cochains
+columns and cohomology representatives, the two-pass cohomology basis the
+package once built, the cup product on dense cochains
 and its front and back faces by slicing each simplex,
 tensor multiplication by its formula, flat all-tuples enumeration for
 longest nonzero products (zero-divisors and basis classes), closure of every small generating set for the
@@ -37,7 +38,7 @@ from eqtc.group_action import (
     vertex_orbits,
 )
 from eqtc.homology import betti_numbers, coboundary_matrix
-from eqtc.linalg import add_multiple, parse_field
+from eqtc.linalg import LinearSolver, add_multiple, column_space_basis, nullspace, parse_field
 from eqtc.problems import (
     ANNOTATIONS,
     ASSERTABLE_KINDS,
@@ -217,6 +218,45 @@ def oracle_representatives(K, field) -> dict[int, list[list]]:
         _, pivots = oracle_rref([[v[r] for v in candidates] for r in range(n[d])], field)
         reps[d] = [candidates[c] for c in pivots if c >= len(cobound)]
     return reps
+
+
+def oracle_cochain_basis(K, field):
+    """Representatives and projection as the two-pass CochainBasis built them.
+
+    In each degree a fresh solver reduces the coboundary basis, the
+    independent columns of delta_{d-1}, a second time and with masks;
+    delta_d is reduced with clearing at that solver's pivot rows, its
+    kernel vectors are the representatives (the component indicators in
+    degree 0), and they are appended to the solver.  Returns
+    (representatives by degree, project(d, cocycle) -> {class: coefficient}).
+    """
+    representatives, solvers = {}, {}
+    cobound: list[dict] = []
+    for d in range(K.dim + 1):
+        delta = coboundary_matrix(K, field, d)
+        solver = LinearSolver(cobound, field)
+        if d == 0:
+            pivots = column_space_basis(delta, field)
+            labels = K.component_labels
+            reps = [{v: field.one for v, label in enumerate(labels) if label == comp}
+                    for comp in range(K.connected_components())]
+        else:
+            kept = [c for c in range(len(delta)) if c not in solver.table]
+            reps = [{kept[i]: a for i, a in v.items()}
+                    for v in nullspace([delta[c] for c in kept], field)]
+            free = {max(v) for v in reps}
+            pivots = [c for c in kept if c not in free]
+        solver.append(reps)
+        representatives[d] = reps
+        solvers[d] = (solver, len(cobound))
+        cobound = [delta[c] for c in pivots]
+
+    def project(d: int, cocycle: dict) -> dict:
+        solver, skip = solvers[d]
+        # the solution's first skip entries write the rest as a sum of coboundaries
+        return {i - skip: c for i, c in sorted(solver.solve(cocycle).items()) if i >= skip}
+
+    return representatives, project
 
 
 def oracle_cup_product(K, field, a: list, b: list, p: int, q: int) -> list:

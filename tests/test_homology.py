@@ -72,6 +72,14 @@ def dense_boundaries(K, field):
     return [to_rows(m, f[d], field) for d, m in enumerate(boundary_matrices(K, field))]
 
 
+def same_scalars(got: list[list], want: list[list]) -> bool:
+    """Equal rows of scalars, each an int where its value is integral and a
+    Fraction otherwise, the form eqtc.linalg keeps rationals in."""
+    return [len(g) for g in got] == [len(w) for w in want] and all(
+        a == b and type(a) is (int if b.denominator == 1 else Fraction)
+        for g, w in zip(got, want) for a, b in zip(g, w))
+
+
 def coboundary_part(basis, d, vec):
     """Dense vec minus its projection onto the representatives."""
     field = basis.field
@@ -305,7 +313,8 @@ def test_coboundary_matrix_is_transposed_boundary_matrix():
 def test_unit_pivots_over_q_match_dense_gauss_jordan():
     # entries in -2..2, so lowest entries +-1 (their own inverse, no
     # division) and +-2 (inverted through Fraction) both become pivots; the
-    # columns come as ints, as the coboundary gives them, and as Fractions
+    # columns come as ints, as the coboundary gives them, and as Fractions;
+    # either way an integral result is an int
     rng = random.Random(23)
     leads = set()
     for _ in range(80):
@@ -318,8 +327,7 @@ def test_unit_pivots_over_q_match_dense_gauss_jordan():
             assert rank(sparse, Q) == len(pivots)
             assert column_space_basis(sparse, Q) == pivots
             got = nullspace(sparse, Q)
-            assert all(type(a) is Fraction for v in got for a in v.values())
-            assert repr([to_dense(v, cols, Q) for v in got]) == repr(kernel)
+            assert same_scalars([to_dense(v, cols, Q) for v in got], kernel)
             leads |= {v[low] for low, (v, _, _) in _reduce_columns(sparse, Q)[1].items()}
             # the unique solution on the independent columns, read off the
             # RREF of the augmented matrix
@@ -329,9 +337,8 @@ def test_unit_pivots_over_q_match_dense_gauss_jordan():
             work, aug_pivots = oracle_rref([row + [b] for row, b in zip(sub, rhs)], Q)
             assert aug_pivots == list(range(len(pivots)))
             solved = LinearSolver([sparse[c] for c in pivots], Q).solve(to_sparse(rhs, Q))
-            assert all(type(a) is Fraction for a in solved.values())
-            assert repr(to_dense(solved, len(pivots), Q)) == repr(
-                [work[i][-1] for i in range(len(pivots))])
+            assert same_scalars([to_dense(solved, len(pivots), Q)],
+                                [[work[i][-1] for i in range(len(pivots))]])
     assert {1, -1, 2, -2} <= leads
 
 
@@ -385,7 +392,7 @@ def test_elimination_routines_agree_on_random_matrices():
 
 
 def test_sparse_elimination_matches_dense_gauss_jordan():
-    # repr compares values and types: kernel entries over Q are Fractions
+    # kernel entries over Q are ints where integral and Fractions otherwise
     rng = random.Random(5)
     for field in FIELDS:
         for _ in range(60):
@@ -400,7 +407,7 @@ def test_sparse_elimination_matches_dense_gauss_jordan():
                                      else field.of_int(a))
             sparse = to_columns(mat, field)
             kernel = [to_dense(v, cols, field) for v in nullspace(sparse, field)]
-            assert repr(kernel) == repr(oracle_nullspace(mat, field, cols))
+            assert same_scalars(kernel, oracle_nullspace(mat, field, cols))
             _, pivots = oracle_rref(mat, field)
             assert column_space_basis(sparse, field) == pivots
             assert rank(sparse, field) == len(pivots)
@@ -451,8 +458,8 @@ def test_clearing_skips_exactly_the_columns_that_reduce_to_zero(monkeypatch):
     # and every kernel vector of the rest is a representative, the same as
     # the kernel vectors of all of delta_d that end off those rows
     widths = []
-    monkeypatch.setattr("eqtc.homology.nullspace",
-                        lambda mat, field: widths.append(len(mat)) or nullspace(mat, field))
+    monkeypatch.setattr("eqtc.homology.nullspace", lambda mat, field, table=None: (
+        widths.append(len(mat)) or nullspace(mat, field, table)))
     rng = random.Random(11)
     complexes = [torus_seven_vertex(), klein_bottle_grid(), projective_plane_six_vertex()]
     complexes += [random_complex(rng, 8) for _ in range(40)]
@@ -462,8 +469,8 @@ def test_clearing_skips_exactly_the_columns_that_reduce_to_zero(monkeypatch):
             basis = cohomology_basis(K, field)
             for d in range(1, K.dim + 1):
                 solver, skip = basis._solvers[d]
-                # the first skip columns of the solver are the coboundary basis
-                rows = {r for r, (_, mask, _) in solver.table.items() if max(mask) < skip}
+                # the coboundary basis enters the solver without masks
+                rows = {r for r, (_, mask, _) in solver.table.items() if mask is None}
                 assert len(rows) == skip
                 cocycles = nullspace(coboundary_matrix(K, field, d), field)
                 assert basis.representatives[d] == [v for v in cocycles if max(v) not in rows], (

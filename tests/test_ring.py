@@ -10,16 +10,19 @@ from hypothesis import strategies as st
 from complexes import (
     boundary_sphere,
     cycle_complex,
+    perfbench_corpus,
     projective_plane_six_vertex,
     solid_simplex,
     torus_seven_vertex,
     varied_complexes,
 )
+from manifest import SLOW_FAMILIES
 from oracles import (
     dense_coboundary_matrix,
     field_add,
     is_zero,
     mat_vec,
+    oracle_cochain_basis,
     oracle_cup_product,
     oracle_cuplength,
     oracle_longest_product,
@@ -29,9 +32,11 @@ from oracles import (
     zero,
 )
 
+import eqtc.bounds as bounds
+from eqtc.bounds import EngineConfig, analyze_problem
 from eqtc.complex_core import from_maximal_simplices
 from eqtc.homology import cohomology_basis, parse_field
-from eqtc.problems import builtin_examples
+from eqtc.problems import builtin_examples, parse_problem
 from eqtc.ring import (
     CohomologyRing,
     TensorRing,
@@ -460,6 +465,66 @@ def test_nil_search_length_from_generators_matches_the_exhaustive_search(K, fiel
         cert, _ = nilpotency_lower_bound(T, Z, depth_cap=cap)
         assert cert.factor_labels == [zs[i].label for i in full], (K.f_vector(), field.name)
         assert cert.length == oracle_longest_product(T, Z.elements, cap)
+
+
+def fast_corpus_problems():
+    """The benchmark families outside the manifest's slow part, at seeds 0 and 1."""
+    corpus = perfbench_corpus()
+    return [parse_problem(corpus.build(family, seed))
+            for family in sorted(set(corpus.FAMILIES) - set(SLOW_FAMILIES)) for seed in (0, 1)]
+
+
+def check_basis_against_the_two_pass_oracle(K, field):
+    # repr compares the types of the scalars too
+    basis = cohomology_basis(K, field)
+    reps, project = oracle_cochain_basis(K, field)
+    assert repr(basis.representatives) == repr(reps), (K.f_vector(), field.name)
+    classes = [(d, rep) for d in sorted(reps) for rep in reps[d]]
+    for p, a in classes:
+        for q, b in classes:
+            if p + q <= K.dim:
+                prod = cup_product_cochain(K, field, a, b, p, q)
+                assert repr(basis.project(p + q, prod)) == repr(project(p + q, prod)), (
+                    K.f_vector(), field.name, p, q)
+
+
+def test_cochain_basis_matches_the_two_pass_oracle():
+    # one reduction of each coboundary matrix gives the representatives, and
+    # the coordinates of every product of two of them, that reducing each
+    # coboundary basis a second time in its own solver gave
+    complexes = varied_complexes(3)
+    for problem in fast_corpus_problems():
+        complexes.append(from_maximal_simplices(problem.vertex_count,
+                                                [list(s) for s in problem.maximal_simplices]))
+    for K in complexes:
+        for field in FIELDS:
+            check_basis_against_the_two_pass_oracle(K, field)
+
+
+@settings(derandomize=True, deadline=None, max_examples=60)
+@given(small_complexes(), st.sampled_from(FIELDS))
+def test_cochain_basis_matches_the_two_pass_oracle_on_random_complexes(K, field):
+    check_basis_against_the_two_pass_oracle(K, field)
+
+
+def test_rational_scalars_are_ints_wherever_they_are_integral(monkeypatch):
+    # over Q the representatives, structure constants and zero-divisors of
+    # X, of every fixed set and of X/G are integral on these inputs, and they
+    # are held as ints, not as Fractions
+    rings, zero_divisors = [], []
+    ring_structure, combined = bounds.ring_structure, bounds.combined_zero_divisors
+    monkeypatch.setattr(bounds, "ring_structure",
+                        lambda K, field: rings.append(ring_structure(K, field)) or rings[-1])
+    monkeypatch.setattr(bounds, "combined_zero_divisors",
+                        lambda T: zero_divisors.append(combined(T)) or zero_divisors[-1])
+    for problem in list(builtin_examples().values()) + fast_corpus_problems():
+        analyze_problem(problem, EngineConfig.from_problem(problem, fields=("Q",)))
+    scalars = [a for ring in rings for reps in ring.basis.representatives.values()
+               for v in reps for a in v.values()]
+    scalars += [a for ring in rings for c in ring.constants.values() for a in c.values()]
+    scalars += [a for Z in zero_divisors for z in Z.elements for _, a in z.coeffs]
+    assert len(rings) > 100 and len(scalars) > 5000
+    assert all(type(a) is int for a in scalars)
 
 
 def grid_torus_3():
